@@ -2,8 +2,8 @@
 
 Subcommands: gen, family, dual, check, classify, certify, ot.
 Exit codes: 0 pass/success, 1 certified failure (with witnesses),
-2 input error, 3 resource cap exceeded.  The environment variable
-WEYLOT_ORBIT_CAP overrides the orbit/group size cap.
+2 input error, 3 resource cap exceeded, 4 internal self-check failed.
+WEYLOT_ORBIT_CAP in the environment overrides the orbit/group size cap.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (CombinatorialBudgetExceeded, OrbitCapExceeded,
-                     WeylotError)
+from .errors import (CombinatorialBudgetExceeded, InternalCheckFailed,
+                     OrbitCapExceeded, PivotCapExceeded, WeylotError)
 from . import fileio
 from .rootsystems import build_from_label, weight_to_coords
 from .weyl import (FAMILY_ROWS, classify, is_weyl_polytope, mr_family,
@@ -239,9 +239,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (OrbitCapExceeded, CombinatorialBudgetExceeded) as exc:
+    except (OrbitCapExceeded, PivotCapExceeded,
+            CombinatorialBudgetExceeded) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
+    except InternalCheckFailed as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     except (WeylotError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

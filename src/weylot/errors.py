@@ -33,6 +33,14 @@ class GroupCapExceeded(OrbitCapExceeded):
     """Group materialization grew past the configured cap."""
 
 
+class PivotCapExceeded(WeylotError):
+    """The network simplex ran past its pivot cap."""
+
+
+class InternalCheckFailed(WeylotError):
+    """An internal self-check failed: a bug in weylot, not a verdict."""
+
+
 class NotDominant(WeylotError):
     """Weight is not in the closed positive chamber."""
 

@@ -14,11 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
+from math import gcd
+
+import numpy as np
 
 from . import linalg as la
 from .polytope import Polytope, face_coordinates
 
 _BOX_CAP = 200_000
+_INT64_GUARD = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,8 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     group, cells are the facet flag simplices (barycentric subdivision),
     which are canonical under every automorphism, so the cloud is exactly
     invariant; ``side`` selects the action ("M" for the polytope, "N" for
-    its dual).
+    its dual).  ``system`` is only for chamber tags: each point's first
+    incident chamber (see :func:`chamber_incidence`), else None.
     """
     if not p.is_lattice:
         raise ValueError("discretization needs a lattice polytope")
@@ -255,42 +260,68 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
 
     total = sum(accum.values(), Fraction(0))
     points = sorted(accum)
-    masses = []
-    facet_tags = []
-    for pt in points:
-        masses.append(la.norm_scalar(accum[pt] / total))
-        tf = p.tight_facets(pt)
-        if len(tf) != 1:
-            raise ValueError("cell centroid not in a unique facet interior")
-        facet_tags.append(tf[0])
+    masses = tuple(la.norm_scalar(accum[pt] / total) for pt in points)
+    tight = tight_matrix(*_int_array(points), p)
+    if (tight.sum(axis=1) != 1).any():
+        raise ValueError("cell centroid not in a unique facet interior")
+    facet_tags = tuple(int(f) for f in tight.argmax(axis=1))
 
     chamber_tags = (None,) * len(points)
     if system is not None and group is not None:
-        chamber_tags = tuple(
-            _chamber_label(system, group, pt, side) for pt in points)
-    return WeightedPointCloud(tuple(points), tuple(masses), tuple(facet_tags),
+        inc = chamber_incidence(points, system, group, side)
+        chamber_tags = tuple(int(w) for w in inc.argmax(axis=0))
+    return WeightedPointCloud(tuple(points), masses, facet_tags,
                               chamber_tags, p, side)
 
 
-def _incident_chambers(system, group, x, side):
-    """Indices of group elements w with x in w(C+); several on walls."""
-    out = []
-    for i, e in enumerate(group.elements):
-        if side == "M":
-            inv = la.transpose(e.dual_matrix)
-            y = la.mat_vec(inv, x)
-            if system.is_dominant(y, "M"):
-                out.append(i)
-        else:
-            inv = la.transpose(e.matrix)
-            y = la.mat_vec(inv, x)
-            if system.is_dominant(y, "N"):
-                out.append(i)
-    return out
+def _scaled_points(points):
+    """Common-denominator integer coordinates for a list of rational points."""
+    mult = 1
+    for p in points:
+        for x in p:
+            d = Fraction(x).denominator
+            mult = mult * d // gcd(mult, d)
+    return [tuple(int(x * mult) for x in p) for p in points], mult
 
 
-def _chamber_label(system, group, x, side):
-    return _incident_chambers(system, group, x, side)[0]
+def _int_array(points):
+    pts, scale = _scaled_points(points)
+    bound = max((max(abs(x) for x in p) for p in pts), default=0)
+    dtype = np.int64 if bound < (1 << 30) else object
+    return np.array(pts, dtype=dtype), scale
+
+
+def tight_matrix(pts, scale, p: Polytope):
+    """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``."""
+    normals = np.array([n for n, _ in p.facets], dtype=pts.dtype)
+    offsets = [Fraction(c) * scale for _, c in p.facets]
+    if any(f.denominator != 1 for f in offsets):
+        raise ValueError("facet offsets did not scale to integers")
+    return (pts @ normals.T) == np.array([int(f) for f in offsets],
+                                         dtype=pts.dtype)
+
+
+def chamber_incidence(points, system, group, side):
+    """Boolean |W| x n matrix: entry [w, i] says points[i] lies in w(C+).
+
+    x is in w(C+) iff w^-1 x is dominant (Humphreys, *Reflection Groups
+    and Coxeter Groups*, 1.12); wall points lie in several chambers.  The
+    test runs on common-denominator integer points, so it is exact.
+    """
+    if side == "M":
+        mats, simple = [e.dual_matrix for e in group], system.simple_coroots
+    elif side == "N":
+        mats, simple = [e.matrix for e in group], system.simple_roots
+    else:
+        raise ValueError("side must be 'M' or 'N'")
+    pts, _ = _int_array(points)
+    # w^-1 is the transposed dual matrix on M and transposed matrix on N
+    proj = [la.mat_mul(m, la.transpose(simple)) for m in mats]
+    pbound = max(abs(x) for m in proj for row in m for x in row)
+    if int(np.abs(pts).max(initial=0)) * pbound * system.rank >= _INT64_GUARD:
+        pts = pts.astype(object)
+    return np.array([((pts @ np.array(m, dtype=pts.dtype)) >= 0).all(axis=1)
+                     for m in proj], dtype=bool)
 
 
 def chamber_mass(cloud: WeightedPointCloud, system, group, side=None):
@@ -300,10 +331,10 @@ def chamber_mass(cloud: WeightedPointCloud, system, group, side=None):
     1/|W| of the total.
     """
     side = cloud.side if side is None else side
-    out = {i: Fraction(0) for i in range(len(group.elements))}
-    for pt, mass in zip(cloud.points, cloud.masses):
-        inc = _incident_chambers(system, group, pt, side)
-        share = Fraction(mass) / len(inc)
-        for i in inc:
-            out[i] += share
+    inc = chamber_incidence(cloud.points, system, group, side)
+    out = {i: Fraction(0) for i in range(len(inc))}
+    for mass, column in zip(cloud.masses, inc.T):
+        share = Fraction(mass) / int(column.sum())
+        for i in np.flatnonzero(column):
+            out[int(i)] += share
     return {i: la.norm_scalar(v) for i, v in out.items()}

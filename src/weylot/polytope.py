@@ -240,10 +240,6 @@ class Polytope:
     def contains(self, x):
         return all(la.vdot(x, n) <= c for n, c in self.facets)
 
-    def tight_facets(self, x):
-        return tuple(f for f, (n, c) in enumerate(self.facets)
-                     if la.vdot(x, n) == c)
-
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented

@@ -17,11 +17,12 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (CombinatorialBudgetExceeded, NotReflexive,
-                     UnbalancedMasses)
+from .errors import (CombinatorialBudgetExceeded, InternalCheckFailed,
+                     NotReflexive, PivotCapExceeded, UnbalancedMasses)
 from . import linalg as la
+from .measures import (_INT64_GUARD, _int_array, _scaled_points,
+                       chamber_incidence, discretize, tight_matrix)
 
-_INT64_GUARD = 1 << 60
 _PIVOT_CAP = 2_000_000
 
 
@@ -52,16 +53,6 @@ class CycleVerdict:
     passed: bool
     max_cycle_length: int
     violations: tuple
-
-
-def _scaled_points(points):
-    """Common-denominator integer coordinates for a list of rational points."""
-    mult = 1
-    for p in points:
-        for x in p:
-            d = Fraction(x).denominator
-            mult = mult * d // gcd(mult, d)
-    return [tuple(int(x * mult) for x in p) for p in points], mult
 
 
 def _cost_matrix(mu_points, nu_points):
@@ -162,7 +153,7 @@ def _tree_potentials(arcs, k, n, m):
                 u[nxt] = int(k[nxt, node - n]) - v[node - n]
             stack.append(nxt)
     if any(x is None for x in u) or any(x is None for x in v):
-        raise RuntimeError("basis does not span the bipartite graph")
+        raise InternalCheckFailed("basis does not span the bipartite graph")
     return u, v
 
 
@@ -245,7 +236,7 @@ def _network_simplex(a, b, k):
         adj[li].discard(n + lj)
         adj[n + lj].discard(li)
     else:
-        raise RuntimeError("network simplex pivot cap exceeded")
+        raise PivotCapExceeded("network simplex pivot cap exceeded")
     return arcs
 
 
@@ -278,10 +269,6 @@ def _index_maps(points, matrices):
     return out
 
 
-def _index_map(points, matrix):
-    return _index_maps(points, [matrix])[0]
-
-
 def symmetrize_plan(plan, group, mu, nu):
     """Group average of a plan: exactly feasible, invariant, same cost.
 
@@ -311,7 +298,8 @@ def symmetrize_plan(plan, group, mu, nu):
         cost += mass * -Fraction(la.vdot(mu.points[i], nu.points[j]))
     sym = TransportPlan(triples, la.norm_scalar(cost))
     if sym.cost_value != plan.cost_value:
-        raise RuntimeError("symmetrization changed the cost (plan not optimal?)")
+        raise InternalCheckFailed(
+            "symmetrization changed the cost (plan not optimal?)")
     return sym
 
 
@@ -396,13 +384,6 @@ def _long_cycles(g, support, max_len):
     return []
 
 
-def _int_array(points):
-    pts, scale = _scaled_points(points)
-    bound = max((max(abs(x) for x in p) for p in pts), default=0)
-    dtype = np.int64 if bound < (1 << 30) else object
-    return np.array(pts, dtype=dtype), scale
-
-
 def check_reflection_sign(plan, system, mu, nu):
     """Per support pair and root: the two bracket signs never oppose.
 
@@ -451,11 +432,6 @@ def check_stability_support(plan, delta, mu, nu):
     pm, ms = _int_array(mu.points)
     pn, ns = _int_array(nu.points)
     verts = np.array(delta.vertices, dtype=pm.dtype)
-    normals = np.array([n for n, _ in delta.facets], dtype=pm.dtype)
-    scaled_offsets = [Fraction(c) * ms for _, c in delta.facets]
-    if any(f.denominator != 1 for f in scaled_offsets):
-        raise ValueError("facet offsets did not scale to integers")
-    offsets = np.array([int(f) for f in scaled_offsets], dtype=pm.dtype)
 
     # y must lie in the dual polytope: <v, y> <= 1 for every vertex v
     vy = verts @ pn.T
@@ -463,7 +439,7 @@ def check_stability_support(plan, delta, mu, nu):
         j = int(np.argwhere((vy > ns).any(axis=0))[0][0])
         raise ValueError(f"target point {nu.points[j]} is outside the dual")
 
-    tight = (pm @ normals.T) == offsets[None, :]        # sources x facets
+    tight = tight_matrix(pm, ms, delta)                 # sources x facets
     inc = np.zeros((len(delta.facets), len(delta.vertices)), dtype=np.int8)
     for f, members in enumerate(delta.incidence):
         for vi in members:
@@ -493,21 +469,8 @@ def check_chamber_support(plan, rec, group, mu, nu):
         raise NotReflexive("chamber support needs a reflexive polytope")
     if not plan.triples:
         return CheckVerdict(True, Fraction(0), ())
-    system = rec.system
-    pm, _ = _int_array(mu.points)
-    pn, _ = _int_array(nu.points)
-    scor = np.array(system.simple_coroots, dtype=pm.dtype)
-    sroot = np.array(system.simple_roots, dtype=pm.dtype)
-    in_m = []
-    in_n = []
-    for e in group:
-        # x in w(C+_M)  iff  w^{-1} x is dominant; w^{-1} = dual_matrix^T
-        x_img = pm @ np.array(e.dual_matrix, dtype=pm.dtype)
-        in_m.append((x_img @ scor.T >= 0).all(axis=1))
-        y_img = pn @ np.array(e.matrix, dtype=pm.dtype)
-        in_n.append((y_img @ sroot.T >= 0).all(axis=1))
-    in_m = np.array(in_m)
-    in_n = np.array(in_n)
+    in_m = chamber_incidence(mu.points, rec.system, group, "M")
+    in_n = chamber_incidence(nu.points, rec.system, group, "N")
     src = np.array([i for i, _, _ in plan.triples])
     tgt = np.array([j for _, j, _ in plan.triples])
     shared = (in_m[:, src] & in_n[:, tgt]).any(axis=0)
@@ -632,7 +595,7 @@ def solve_invariant_ot(mu, nu, group, _system=None):
     for i, j, mass in triples:
         cost += mass * -Fraction(la.vdot(mu.points[i], nu.points[j]))
     if cost != qcost:
-        raise RuntimeError("quotient lift changed the transport cost")
+        raise InternalCheckFailed("quotient lift changed the transport cost")
     plan = TransportPlan(triples, la.norm_scalar(cost))
 
     u, v = _tree_potentials(flows, qk, len(src_reps), len(tgt_reps))
@@ -645,13 +608,13 @@ def solve_invariant_ot(mu, nu, group, _system=None):
     phin = np.array([int(Fraction(x) * sm * sn) for x in phi], dtype=dtype)
     psin = np.array([int(Fraction(x) * sm * sn) for x in psi], dtype=dtype)
     if ((phin[:, None] + psin[None, :]) > K).any():
-        raise RuntimeError("lifted potentials are not dual feasible")
+        raise InternalCheckFailed("lifted potentials are not dual feasible")
     dual_value = sum((Fraction(m) * p for m, p in zip(mu.masses, phi)),
                      Fraction(0))
     dual_value += sum((Fraction(m) * p for m, p in zip(nu.masses, psi)),
                       Fraction(0))
     if dual_value != plan.cost_value:
-        raise RuntimeError("quotient reduction produced a duality gap")
+        raise InternalCheckFailed("quotient reduction produced a duality gap")
     anchor = min(range(len(mu.points)), key=lambda i: mu.points[i])
     shift = phi[anchor]
     phi = tuple(la.norm_scalar(x - shift) for x in phi)
@@ -689,15 +652,12 @@ def certify(rec, refinement=0, max_cycle_length=3, cycle_budget=None):
     group-invariant optimal plan directly and keeps the pivoting small; the
     resulting plan is what all four checks run on.
     """
-    from .measures import discretize
     if not rec.polytope.is_reflexive:
         raise NotReflexive("certification needs a reflexive polytope")
     system = rec.system
     group = system.weyl_group()
-    mu = discretize(rec.polytope, refinement, group=group, side="M",
-                    system=system)
-    nu = discretize(rec.polytope.dual(), refinement, group=group, side="N",
-                    system=system)
+    mu = discretize(rec.polytope, refinement, group=group, side="M")
+    nu = discretize(rec.polytope.dual(), refinement, group=group, side="N")
     plan, pots = solve_invariant_ot(mu, nu, group)
 
     dual_value = sum((Fraction(m) * p for m, p in zip(mu.masses, pots.phi)),

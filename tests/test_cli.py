@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from weylot import fileio
+from weylot import fileio, transport
 from weylot.cli import main
 from weylot.polytope import convex_hull
 from weylot.symmetry import unimodular_equivalent
@@ -123,6 +124,18 @@ class TestCertify:
         assert main(["certify", path, "--type", "B3", "--weight",
                      "1,0,0"]) == 2
 
+    @pytest.mark.parametrize("poly, args, report", [
+        ("cube-B3.poly", ["--type", "B3", "--weight", "0,0,2", "--refine",
+                          "1", "--cycles", "3"], "certify-cube-B3-k1.json"),
+        ("v3-A3.poly", ["--type", "A3", "--weight", "0,2,0", "--refine",
+                        "0"], "certify-v3-A3-k0.json"),
+    ])
+    def test_golden_report(self, capsys, poly, args, report):
+        golden = Path(__file__).parent / "golden"
+        assert main(["certify", str(golden / poly)] + args) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (golden / report).read_bytes()
+
 
 class TestOt:
     def test_plan_dump(self, tmp_path, capsys):
@@ -141,10 +154,32 @@ class TestOt:
         assert main(["ot", mu, nu]) == 2
 
 
+def crossed_pair(tmp_path):
+    """Two-point measures whose northwest-corner plan is not optimal."""
+    mu = write(tmp_path, "mu.measure", "2 1\n1 1/2\n-1 1/2\n")
+    nu = write(tmp_path, "nu.measure", "2 1\n-1 1/2\n1 1/2\n")
+    return mu, nu
+
+
 class TestResourceCaps:
     def test_orbit_cap_exit_code(self, monkeypatch, capsys):
         monkeypatch.setenv("WEYLOT_ORBIT_CAP", "4")
         assert main(["gen", "--type", "B3", "--weight", "0,0,2"]) == 3
+
+    def test_pivot_cap_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 1)
+        assert main(["ot", *crossed_pair(tmp_path)]) == 3
+        assert "pivot cap" in capsys.readouterr().err
+
+
+class TestInternalCheck:
+    def test_self_check_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a starting basis that misses nodes fails the spanning self-check
+        monkeypatch.setattr(transport, "_northwest_tree",
+                            lambda a, b: {(0, 0): a[0]})
+        assert main(["ot", *crossed_pair(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: basis does not span")
 
 
 class TestInputErrors:

@@ -1,13 +1,25 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weylot import linalg as la
-from weylot.measures import (WeightedPointCloud, chamber_mass, discretize,
-                             surface_measure)
+from weylot.measures import (WeightedPointCloud, chamber_incidence,
+                             chamber_mass, discretize, surface_measure)
 from weylot.polytope import convex_hull
 from weylot.rootsystems import build_root_system, weight_to_coords
+from weylot.transport import TransportPlan, check_chamber_support
 from weylot.weyl import weyl_polytope
+
+
+def incident_chambers_oracle(system, group, x, side):
+    """Per-point exact scan: indices of the w with w^-1 x dominant."""
+    out = []
+    for i, e in enumerate(group.elements):
+        inv = la.transpose(e.dual_matrix if side == "M" else e.matrix)
+        if system.is_dominant(la.mat_vec(inv, x), side):
+            out.append(i)
+    return out
 
 
 class TestSurfaceMeasure:
@@ -146,3 +158,60 @@ class TestChamberMass:
             (0, 0, 0, 0), (None,) * 4, square, "M")
         cm = chamber_mass(cloud, b2, b2.weyl_group())
         assert set(cm.values()) == {Fraction(1, 8)}
+
+
+class TestChamberIncidence:
+    @pytest.mark.parametrize("side", ["M", "N"])
+    @pytest.mark.parametrize("family,rank,omega,k", [
+        ("B", 2, (0, 2), 1),
+        ("B", 3, (0, 0, 2), 0),
+        ("G", 2, (1, 0), 0),
+        ("A", 3, (0, 2, 0), 0),
+    ])
+    def test_matches_per_point_scan(self, family, rank, omega, k, side):
+        system = build_root_system(family, rank)
+        W = system.weyl_group()
+        poly = weyl_polytope(system, weight_to_coords(system, omega)).polytope
+        cl = discretize(poly if side == "M" else poly.dual(), k, group=W,
+                        side=side, system=system)
+        expected = [incident_chambers_oracle(system, W, x, side)
+                    for x in cl.points]
+        inc = chamber_incidence(cl.points, system, W, side)
+        assert inc.shape == (len(W), len(cl))
+        assert [list(np.flatnonzero(col)) for col in inc.T] == expected
+        assert list(cl.chamber_tags) == [chambers[0] for chambers in expected]
+        masses = {i: Fraction(0) for i in range(len(W))}
+        for mass, chambers in zip(cl.masses, expected):
+            for i in chambers:
+                masses[i] += Fraction(mass, len(chambers))
+        assert chamber_mass(cl, system, W) == masses
+
+    def test_wall_orbit(self):
+        b2 = build_root_system("B", 2)
+        W = b2.weyl_group()
+        wall_orbit = b2.orbit((1, 2))
+        expected = [incident_chambers_oracle(b2, W, x, "M")
+                    for x in wall_orbit]
+        assert {len(chambers) for chambers in expected} == {2}
+        inc = chamber_incidence(wall_orbit, b2, W, "M")
+        assert [list(np.flatnonzero(col)) for col in inc.T] == expected
+
+    def test_chamber_support_verdict_matches_scan(self):
+        b2 = build_root_system("B", 2)
+        rec = weyl_polytope(b2, weight_to_coords(b2, (0, 2)))
+        W = b2.weyl_group()
+        mu = discretize(rec.polytope, 1, group=W, side="M")
+        nu = discretize(rec.polytope.dual(), 1, group=W, side="N")
+        # the product plan pairs every source with every target
+        plan = TransportPlan(tuple(
+            (i, j, Fraction(a) * Fraction(b))
+            for i, a in enumerate(mu.masses)
+            for j, b in enumerate(nu.masses)), Fraction(0))
+        bad = [(i, j, mass) for i, j, mass in plan.triples
+               if not set(incident_chambers_oracle(b2, W, mu.points[i], "M"))
+               & set(incident_chambers_oracle(b2, W, nu.points[j], "N"))]
+        verdict = check_chamber_support(plan, rec, W, mu, nu)
+        assert bad and not verdict.passed
+        assert verdict.offending_mass == sum(mass for _, _, mass in bad)
+        assert verdict.witnesses == tuple(
+            (mu.points[i], nu.points[j]) for i, j, _ in bad[:8])
