@@ -7,7 +7,7 @@ rows are vertices.  Canonical serialization always writes vertices as rows,
 which round-trips byte-identically.
 
 Measure files carry a rational point cloud: header ``p d``, then ``p`` rows
-of ``d`` rational coordinates followed by one rational mass.
+of ``d`` rational coordinates followed by one non-negative rational mass.
 
 Reports are canonical JSON: fixed key order, every rational rendered as a
 ``"p/q"`` string, never a float, plus the tool version and an input hash.
@@ -113,7 +113,10 @@ def parse_measure(text):
                 f"expected {dim} coordinates and a mass: {line!r}")
         points.append(tuple(la.norm_scalar(_parse_rational(t))
                             for t in toks[:dim]))
-        masses.append(la.norm_scalar(_parse_rational(toks[dim])))
+        mass = la.norm_scalar(_parse_rational(toks[dim]))
+        if mass < 0:
+            raise ValueError(f"negative mass {toks[dim]!r}: {line!r}")
+        masses.append(mass)
     return tuple(points), tuple(masses)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product as iproduct
 from math import gcd
 
@@ -60,6 +61,11 @@ class WeightedPointCloud:
 
     def total_mass(self):
         return la.norm_scalar(sum(self.masses, Fraction(0)))
+
+    @cached_property
+    def scaled(self):
+        """``(array, scale)``: integer coordinates, points = array / scale."""
+        return _int_array(self.points)
 
 
 def _facet_lattice_points(p, face):
@@ -261,17 +267,20 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     total = sum(accum.values(), Fraction(0))
     points = sorted(accum)
     masses = tuple(la.norm_scalar(accum[pt] / total) for pt in points)
-    tight = tight_matrix(*_int_array(points), p)
+    scaled = _int_array(points)
+    tight = tight_matrix(*scaled, p)
     if (tight.sum(axis=1) != 1).any():
         raise ValueError("cell centroid not in a unique facet interior")
     facet_tags = tuple(int(f) for f in tight.argmax(axis=1))
 
     chamber_tags = (None,) * len(points)
     if system is not None and group is not None:
-        inc = chamber_incidence(points, system, group, side)
+        inc = _incidence(scaled[0], system, group, side)
         chamber_tags = tuple(int(w) for w in inc.argmax(axis=0))
-    return WeightedPointCloud(tuple(points), masses, facet_tags,
-                              chamber_tags, p, side)
+    cloud = WeightedPointCloud(tuple(points), masses, facet_tags,
+                               chamber_tags, p, side)
+    cloud.__dict__["scaled"] = scaled       # fills the cached property
+    return cloud
 
 
 def _scaled_points(points):
@@ -291,6 +300,17 @@ def _int_array(points):
     return np.array(pts, dtype=dtype), scale
 
 
+def _matmul_dtype(x, y, factor=1):
+    """int64 if each entry of ``factor * (x @ y)`` provably fits, else object.
+
+    An entry of x @ y is a sum of ``x.shape[-1]`` products of an entry of x
+    and an entry of y.
+    """
+    bound = (int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0))
+             * x.shape[-1] * factor)
+    return np.int64 if bound < _INT64_GUARD else object
+
+
 def tight_matrix(pts, scale, p: Polytope):
     """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``."""
     normals = np.array([n for n, _ in p.facets], dtype=pts.dtype)
@@ -308,20 +328,22 @@ def chamber_incidence(points, system, group, side):
     and Coxeter Groups*, 1.12); wall points lie in several chambers.  The
     test runs on common-denominator integer points, so it is exact.
     """
+    return _incidence(_int_array(points)[0], system, group, side)
+
+
+def _incidence(pts, system, group, side):
+    """:func:`chamber_incidence` of common-denominator integer points."""
     if side == "M":
         mats, simple = [e.dual_matrix for e in group], system.simple_coroots
     elif side == "N":
         mats, simple = [e.matrix for e in group], system.simple_roots
     else:
         raise ValueError("side must be 'M' or 'N'")
-    pts, _ = _int_array(points)
     # w^-1 is the transposed dual matrix on M and transposed matrix on N
-    proj = [la.mat_mul(m, la.transpose(simple)) for m in mats]
-    pbound = max(abs(x) for m in proj for row in m for x in row)
-    if int(np.abs(pts).max(initial=0)) * pbound * system.rank >= _INT64_GUARD:
-        pts = pts.astype(object)
-    return np.array([((pts @ np.array(m, dtype=pts.dtype)) >= 0).all(axis=1)
-                     for m in proj], dtype=bool)
+    proj = np.array([la.mat_mul(m, la.transpose(simple)) for m in mats])
+    dtype = _matmul_dtype(pts, proj)
+    pts, proj = pts.astype(dtype), proj.astype(dtype)
+    return np.array([((pts @ m) >= 0).all(axis=1) for m in proj], dtype=bool)
 
 
 def chamber_mass(cloud: WeightedPointCloud, system, group, side=None):
@@ -331,7 +353,7 @@ def chamber_mass(cloud: WeightedPointCloud, system, group, side=None):
     1/|W| of the total.
     """
     side = cloud.side if side is None else side
-    inc = chamber_incidence(cloud.points, system, group, side)
+    inc = _incidence(cloud.scaled[0], system, group, side)
     out = {i: Fraction(0) for i in range(len(inc))}
     for mass, column in zip(cloud.masses, inc.T):
         share = Fraction(mass) / int(column.sum())

@@ -2,26 +2,28 @@
 
 The cost of moving unit mass from a boundary point m to a dual boundary
 point n is ``c(m, n) = -<m, n>``.  Masses, costs, and potentials are exact
-rationals; internally the solver rescales everything to integers, so numpy
-int64 arrays can do the pricing scans while every pivot stays exact.
-Pivoting is deterministic (steepest reduced cost, first index on ties) and
-switches to Bland's first-eligible rule during degenerate stalls, which
-rules out cycling.
+rationals; internally the solver rescales everything to integers.  The
+network simplex keeps a strongly feasible spanning tree (Cunningham 1976),
+which rules out cycling without any stall rule; a pivot re-hangs and
+re-prices only the subtree it cuts off, and entering arcs come from a block
+search over rows of the reduced-cost matrix in numpy.  It runs in int64
+when a proven bound on every potential and reduced cost fits, on exact
+Python ints otherwise, and every pivot is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import (CombinatorialBudgetExceeded, InternalCheckFailed,
                      NotReflexive, PivotCapExceeded, UnbalancedMasses)
 from . import linalg as la
-from .measures import (_INT64_GUARD, _int_array, _scaled_points,
-                       chamber_incidence, discretize, tight_matrix)
+from .measures import (_INT64_GUARD, _incidence, _matmul_dtype, discretize,
+                       tight_matrix)
 
 _PIVOT_CAP = 2_000_000
 
@@ -55,16 +57,11 @@ class CycleVerdict:
     violations: tuple
 
 
-def _cost_matrix(mu_points, nu_points):
+def _cost_matrix(mu, nu):
     """Integer cost matrix K with c = K / scale, via numpy when safe."""
-    pm, sm = _scaled_points(mu_points)
-    pn, sn = _scaled_points(nu_points)
-    bound = (max((max(abs(x) for x in p) for p in pm), default=0)
-             * max((max(abs(x) for x in p) for p in pn), default=0)
-             * max(len(pm[0]), 1))
-    dtype = np.int64 if bound < _INT64_GUARD else object
-    k = -(np.array(pm, dtype=dtype) @ np.array(pn, dtype=dtype).T)
-    return k, sm * sn
+    (pm, sm), (pn, sn) = mu.scaled, nu.scaled
+    dtype = _matmul_dtype(pm, pn)
+    return -(pm.astype(dtype) @ pn.astype(dtype).T), sm * sn
 
 
 def _scaled_masses(masses_a, masses_b):
@@ -74,6 +71,8 @@ def _scaled_masses(masses_a, masses_b):
         mult = mult * d // gcd(mult, d)
     a = [int(x * mult) for x in masses_a]
     b = [int(x * mult) for x in masses_b]
+    if min(a + b, default=0) < 0:
+        raise ValueError("masses must not be negative")
     return a, b, mult
 
 
@@ -87,10 +86,9 @@ def solve_ot(mu, nu):
     if mu.total_mass() != nu.total_mass():
         raise UnbalancedMasses(
             f"total masses differ: {mu.total_mass()} vs {nu.total_mass()}")
-    k, cost_scale = _cost_matrix(mu.points, nu.points)
+    k, cost_scale = _cost_matrix(mu, nu)
     a, b, mass_scale = _scaled_masses(mu.masses, nu.masses)
-    flows = _network_simplex(a, b, k)
-    n, m = len(a), len(b)
+    flows, u, v = _network_simplex(a, b, k)
 
     triples = []
     cost = Fraction(0)
@@ -100,10 +98,9 @@ def solve_ot(mu, nu):
         mass = Fraction(x, mass_scale)
         triples.append((i, j, mass))
         cost += mass * Fraction(int(k[i, j]), cost_scale)
-    u, v = _tree_potentials(flows, k, n, m)
-    phi = [Fraction(int(u[i]), cost_scale) for i in range(n)]
-    psi = [Fraction(int(v[j]), cost_scale) for j in range(m)]
-    anchor = min(range(n), key=lambda i: mu.points[i])
+    phi = [Fraction(x, cost_scale) for x in u]
+    psi = [Fraction(x, cost_scale) for x in v]
+    anchor = min(range(len(a)), key=lambda i: mu.points[i])
     shift = phi[anchor]
     phi = tuple(la.norm_scalar(x - shift) for x in phi)
     psi = tuple(la.norm_scalar(x + shift) for x in psi)
@@ -130,143 +127,191 @@ def _northwest_tree(a, b):
     return arcs
 
 
-def _tree_potentials(arcs, k, n, m):
-    """Node potentials with u_i + v_j = K_ij on every basis arc; u_0 = 0."""
-    adj = [[] for _ in range(n + m)]
-    for (i, j) in arcs:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    u = [None] * n
-    v = [None] * m
-    u[0] = 0
-    stack = [0]
-    seen = {0}
-    while stack:
-        node = stack.pop()
-        for nxt in adj[node]:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if node < n:
-                v[nxt - n] = int(k[node, nxt - n]) - u[node]
-            else:
-                u[nxt] = int(k[nxt, node - n]) - v[node - n]
-            stack.append(nxt)
-    if any(x is None for x in u) or any(x is None for x in v):
-        raise InternalCheckFailed("basis does not span the bipartite graph")
-    return u, v
-
-
 def _network_simplex(a, b, k):
-    """Integer transportation simplex; returns the basis flows.
+    """Integer transportation simplex on strongly feasible spanning trees.
 
-    Entering rule: steepest (most negative) reduced cost with first-index
-    tie break, switching to Bland's first-eligible rule during degenerate
-    stalls so cycling is impossible.  Both rules are deterministic.
+    Returns ``(flows, u, v)``: the n+m-1 basis arcs (i, j) with their
+    flows, and potentials with u[i] + v[j] == k[i, j] on every basis arc,
+    k[i, j] - u[i] - v[j] >= 0 on every arc.
+
+    Entering arc: block search.  Rows of ``k - u - v`` are scanned in
+    blocks of about 8 sqrt(nm) arcs from a cursor that carries over between
+    pivots, and the most negative arc of the first block holding one
+    enters.  Leaving arc: Cunningham's rule on a tree rooted at source 0,
+    the last blocking arc met walking the cycle from its join node, which
+    keeps every zero-flow arc pointing toward the root.  The northwest-
+    corner start has that property when every mass is positive, so nodes
+    of zero mass (a zero-mass target admits no such tree) sit out the
+    pivoting and join the basis afterwards through a zero-flow arc on
+    which their c-transform potential is tight.
+
+    dtype: every potential is a signed sum of at most n+m-1 costs, so every
+    reduced cost is below 2(n+m)max|k| in magnitude; int64 holds them when
+    that bound is below the guard, object ints otherwise.
     """
     n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return {}
-    arcs = _northwest_tree(a, b)
-    adj = {node: set() for node in range(n + m)}
-    for (i, j) in arcs:
-        adj[i].add(n + j)
-        adj[n + j].add(i)
+    rows = [i for i in range(n) if a[i]] or [0]
+    cols = [j for j in range(m) if b[j]] or [0]
+    if len(rows) == n and len(cols) == m:
+        return _tree_simplex(a, b, k)
+    sub, us, vs = _network_simplex([a[i] for i in rows], [b[j] for j in cols],
+                                   k[np.ix_(rows, cols)])
+    flows = {(rows[i], cols[j]): x for (i, j), x in sub.items()}
+    u, v = dict(zip(rows, us)), dict(zip(cols, vs))
+    for i in sorted(set(range(n)) - set(rows)):
+        j = min(cols, key=lambda j: int(k[i, j]) - v[j])
+        u[i], flows[(i, j)] = int(k[i, j]) - v[j], 0
+    for j in sorted(set(range(m)) - set(cols)):
+        i = min(range(n), key=lambda i: int(k[i, j]) - u[i])
+        v[j], flows[(i, j)] = int(k[i, j]) - u[i], 0
+    return flows, [u[i] for i in range(n)], [v[j] for j in range(m)]
 
-    use_numpy = k.dtype == np.int64
-    stall = 0
+
+def _tree_simplex(a, b, k):
+    """:func:`_network_simplex` for positive masses.
+
+    Source i is node i and target j is node n + j.  The tree is kept as
+    parent, depth and children per node, with flow[x] on the arc between
+    x and its parent.
+    """
+    n, m = len(a), len(b)
+    nodes = n + m
+    kmax = int(np.abs(k).max(initial=0))
+    dtype = (np.int64 if k.dtype == np.int64
+             and 2 * nodes * kmax < _INT64_GUARD else object)
+    k = k.astype(dtype, copy=False)
+    adj = [[] for _ in range(nodes)]
+    for (i, j), x in _northwest_tree(a, b).items():
+        adj[i].append((n + j, x))
+        adj[n + j].append((i, x))
+    parent, depth, flow = [-1] * nodes, [0] * nodes, [0] * nodes
+    children = [set() for _ in range(nodes)]
+    pot = np.zeros(nodes, dtype=dtype)
+    order = [0]
+    for x in order:
+        for y, f in adj[x]:
+            if y != 0 and parent[y] < 0:
+                parent[y], depth[y], flow[y] = x, depth[x] + 1, f
+                children[x].add(y)
+                pot[y] = k[min(x, y), max(x, y) - n] - pot[x]
+                order.append(y)
+    if len(order) < nodes:
+        raise InternalCheckFailed("basis does not span the bipartite graph")
+
+    u, v = pot[:n], pot[n:]
+    block = max(1, 8 * isqrt(n * m) // m)
+    row = 0
     for _ in range(_PIVOT_CAP):
-        u, v = _tree_potentials(arcs, k, n, m)
-        if use_numpy and (max(map(abs, u), default=0) > _INT64_GUARD
-                          or max(map(abs, v), default=0) > _INT64_GUARD):
-            use_numpy = False
-            k = k.astype(object)
-        ua = np.array(u, dtype=k.dtype)
-        va = np.array(v, dtype=k.dtype)
-        reduced = (k - ua[:, None] - va[None, :]).reshape(-1)
-        if stall >= 32:
-            eligible = reduced < 0
-            if not eligible.any():
+        # the cursor stays on multiples of block, so these blocks cover
+        # every row once
+        for _ in range(-(-n // block)):
+            lo, hi = row, min(row + block, n)
+            row = hi % n
+            red = k[lo:hi] - u[lo:hi, None] - v
+            flat = int(red.argmin())
+            if red.flat[flat] < 0:
                 break
-            flat = int(np.argmax(eligible))
         else:
-            flat = int(np.argmin(reduced))
-            if reduced[flat] >= 0:
-                break
-        ei, ej = divmod(flat, m)
+            break                       # no arc prices out: optimal
+        delta = red.flat[flat]
+        ei, ej = lo + flat // m, n + flat % m
 
-        # cycle: entering arc + the tree path from target ej back to source ei
-        parent = {ei: None}
-        stack = [ei]
-        while n + ej not in parent:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if nxt not in parent:
-                    parent[nxt] = node
-                    stack.append(nxt)
-        path = [n + ej]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()              # ei ... n+ej alternating source/target
-        cycle = [((ei, ej), 1)]     # + gains flow, - loses
-        for s in range(len(path) - 1):
-            x, y = path[s], path[s + 1]
-            arc = (x, y - n) if x < n else (y, x - n)
-            sign = -1 if s % 2 == 0 else 1
-            cycle.append((arc, sign))
+        # the cycle: arc ei -> ej, then the tree paths ej -> join -> ei
+        up_i, up_j = [], []
+        x, y = ei, ej
+        while depth[x] > depth[y]:
+            up_i.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            up_j.append(y)
+            y = parent[y]
+        while x != y:
+            up_i.append(x)
+            up_j.append(y)
+            x, y = parent[x], parent[y]
+        # Flow falls on the arcs below the sources of the ei side and below
+        # the targets of the ej side: the even positions of both paths.
+        # The last blocking arc from the join on is the first minimum above
+        # ei, or the last one above ej, which wins ties.
+        drop_i = [flow[x] for x in up_i[::2]]
+        drop_j = [flow[y] for y in up_j[::2]]
+        if drop_j and (not drop_i or min(drop_j) <= min(drop_i)):
+            theta = min(drop_j)
+            t = 2 * (len(drop_j) - 1 - drop_j[::-1].index(theta))
+            path, enter, outer = up_j[:t + 1], ej, ei
+        else:
+            theta = min(drop_i)
+            path, enter, outer = up_i[:2 * drop_i.index(theta) + 1], ei, ej
+        if theta:
+            for x in up_i[::2] + up_j[::2]:
+                flow[x] -= theta
+            for x in up_i[1::2] + up_j[1::2]:
+                flow[x] += theta
 
-        theta = None
-        leaving = None
-        for arc, sign in cycle:
-            if sign < 0:
-                f = arcs[arc]
-                if theta is None or f < theta or (f == theta and arc < leaving):
-                    theta = f
-                    leaving = arc
-        stall = stall + 1 if theta == 0 else 0
-        for arc, sign in cycle:
-            if arc == (ei, ej) and arc not in arcs:
-                arcs[arc] = sign * theta
-            else:
-                arcs[arc] += sign * theta
-        del arcs[leaving]
-        adj[ei].add(n + ej)
-        adj[n + ej].add(ei)
-        li, lj = leaving
-        adj[li].discard(n + lj)
-        adj[n + lj].discard(li)
+        # re-hang the cut-off subtree below the entering arc
+        children[parent[path[-1]]].discard(path[-1])
+        new_parent, new_flow = outer, theta
+        for x in path:
+            children[new_parent].add(x)
+            children[x].discard(new_parent)
+            parent[x], new_parent = new_parent, x
+            flow[x], new_flow = new_flow, flow[x]
+        depth[enter] = depth[outer] + 1
+        sub = [enter]
+        for x in sub:
+            for y in children[x]:
+                depth[y] = depth[x] + 1
+                sub.append(y)
+        sub = np.array(sub)
+        same = (sub < n) == (enter < n)
+        pot[sub[same]] += delta
+        pot[sub[~same]] -= delta
     else:
         raise PivotCapExceeded("network simplex pivot cap exceeded")
-    return arcs
+    flows = {(min(x, p), max(x, p) - n): flow[x]
+             for x, p in enumerate(parent) if p >= 0}
+    return flows, u.tolist(), v.tolist()
 
 
 # -- symmetrization -----------------------------------------------------------
 
-def _index_maps(points, matrices):
-    """Permutations induced on a point list by integer matrices.
+def _index_maps(cloud, matrices):
+    """Permutations induced on a cloud's point list by integer matrices.
 
     Works on common-denominator integer coordinates, one numpy matmul per
     matrix; raises if some image is missing (cloud not invariant).
     """
-    pts, _ = _scaled_points(points)
-    cbound = max((max(abs(x) for x in p) for p in pts), default=0)
-    mbound = max((max(abs(x) for x in row) for mat in matrices
-                  for row in mat), default=1)
-    dim = len(pts[0]) if pts else 1
-    dtype = np.int64 if cbound * mbound * dim < _INT64_GUARD else object
-    arr = np.array(pts, dtype=dtype)
-    lookup = {p: i for i, p in enumerate(map(tuple, pts))}
+    arr, _ = cloud.scaled
+    mats = np.array(matrices)
+    dtype = _matmul_dtype(arr, mats)
+    arr, mats = arr.astype(dtype), mats.astype(dtype)
+    lookup = {p: i for i, p in enumerate(map(tuple, arr.tolist()))}
     out = []
-    for mat in matrices:
-        imgs = arr @ np.array(mat, dtype=dtype).T
+    for mat in mats:
         perm = []
-        for row in imgs.tolist():
+        for row in (arr @ mat.T).tolist():
             q = tuple(row)
             if q not in lookup:
                 raise ValueError("cloud is not invariant under the group")
             perm.append(lookup[q])
         out.append(perm)
     return out
+
+
+def _group_average(pairs, src_maps, tgt_maps, mu, nu):
+    """The plan averaging (i, j, mass) triples over the group's index maps."""
+    order = len(src_maps)
+    accum = {}
+    for src, tgt in zip(src_maps, tgt_maps):
+        for i, j, mass in pairs:
+            key = (src[i], tgt[j])
+            accum[key] = accum.get(key, Fraction(0)) + Fraction(mass, order)
+    triples = tuple((i, j, la.norm_scalar(mass))
+                    for (i, j), mass in sorted(accum.items()) if mass != 0)
+    cost = Fraction(0)
+    for i, j, mass in triples:
+        cost += mass * -Fraction(la.vdot(mu.points[i], nu.points[j]))
+    return TransportPlan(triples, la.norm_scalar(cost))
 
 
 def symmetrize_plan(plan, group, mu, nu):
@@ -277,26 +322,16 @@ def symmetrize_plan(plan, group, mu, nu):
     exactly, so a non-invariant input raises.
     """
     elements = list(group)
-    order = len(elements)
-    accum = {}
-    src_maps = _index_maps(mu.points, [e.matrix for e in elements])
-    tgt_maps = _index_maps(nu.points, [e.dual_matrix for e in elements])
+    src_maps = _index_maps(mu, [e.matrix for e in elements])
+    tgt_maps = _index_maps(nu, [e.dual_matrix for e in elements])
     for src, tgt in zip(src_maps, tgt_maps):
-        for i, j, mass in plan.triples:
-            key = (src[i], tgt[j])
-            accum[key] = accum.get(key, Fraction(0)) + Fraction(mass, order)
         for idx, i2 in enumerate(src):
             if mu.masses[idx] != mu.masses[i2]:
                 raise ValueError("source masses are not group invariant")
         for idx, j2 in enumerate(tgt):
             if nu.masses[idx] != nu.masses[j2]:
                 raise ValueError("target masses are not group invariant")
-    triples = tuple((i, j, la.norm_scalar(mass))
-                    for (i, j), mass in sorted(accum.items()) if mass != 0)
-    cost = Fraction(0)
-    for i, j, mass in triples:
-        cost += mass * -Fraction(la.vdot(mu.points[i], nu.points[j]))
-    sym = TransportPlan(triples, la.norm_scalar(cost))
+    sym = _group_average(plan.triples, src_maps, tgt_maps, mu, nu)
     if sym.cost_value != plan.cost_value:
         raise InternalCheckFailed(
             "symmetrization changed the cost (plan not optimal?)")
@@ -326,14 +361,10 @@ def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3, budget=10 ** 6
         raise CombinatorialBudgetExceeded(
             f"{combos} cycle combinations exceed budget {budget}")
 
-    pm, _ = _scaled_points(mu.points)
-    pn, _ = _scaled_points(nu.points)
-    bound = (max(max(abs(x) for x in p) for p in pm)
-             * max(max(abs(x) for x in p) for p in pn)
-             * len(pm[0]) * 4)
-    dtype = np.int64 if bound < _INT64_GUARD else object
-    src = np.array([pm[i] for i, _ in support], dtype=dtype)
-    tgt = np.array([pn[j] for _, j in support], dtype=dtype)
+    (pm, _), (pn, _) = mu.scaled, nu.scaled
+    dtype = _matmul_dtype(pm, pn, 4)
+    src = pm[[i for i, _ in support]].astype(dtype)
+    tgt = pn[[j for _, j in support]].astype(dtype)
     # cost(p, q) = -<m_p, n_q> in scaled units; g[p, q] = c(p,p) - c(p,q)
     cross = -(src @ tgt.T)
     own = np.diag(cross).copy()
@@ -392,8 +423,7 @@ def check_reflection_sign(plan, system, mu, nu):
     """
     if not plan.triples:
         return CheckVerdict(True, Fraction(0), ())
-    pm, _ = _int_array(mu.points)
-    pn, _ = _int_array(nu.points)
+    (pm, _), (pn, _) = mu.scaled, nu.scaled
     roots = np.array(system.roots, dtype=pm.dtype)
     coroots = np.array(system.coroots, dtype=pm.dtype)
     sv = pm @ coroots.T          # <x, alpha^vee> per source point and root
@@ -429,8 +459,7 @@ def check_stability_support(plan, delta, mu, nu):
         raise NotReflexive("stability support needs a reflexive polytope")
     if not plan.triples:
         return CheckVerdict(True, Fraction(0), ())
-    pm, ms = _int_array(mu.points)
-    pn, ns = _int_array(nu.points)
+    (pm, ms), (pn, ns) = mu.scaled, nu.scaled
     verts = np.array(delta.vertices, dtype=pm.dtype)
 
     # y must lie in the dual polytope: <v, y> <= 1 for every vertex v
@@ -469,8 +498,8 @@ def check_chamber_support(plan, rec, group, mu, nu):
         raise NotReflexive("chamber support needs a reflexive polytope")
     if not plan.triples:
         return CheckVerdict(True, Fraction(0), ())
-    in_m = chamber_incidence(mu.points, rec.system, group, "M")
-    in_n = chamber_incidence(nu.points, rec.system, group, "N")
+    in_m = _incidence(mu.scaled[0], rec.system, group, "M")
+    in_n = _incidence(nu.scaled[0], rec.system, group, "N")
     src = np.array([i for i, _, _ in plan.triples])
     tgt = np.array([j for _, j, _ in plan.triples])
     shared = (in_m[:, src] & in_n[:, tgt]).any(axis=0)
@@ -488,12 +517,11 @@ def check_chamber_support(plan, rec, group, mu, nu):
 
 # -- invariant problems via the quotient reduction -----------------------------
 
-def _orbit_decomposition(points, matrices):
+def _orbit_decomposition(maps):
     """Orbit representatives (lex-min) and the rep position of every point."""
-    maps = _index_maps(points, matrices)
-    rep_of = [None] * len(points)
+    rep_of = [None] * len(maps[0])
     reps = []
-    for i in range(len(points)):
+    for i in range(len(rep_of)):
         if rep_of[i] is not None:
             continue
         orbit = {i}
@@ -527,36 +555,18 @@ def solve_invariant_ot(mu, nu, group, _system=None):
         raise UnbalancedMasses(
             f"total masses differ: {mu.total_mass()} vs {nu.total_mass()}")
     elements = list(group)
-    src_reps, src_rep_of = _orbit_decomposition(
-        mu.points, [e.matrix for e in elements])
-    tgt_reps, tgt_rep_of = _orbit_decomposition(
-        nu.points, [e.dual_matrix for e in elements])
+    src_maps = _index_maps(mu, [e.matrix for e in elements])
+    tgt_maps = _index_maps(nu, [e.dual_matrix for e in elements])
+    src_reps, src_rep_of = _orbit_decomposition(src_maps)
+    tgt_reps, tgt_rep_of = _orbit_decomposition(tgt_maps)
+    k, scale = _cost_matrix(mu, nu)
 
-    pm, sm = _scaled_points(mu.points)
-    pn, sn = _scaled_points(nu.points)
-    bound = (max(max(abs(x) for x in p) for p in pm)
-             * max(max(abs(x) for x in p) for p in pn)
-             * len(pm[0]))
-    dtype = np.int64 if bound < _INT64_GUARD else object
-    am = np.array([pm[i] for i in src_reps], dtype=dtype)
-    an = np.array(pn, dtype=dtype)
-    tgt_rep_idx = np.array(tgt_reps)
-
-    # reduced cost over orbit pairs: min over w of -<x_rep, w_dual y_rep>
-    best = None
-    best_w = None
-    for widx, e in enumerate(elements):
-        wd = np.array(e.dual_matrix, dtype=dtype)
-        imgs = (an[tgt_rep_idx] @ wd.T)
-        costs = -(am @ imgs.T)
-        if best is None:
-            best = costs.copy()
-            best_w = np.zeros(costs.shape, dtype=np.int64)
-        else:
-            better = costs < best
-            best[better] = costs[better]
-            best_w[better] = widx
-    qk = best
+    # reduced cost over orbit pairs: min over w of c(x_rep, w y_rep), the
+    # first minimizing w kept for the lift
+    images = np.array(tgt_maps)[:, tgt_reps]          # w x target orbits
+    costs = k[np.array(src_reps)[:, None, None], images[None]]
+    best_w = costs.argmin(axis=1)
+    qk = costs.min(axis=1)
 
     qa = [Fraction(0)] * len(src_reps)
     for i, pos in enumerate(src_rep_of):
@@ -569,46 +579,29 @@ def solve_invariant_ot(mu, nu, group, _system=None):
             raise ValueError("target masses are not constant on orbits")
         qb[pos] += Fraction(nu.masses[j])
     a_int, b_int, mass_scale = _scaled_masses(qa, qb)
-    flows = _network_simplex(a_int, b_int, qk)
+    flows, u, v = _network_simplex(a_int, b_int, qk)
 
     # lift the quotient plan and average it over the group
-    order = len(elements)
-    src_maps = _index_maps(mu.points, [e.matrix for e in elements])
-    tgt_maps = _index_maps(nu.points, [e.dual_matrix for e in elements])
-    accum = {}
+    lifted = []
     qcost = Fraction(0)
     for (qi, qj), x in sorted(flows.items()):
         if x == 0:
             continue
         mass = Fraction(x, mass_scale)
-        wstar = int(best_w[qi, qj])
-        i0 = src_reps[qi]
-        j0 = tgt_maps[wstar][tgt_reps[qj]]
-        qcost += mass * Fraction(int(qk[qi, qj]), sm * sn)
-        share = mass / order
-        for widx in range(order):
-            key = (src_maps[widx][i0], tgt_maps[widx][j0])
-            accum[key] = accum.get(key, Fraction(0)) + share
-    triples = tuple((i, j, la.norm_scalar(m))
-                    for (i, j), m in sorted(accum.items()) if m != 0)
-    cost = Fraction(0)
-    for i, j, mass in triples:
-        cost += mass * -Fraction(la.vdot(mu.points[i], nu.points[j]))
-    if cost != qcost:
+        lifted.append((src_reps[qi], int(images[best_w[qi, qj], qj]), mass))
+        qcost += mass * Fraction(int(qk[qi, qj]), scale)
+    plan = _group_average(lifted, src_maps, tgt_maps, mu, nu)
+    if plan.cost_value != qcost:
         raise InternalCheckFailed("quotient lift changed the transport cost")
-    plan = TransportPlan(triples, la.norm_scalar(cost))
 
-    u, v = _tree_potentials(flows, qk, len(src_reps), len(tgt_reps))
-    phi = tuple(la.norm_scalar(Fraction(u[src_rep_of[i]], sm * sn))
-                for i in range(len(mu.points)))
-    psi = tuple(la.norm_scalar(Fraction(v[tgt_rep_of[j]], sm * sn))
-                for j in range(len(nu.points)))
     # exact feasibility of the lifted potentials on every pair
-    K = -(np.array(pm, dtype=dtype) @ np.array(pn, dtype=dtype).T)
-    phin = np.array([int(Fraction(x) * sm * sn) for x in phi], dtype=dtype)
-    psin = np.array([int(Fraction(x) * sm * sn) for x in psi], dtype=dtype)
-    if ((phin[:, None] + psin[None, :]) > K).any():
+    dtype = k.dtype if 2 * max(map(abs, u + v)) < _INT64_GUARD else object
+    phin = np.array(u, dtype=dtype)[src_rep_of]
+    psin = np.array(v, dtype=dtype)[tgt_rep_of]
+    if ((phin[:, None] + psin[None, :]) > k).any():
         raise InternalCheckFailed("lifted potentials are not dual feasible")
+    phi = tuple(la.norm_scalar(Fraction(u[p], scale)) for p in src_rep_of)
+    psi = tuple(la.norm_scalar(Fraction(v[p], scale)) for p in tgt_rep_of)
     dual_value = sum((Fraction(m) * p for m, p in zip(mu.masses, phi)),
                      Fraction(0))
     dual_value += sum((Fraction(m) * p for m, p in zip(nu.masses, psi)),

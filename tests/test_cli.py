@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,26 @@ class TestOt:
         mu = write(tmp_path, "mu.measure", "2 1\n-1 1/2\n1 1/2\n")
         nu = write(tmp_path, "nu.measure", "2 1\n-1 1/3\n1 1/3\n")
         assert main(["ot", mu, nu]) == 2
+
+    def test_negative_mass_is_an_input_error(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.measure", "2 1\n-1 3/2\n1 -1/2\n")
+        nu = write(tmp_path, "nu.measure", "2 1\n-1 1/2\n1 1/2\n")
+        assert main(["ot", mu, nu]) == 2
+        assert capsys.readouterr().err.startswith("error: negative mass")
+
+    def test_zero_masses(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.measure", "3 1\n0 0\n-1 1/2\n1 1/2\n")
+        nu = write(tmp_path, "nu.measure", "3 1\n-1 1/2\n2 0\n1 1/2\n")
+        assert main(["ot", mu, nu]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cost"] == "-1/1"
+        assert doc["plan"] == [[1, 0, "1/2"], [2, 2, "1/2"]]
+        # the potentials of the zero-mass points are their c-transforms
+        phi = [Fraction(x) for x in doc["phi"]]
+        psi = [Fraction(x) for x in doc["psi"]]
+        xs, ys = (0, -1, 1), (-1, 2, 1)
+        assert phi[0] == min(-xs[0] * y - p for y, p in zip(ys, psi))
+        assert psi[1] == min(-x * ys[1] - p for x, p in zip(xs, phi))
 
 
 def crossed_pair(tmp_path):

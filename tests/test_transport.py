@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from weylot.errors import (CombinatorialBudgetExceeded, NotReflexive,
@@ -10,7 +11,8 @@ from weylot import linalg as la
 from weylot.measures import WeightedPointCloud, discretize
 from weylot.polytope import convex_hull
 from weylot.rootsystems import build_root_system, weight_to_coords
-from weylot.transport import (TransportPlan, certify, check_chamber_support,
+from weylot.transport import (TransportPlan, _cost_matrix, _network_simplex,
+                              _scaled_masses, certify, check_chamber_support,
                               check_cyclical_monotonicity,
                               check_reflection_sign, check_stability_support,
                               solve_invariant_ot, solve_ot, symmetrize_plan)
@@ -150,6 +152,12 @@ class TestSolver:
         with pytest.raises(UnbalancedMasses):
             solve_ot(mu, nu)
 
+    def test_negative_mass(self):
+        mu = cloud([(-1,), (1,)], [Fraction(3, 2), Fraction(-1, 2)])
+        nu = cloud([(-1,), (1,)], [Fraction(1, 2), Fraction(1, 2)])
+        with pytest.raises(ValueError, match="negative"):
+            solve_ot(mu, nu)
+
     def test_marginals_exact(self, hexagon):
         mu = discretize(hexagon, 1)
         nu = discretize(hexagon.dual(), 0)
@@ -215,6 +223,79 @@ class TestSolver:
             assert plan.cost_value == expected
 
 
+def integer_instance(rng, n, m, equal):
+    """Integer points in Z^3 and integer masses with equal totals.
+
+    ``equal`` gives equal masses and coordinates in {-1, 0, 1}, so costs
+    tie often and most pivots are degenerate; otherwise masses are random
+    in 0..9, zeros included.
+    """
+    span = 1 if equal else 9
+    pts_a = [tuple(rng.randint(-span, span) for _ in range(3))
+             for _ in range(n)]
+    pts_b = [tuple(rng.randint(-span, span) for _ in range(3))
+             for _ in range(m)]
+    if equal:
+        return pts_a, pts_b, [m] * n, [n] * m
+    a = [rng.randint(0, 9) for _ in range(n - 1)] + [1]
+    b = [rng.randint(0, 9) for _ in range(m - 1)] + [1]
+    return pts_a, pts_b, [x * sum(b) for x in a], [y * sum(a) for y in b]
+
+
+def networkx_min_cost(pts_a, pts_b, a, b):
+    """Minimum of sum flow * -<x, y> by networkx's exact integer simplex."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    for i, x in enumerate(a):
+        g.add_node(("s", i), demand=-x)
+    for j, y in enumerate(b):
+        g.add_node(("t", j), demand=y)
+    for i, x in enumerate(pts_a):
+        for j, y in enumerate(pts_b):
+            g.add_edge(("s", i), ("t", j), weight=-la.vdot(x, y))
+    return nx.network_simplex(g)[0]
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("seed,n,m", [
+        (0, 200, 200), (1, 200, 170), (2, 150, 120), (3, 90, 60),
+        (4, 40, 40), (5, 25, 35), (6, 9, 13), (7, 3, 5), (8, 1, 4),
+        (9, 6, 1),
+    ])
+    def test_cost_marginals_and_basis(self, seed, n, m):
+        rng = random.Random(seed)
+        pts_a, pts_b, a, b = integer_instance(rng, n, m, seed % 2 == 0)
+        total = sum(a)
+        mu = cloud(pts_a, [Fraction(x, total) for x in a])
+        nu = cloud(pts_b, [Fraction(y, total) for y in b])
+        plan, _ = solve_ot(mu, nu)
+        expected = networkx_min_cost(pts_a, pts_b, a, b)
+        assert plan.cost_value == Fraction(expected, total)
+        row, col = [Fraction(0)] * n, [Fraction(0)] * m
+        for i, j, mass in plan.triples:
+            row[i] += mass
+            col[j] += mass
+        assert row == list(mu.masses) and col == list(nu.masses)
+
+        k, _ = _cost_matrix(mu, nu)
+        ai, bi, _ = _scaled_masses(mu.masses, nu.masses)
+        flows, u, v = _network_simplex(ai, bi, k)
+        assert len(flows) == n + m - 1
+        assert min(flows.values()) >= 0
+        assert all(u[i] + v[j] == k[i, j] for i, j in flows)
+        assert (k - np.array(u)[:, None] - np.array(v)[None, :] >= 0).all()
+
+    def test_object_costs_pivot_like_int64(self):
+        rng = random.Random(11)
+        pts_a, pts_b, a, b = integer_instance(rng, 40, 50, True)
+        mu = cloud(pts_a, [Fraction(x, sum(a)) for x in a])
+        nu = cloud(pts_b, [Fraction(y, sum(a)) for y in b])
+        k, _ = _cost_matrix(mu, nu)
+        assert k.dtype == np.int64
+        assert (_network_simplex(a, b, k.astype(object))
+                == _network_simplex(a, b, k))
+
+
 class TestSymmetrize:
     def b2_setup(self, k=0):
         b2 = build_root_system("B", 2)
@@ -272,6 +353,20 @@ class TestQuotientReduction:
         dual_value = sum(Fraction(m) * p for m, p in zip(mu.masses, pots.phi))
         dual_value += sum(Fraction(m) * p for m, p in zip(nu.masses, pots.psi))
         assert dual_value == invariant.cost_value
+
+
+    def test_direct_matches_quotient_on_refined_cube(self):
+        b3 = build_root_system("B", 3)
+        rec = weyl_polytope(b3, weight_to_coords(b3, (0, 0, 2)))
+        W = b3.weyl_group()
+        mu = discretize(rec.polytope, 1, group=W, side="M")
+        nu = discretize(rec.polytope.dual(), 1, group=W, side="N")
+        assert len(mu) == len(nu) == 288
+        direct, _ = solve_ot(mu, nu)
+        invariant, _ = solve_invariant_ot(mu, nu, W)
+        assert direct.cost_value == invariant.cost_value == Fraction(-187, 216)
+        sym = symmetrize_plan(direct, W, mu, nu)
+        assert sym.cost_value == Fraction(-187, 216)
 
 
 class TestCyclicalMonotonicity:
