@@ -434,32 +434,33 @@ class Polytope:
     # -- local smoothness ----------------------------------------------------
 
     def vertex_edge_directions(self, i):
-        """Primitive directions of the edges leaving vertex ``i``."""
-        dirs = []
+        """Primitive directions of the edges leaving vertex ``i``.
+
+        Vertices i and j span an edge iff the normals of the facets through
+        both of them have rank ``dim - 1``.
+        """
         v = self.vertices[i]
-        if self.dim == 1:
-            # the only edge is the polytope itself
-            other = self.vertices[1 - i]
-            cleared, _ = la.clear_denominators(la.vsub(other, v))
-            prim, _ = la.primitivize(cleared)
-            return (prim,)
-        for f in self.faces:
-            if f.dimension == 1 and i in f.vertex_indices:
-                other = next(j for j in f.vertex_indices if j != i)
-                dvec = la.vsub(self.vertices[other], v)
-                cleared, _ = la.clear_denominators(dvec)
-                prim, _ = la.primitivize(cleared)
-                dirs.append(prim)
+        mine = set(self.vertex_facets[i])
+        dirs = []
+        for j, fs in enumerate(self.vertex_facets):
+            common = [self.facets[f][0] for f in fs if f in mine]
+            if j != i and len(common) >= self.dim - 1 \
+                    and la.rank(common) == self.dim - 1:
+                cleared, _ = la.clear_denominators(la.vsub(self.vertices[j], v))
+                dirs.append(la.primitivize(cleared)[0])
         return tuple(sorted(dirs))
 
     @cached_property
     def is_delzant(self):
-        """True iff every vertex cone is unimodular (smooth toric fan)."""
-        for i in range(len(self.vertices)):
-            dirs = self.vertex_edge_directions(i)
-            if len(dirs) != self.dim:
+        """True iff every vertex cone is unimodular (smooth toric fan).
+
+        A vertex cone is unimodular iff the vertex lies on exactly ``dim``
+        facets and their primitive normals form a lattice basis.
+        """
+        for fs in self.vertex_facets:
+            if len(fs) != self.dim:
                 return False
-            if abs(la.det(dirs)) != 1:
+            if abs(la.det([self.facets[f][0] for f in fs])) != 1:
                 return False
         return True
 

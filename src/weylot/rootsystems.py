@@ -21,8 +21,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NotDominant, NotLatticePoint, OrbitCapExceeded,
-                     UnsupportedType)
+from .errors import (GroupCapExceeded, NotDominant, NotLatticePoint,
+                     OrbitCapExceeded, UnsupportedType)
 from . import linalg as la
 
 DEFAULT_ORBIT_CAP = 100_000
@@ -34,6 +34,57 @@ def orbit_cap():
     if value is None:
         return DEFAULT_ORBIT_CAP
     return int(value)
+
+
+def group_closure(generators, cap=None):
+    """The group that square integer matrices generate, with a word for each.
+
+    Breadth first: each round multiplies the whole frontier by one
+    generator in a single matmul and keeps the products not seen before,
+    keyed on their bytes.  The element of word ``(j1, ..., jk)`` is
+    ``s_jk ... s_j1``.  Returns an int64 array of the elements, sorted
+    lexicographically on their entries, and their words in the same order.
+    Raises GroupCapExceeded before the group grows past ``cap`` (default
+    from ``orbit_cap()``), or when a product could leave int64.
+    """
+    # numpy loads on first use: loading it while the package imports raises
+    # a fresh process's peak memory (see the note in weylot/__init__)
+    import numpy as np
+    from .measures import _matmul_dtype
+    cap = orbit_cap() if cap is None else cap
+    gens = np.array(generators, dtype=np.int64)
+    d = gens.shape[-1]
+    frontier = np.eye(d, dtype=np.int64)[None]
+    found = [frontier]
+    words = [()]
+    frontier_words = [()]
+    seen = {frontier.tobytes()}
+    size = d * d * frontier.itemsize
+    while len(frontier):
+        if _matmul_dtype(gens, frontier) is object:
+            raise GroupCapExceeded("group matrix entries outgrow int64")
+        fresh, fresh_words = [], []
+        for j, s in enumerate(gens):
+            products = s @ frontier
+            buf = products.tobytes()
+            keep = []
+            for i, word in enumerate(frontier_words):
+                key = buf[i * size:(i + 1) * size]
+                if key in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise GroupCapExceeded(f"group size exceeds cap {cap}")
+                seen.add(key)
+                keep.append(i)
+                fresh_words.append(word + (j,))
+            fresh.append(products[keep])
+        frontier = np.concatenate(fresh)
+        frontier_words = fresh_words
+        found.append(frontier)
+        words += fresh_words
+    elements = np.concatenate(found)
+    order = np.lexsort(elements.reshape(len(elements), -1).T[::-1])
+    return elements[order], [words[i] for i in order]
 
 
 def _cartan_matrix(family, rank):
@@ -212,26 +263,21 @@ class RootSystem:
         return smat, sdual
 
     def weyl_group(self, cap=None):
-        """Materialize the whole Weyl group (matrices, dual matrices, words)."""
-        cap = orbit_cap() if cap is None else cap
+        """Materialize the whole Weyl group (matrices, dual matrices, words).
+
+        The closure runs on block-diagonal (matrix, dual matrix) generators,
+        so both blocks of every element come from one product.
+        """
         n = self.rank
         gens = [self._simple_matrices(j) for j in range(len(self.simple_indices))]
-        ident = GroupElement(la.identity(n), la.identity(n), ())
-        seen = {ident.matrix: ident}
-        queue = [ident]
-        while queue:
-            g = queue.pop()
-            for j, (smat, sdual) in enumerate(gens):
-                mat = la.mat_mul(smat, g.matrix)
-                if mat in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise OrbitCapExceeded(f"group size exceeds cap {cap}")
-                elem = GroupElement(mat, la.mat_mul(sdual, g.dual_matrix),
-                                    g.word + (j,))
-                seen[mat] = elem
-                queue.append(elem)
-        return WeylGroup(tuple(sorted(seen.values(), key=lambda e: e.matrix)),
+        blocks = [[row + (0,) * n for row in smat] +
+                  [(0,) * n + row for row in sdual] for smat, sdual in gens]
+        elements, words = group_closure(blocks, cap)
+        mats = elements[:, :n, :n].tolist()
+        duals = elements[:, n:, n:].tolist()
+        return WeylGroup(tuple(GroupElement(tuple(map(tuple, m)),
+                                            tuple(map(tuple, d)), w)
+                               for m, d, w in zip(mats, duals, words)),
                          tuple(gens))
 
     def parabolic_chamber_union(self, m):

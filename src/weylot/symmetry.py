@@ -7,8 +7,9 @@ search strategies used below:
 
 * reflections are B-orthogonal, hence determined by their (-1)-eigenvector
   alone, and that eigenvector is parallel to a difference of two vertices;
-* general automorphisms are found by extending tuples of basis-vertex
-  images whose pairwise B-products match, then checking the vertex set.
+* automorphisms and unimodular equivalences come from one search that
+  extends tuples of basis-vertex images whose pairwise B-products match,
+  then checks the vertex set.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .errors import GroupCapExceeded
 from . import linalg as la
-from .rootsystems import orbit_cap
+from .rootsystems import group_closure, orbit_cap
 
 
 def moment_adjugate(polytope):
@@ -101,89 +102,82 @@ def reflections(polytope):
 
 def generate_group(generators, cap=None):
     """Close integer matrices under multiplication; raises past the cap."""
-    cap = orbit_cap() if cap is None else cap
     if not generators:
         return ()
-    d = len(generators[0])
-    ident = la.identity(d)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        g = queue.pop()
-        for s in generators:
-            h = la.mat_mul(s, g)
-            if h not in seen:
-                if len(seen) >= cap:
-                    raise GroupCapExceeded(f"group size exceeds cap {cap}")
-                seen.add(h)
-                queue.append(h)
-    return tuple(sorted(seen))
+    elements, _ = group_closure(generators, cap)
+    return tuple(tuple(map(tuple, g)) for g in elements.tolist())
 
 
-def automorphism_group(polytope, cap=None):
-    """All determinant +-1 integer maps sending the vertex set onto itself.
-
-    Backtracking over images of a vertex basis, pruned by exact equality of
-    pairwise products in the invariant form B; every surviving candidate
-    map is checked on the full vertex set.
-    """
-    cap = orbit_cap() if cap is None else cap
+def _vertex_gram(polytope):
+    """Pairwise products of the vertices in the form adj(G), and det G."""
+    badj, det = moment_adjugate(polytope)
     verts = polytope.vertices
-    d = polytope.dim
-    badj, _ = moment_adjugate(polytope)
-
     bv = [la.mat_vec(badj, v) for v in verts]
-    nverts = len(verts)
-    gram = [[la.vdot(verts[i], bv[j]) for j in range(nverts)]
-            for i in range(nverts)]
+    return [[la.vdot(u, w) for w in bv] for u in verts], det
 
+
+def _basis_image_search(p, gram_p, q, gram_q, first_only, cap):
+    """Determinant +-1 integer maps T with T(V(p)) = V(q).
+
+    Backtracking over images in V(q) of a vertex basis of p, pruned by
+    exact equality of pairwise products in the invariant forms; every
+    surviving candidate map is checked for integrality, |det| = 1 and the
+    full vertex set.  Stops at the first map when ``first_only``; raises
+    GroupCapExceeded once more than ``cap`` maps are found.
+    """
+    verts_p, verts_q = p.vertices, q.vertices
+    d = p.dim
     basis_idx = []
     basis_rows = []
-    for i, v in enumerate(verts):
+    for i, v in enumerate(verts_p):
         if la.rank(basis_rows + [list(v)]) > len(basis_rows):
             basis_idx.append(i)
             basis_rows.append(list(v))
             if len(basis_rows) == d:
                 break
-    binv = la.inverse(basis_rows)
-    vset = set(verts)
-
+    # T sends basis row r to image row r: T = images^T (basis^T)^-1
+    binv_t = la.transpose(la.inverse(basis_rows))
+    vset_q = set(verts_q)
+    candidates = [[c for c in range(len(verts_q))
+                   if gram_q[c][c] == gram_p[bi][bi]] for bi in basis_idx]
     out = []
 
-    def extend(level, images):
+    def extend(images):
+        level = len(images)
         if level == d:
-            u = tuple(tuple(verts[images[r]][c] for c in range(d))
-                      for r in range(d))
-            # T sends basis row r to image row r:  T = (rows of images)^T?  Solve
-            # T * basis^T = images^T, i.e. T = images^T * (basis^T)^{-1}.
-            t = la.mat_mul(la.transpose(u), la.transpose(binv))
+            u = tuple(verts_q[c] for c in images)
+            t = la.mat_mul(la.transpose(u), binv_t)
             if not all(isinstance(la.norm_scalar(x), int) for row in t for x in row):
                 return
             t = tuple(tuple(la.norm_scalar(x) for x in row) for row in t)
             if abs(la.det(t)) != 1:
                 return
-            if all(la.mat_vec(t, v) in vset for v in verts):
+            if all(la.mat_vec(t, v) in vset_q for v in verts_p):
                 out.append(t)
                 if len(out) > cap:
                     raise GroupCapExceeded(
                         f"automorphism count exceeds cap {cap}")
             return
         bi = basis_idx[level]
-        for cand in range(nverts):
-            if gram[cand][cand] != gram[bi][bi]:
-                continue
-            ok = True
-            for prev_level in range(level):
-                if gram[images[prev_level]][cand] != gram[basis_idx[prev_level]][bi]:
-                    ok = False
-                    break
-            if ok:
+        for cand in candidates[level]:
+            if all(gram_q[images[prev]][cand] == gram_p[basis_idx[prev]][bi]
+                   for prev in range(level)):
                 images.append(cand)
-                extend(level + 1, images)
+                extend(images)
                 images.pop()
+                if first_only and out:
+                    return
 
-    extend(0, [])
-    return tuple(sorted(out))
+    extend([])
+    return out
+
+
+def automorphism_group(polytope, cap=None):
+    """All determinant +-1 integer maps sending the vertex set onto itself."""
+    cap = orbit_cap() if cap is None else cap
+    gram, _ = _vertex_gram(polytope)
+    return tuple(sorted(_basis_image_search(polytope, gram, polytope, gram,
+                                            False, cap)))
 
 
 def unimodular_equivalent(p, q, cap=None):
@@ -198,69 +192,15 @@ def unimodular_equivalent(p, q, cap=None):
         return None
     if p.volume != q.volume:
         return None
-    d = p.dim
-
-    badj_p, det_p = moment_adjugate(p)
-    badj_q, det_q = moment_adjugate(q)
+    gram_p, det_p = _vertex_gram(p)
+    gram_q, det_q = _vertex_gram(q)
     if det_p != det_q:
         return None
-
-    verts_p, verts_q = p.vertices, q.vertices
-    np_, nq = len(verts_p), len(verts_q)
-    gram_p = [[la.vdot(verts_p[i], la.mat_vec(badj_p, verts_p[j]))
-               for j in range(np_)] for i in range(np_)]
-    gram_q = [[la.vdot(verts_q[i], la.mat_vec(badj_q, verts_q[j]))
-               for j in range(nq)] for i in range(nq)]
-    if sorted(gram_p[i][i] for i in range(np_)) != \
-       sorted(gram_q[i][i] for i in range(nq)):
+    if sorted(gram_p[i][i] for i in range(len(gram_p))) != \
+       sorted(gram_q[i][i] for i in range(len(gram_q))):
         return None
-
-    basis_idx = []
-    basis_rows = []
-    for i, v in enumerate(verts_p):
-        if la.rank(basis_rows + [list(v)]) > len(basis_rows):
-            basis_idx.append(i)
-            basis_rows.append(list(v))
-            if len(basis_rows) == d:
-                break
-    binv = la.inverse(basis_rows)
-    vset_q = set(verts_q)
-
-    result = None
-
-    def extend(level, images):
-        nonlocal result
-        if result is not None:
-            return
-        if level == d:
-            u = tuple(verts_q[images[r]] for r in range(d))
-            t = la.mat_mul(la.transpose(u), la.transpose(binv))
-            if not all(isinstance(la.norm_scalar(x), int) for row in t for x in row):
-                return
-            t = tuple(tuple(la.norm_scalar(x) for x in row) for row in t)
-            if abs(la.det(t)) != 1:
-                return
-            if all(la.mat_vec(t, v) in vset_q for v in verts_p):
-                result = t
-            return
-        bi = basis_idx[level]
-        for cand in range(nq):
-            if gram_q[cand][cand] != gram_p[bi][bi]:
-                continue
-            ok = True
-            for prev in range(level):
-                if gram_q[images[prev]][cand] != gram_p[basis_idx[prev]][bi]:
-                    ok = False
-                    break
-            if ok:
-                images.append(cand)
-                extend(level + 1, images)
-                images.pop()
-                if result is not None:
-                    return
-
-    extend(0, [])
-    return result
+    found = _basis_image_search(p, gram_p, q, gram_q, True, 1)
+    return found[0] if found else None
 
 
 @dataclass(frozen=True)

@@ -324,35 +324,8 @@ def is_dual_weyl_polytope(p: Polytope):
 @dataclass(frozen=True)
 class StarContainmentVerdict:
     passed: bool
-    mode: str                   # "certified" or "sampled"
+    mode: str                   # always "certified": each verdict is a proof
     witness: tuple | None       # (side, point) for a failure
-
-
-def _barycentric_samples(verts, depth=3, cap=4000):
-    """Deterministic rational sample points of conv(verts)."""
-    pts = [tuple(Fraction(x) for x in v) for v in verts]
-    current = list(pts)
-    seen = set(current)
-    for _ in range(depth):
-        new = []
-        k = len(current)
-        for i in range(k):
-            for j in range(i + 1, k):
-                mid = tuple((a + b) / 2 for a, b in zip(current[i], current[j]))
-                if mid not in seen:
-                    seen.add(mid)
-                    new.append(mid)
-                if len(seen) > cap:
-                    return sorted(seen)
-        if pts:
-            bary = tuple(sum(v[c] for v in pts) / len(pts)
-                         for c in range(len(pts[0])))
-            if bary not in seen:
-                seen.add(bary)
-        current = new
-        if not new:
-            break
-    return sorted(seen)
 
 
 def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
@@ -361,14 +334,15 @@ def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
     Primal side: the boundary part inside the positive chamber lies in the
     closed star of the generating vertex.  Dual side: the dual boundary part
     inside the positive dual chamber lies in the facet the vertex cuts out.
-    The certificate intersects each candidate facet with the chamber
-    exactly; if a convex piece is not contained in one star facet it falls
-    back to exact membership tests on sampled rational points.
+    The certificate intersects each facet outside the star with the chamber
+    exactly.  That piece is convex, so it lies in the union of the star
+    facets iff it lies in one of them: the star facet through one of its
+    relative-interior points holds all of it.  On failure the witness is
+    the piece's vertex average, a relative-interior point on no star facet.
     """
     p = rec.polytope
     system = rec.system
     m = rec.weight
-    mode = "certified"
 
     m_idx = p.vertex_index(m)
     star_facets = [f for f, members in enumerate(p.incidence)
@@ -381,16 +355,12 @@ def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
         region = h_polytope_vertices(list(p.facets) + chamber, [(n, c)], p.dim)
         if not region:
             continue
-        certified = any(
-            all(la.vdot(v, p.facets[g][0]) == p.facets[g][1] for v in region)
-            for g in star_facets)
-        if certified:
+        if any(all(la.vdot(v, p.facets[g][0]) == p.facets[g][1]
+                   for v in region) for g in star_facets):
             continue
-        mode = "sampled"
-        for x in _barycentric_samples(region):
-            if not any(la.vdot(x, p.facets[g][0]) == p.facets[g][1]
-                       for g in star_facets):
-                return StarContainmentVerdict(False, mode, ("primal", x))
+        x = tuple(la.norm_scalar(sum(Fraction(v[k]) for v in region)
+                                 / len(region)) for k in range(p.dim))
+        return StarContainmentVerdict(False, "certified", ("primal", x))
 
     dual = p.dual()
     dual_chamber = [(tuple(-x for x in system.roots[i]), 0)
@@ -402,8 +372,8 @@ def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
                                      [(n, c)], dual.dim)
         bad = [y for y in region if la.vdot(m, y) != 1]
         if bad:
-            return StarContainmentVerdict(False, mode, ("dual", bad[0]))
-    return StarContainmentVerdict(True, mode, None)
+            return StarContainmentVerdict(False, "certified", ("dual", bad[0]))
+    return StarContainmentVerdict(True, "certified", None)
 
 
 # -- classification records ---------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,6 +7,9 @@ import pytest
 from weylot.errors import NotFullDimensional, OriginNotInterior, VertexNotFound
 from weylot.polytope import Polytope, convex_hull, h_polytope_vertices
 from weylot import linalg as la
+from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
+
+from test_fixture_files import HERE, load
 
 
 def edge_normal_oracle(a, b):
@@ -226,6 +230,15 @@ class TestBarycenter:
         assert q.barycenter != (0, 0)
 
 
+def delzant_by_edges(p):
+    """Oracle: at every vertex, ``dim`` primitive edge directions of |det| 1."""
+    for i in range(len(p.vertices)):
+        dirs = p.vertex_edge_directions(i)
+        if len(dirs) != p.dim or abs(la.det(dirs)) != 1:
+            return False
+    return True
+
+
 class TestDelzant:
     def test_cube(self, cube):
         assert cube.is_delzant
@@ -238,6 +251,16 @@ class TestDelzant:
 
     def test_hexagon(self, hexagon):
         assert hexagon.is_delzant
+
+    def test_matches_edge_directions(self):
+        polys = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
+        for row in sorted(FAMILY_ROWS):
+            for rank in family_smallest_ranks(row):
+                p = mr_family(row, rank).polytope
+                polys += [p, p.dual()]
+        assert len(polys) == 77
+        for p in polys:
+            assert p.is_delzant == delzant_by_edges(p), p
 
 
 class TestRegionEnumeration:

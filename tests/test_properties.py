@@ -17,6 +17,8 @@ from weylot.transport import certify, solve_invariant_ot, solve_ot
 from weylot.measures import discretize
 from weylot.weyl import weyl_polytope
 
+from test_rootsystems import CLOSURE_LABELS, closure_system
+
 
 def hull2d_oracle(points):
     """Monotone-chain hull; counterclockwise vertex cycle."""
@@ -138,16 +140,17 @@ class TestEulerAndDuality3d:
 
 class TestWeylGroupWords:
     def test_words_reproduce_matrices(self):
-        b2 = build_root_system("B", 2)
-        gens = [b2._simple_matrices(j) for j in range(2)]
-        for e in b2.weyl_group():
-            mat = la.identity(2)
-            dual = la.identity(2)
-            for j in e.word:
-                mat = la.mat_mul(gens[j][0], mat)
-                dual = la.mat_mul(gens[j][1], dual)
-            assert mat == e.matrix
-            assert dual == e.dual_matrix
+        for system in map(closure_system, CLOSURE_LABELS):
+            n = system.rank
+            gens = [system._simple_matrices(j) for j in range(n)]
+            for e in system.weyl_group():
+                mat = la.identity(n)
+                dual = la.identity(n)
+                for j in e.word:
+                    mat = la.mat_mul(gens[j][0], mat)
+                    dual = la.mat_mul(gens[j][1], dual)
+                assert mat == e.matrix
+                assert dual == e.dual_matrix
 
     def test_dual_matrix_is_inverse_transpose(self):
         g2 = build_root_system("G", 2)

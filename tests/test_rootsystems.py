@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from weylot.errors import (NotLatticePoint, OrbitCapExceeded, UnsupportedType)
 from weylot import linalg as la
-from weylot.rootsystems import (build_from_label, build_root_system,
-                                dual_system, parse_type_label, product,
-                                weight_to_coords)
+from weylot.polytope import convex_hull
+from weylot.rootsystems import (GroupElement, build_from_label,
+                                build_root_system, dual_system,
+                                parse_type_label, product, weight_to_coords)
+from weylot.symmetry import automorphism_group, generate_group, reflections
 
 CLASSICAL = {
     ("A", 1): (2, 2), ("A", 2): (6, 6), ("A", 3): (12, 24),
@@ -18,6 +20,39 @@ CLASSICAL = {
     ("D", 4): (24, 192), ("D", 5): (40, 1920),
     ("G", 2): (12, 12), ("F", 4): (48, 1152),
 }
+
+
+# Systems the group closure is checked on: every family up to rank 4, one
+# direct product and one weight-lattice system.
+CLOSURE_LABELS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4",
+                  "F4", "G2", "A1xB2", "B3-weight")
+
+
+def closure_system(label):
+    if label.endswith("-weight"):
+        return build_from_label(label[:-len("-weight")], "weight")
+    return build_from_label(label)
+
+
+def weyl_group_by_python(system):
+    """Oracle: breadth-first closure in pure Python over tuple matrices."""
+    n = system.rank
+    gens = [system._simple_matrices(j)
+            for j in range(len(system.simple_indices))]
+    ident = GroupElement(la.identity(n), la.identity(n), ())
+    seen = {ident.matrix: ident}
+    queue = [ident]
+    while queue:
+        g = queue.pop()
+        for j, (smat, sdual) in enumerate(gens):
+            mat = la.mat_mul(smat, g.matrix)
+            if mat in seen:
+                continue
+            elem = GroupElement(mat, la.mat_mul(sdual, g.dual_matrix),
+                                g.word + (j,))
+            seen[mat] = elem
+            queue.append(elem)
+    return sorted(seen.values(), key=lambda e: e.matrix)
 
 
 class TestConstruction:
@@ -32,7 +67,7 @@ class TestConstruction:
         assert len(build_root_system("E", 6).roots) == 72
 
     def test_e6_group_order_by_generation(self):
-        # the largest supported group; takes about half a minute
+        # the largest supported group
         assert len(build_root_system("E", 6).weyl_group()) == 51840
 
     def test_cartan_a2(self):
@@ -187,6 +222,30 @@ class TestWeylGroup:
         roots = set(b2.roots)
         for e in b2.weyl_group():
             assert {la.mat_vec(e.matrix, r) for r in roots} == roots
+
+    @pytest.mark.parametrize("label", CLOSURE_LABELS)
+    def test_matches_python_closure(self, label):
+        system = closure_system(label)
+        oracle = weyl_group_by_python(system)
+        elements = system.weyl_group().elements
+        assert [e.matrix for e in elements] == [e.matrix for e in oracle]
+        assert [e.dual_matrix for e in elements] == \
+            [e.dual_matrix for e in oracle]
+
+    def test_cap_boundary(self):
+        b3 = build_root_system("B", 3)
+        with pytest.raises(OrbitCapExceeded):
+            b3.weyl_group(cap=47)
+        assert len(b3.weyl_group(cap=48)) == 48
+
+    def test_generate_group_cap_boundary(self):
+        cube = convex_hull([(x, y, z) for x in (1, -1) for y in (1, -1)
+                            for z in (1, -1)])
+        refs = reflections(cube)
+        with pytest.raises(OrbitCapExceeded):
+            generate_group(refs, cap=47)
+        # the reflections generate all 48 automorphisms, in sorted order
+        assert generate_group(refs, cap=48) == automorphism_group(cube)
 
     def test_dual_matrices_preserve_bracket(self):
         a2 = build_root_system("A", 2)

@@ -1,3 +1,5 @@
+import os
+import random
 from itertools import permutations
 
 import pytest
@@ -7,6 +9,8 @@ from weylot.polytope import convex_hull
 from weylot.symmetry import (automorphism_group, generate_group,
                              reflection_data, reflections,
                              unimodular_equivalent)
+
+from test_fixture_files import HERE, load
 
 
 def automorphisms_by_permutation(p):
@@ -135,3 +139,37 @@ class TestCaps:
         refs = reflections(square)
         with pytest.raises(GroupCapExceeded):
             generate_group(refs, cap=3)
+
+    def test_generate_group_entries_past_int64(self):
+        # an infinite group whose entries grow like Fibonacci numbers
+        from weylot.errors import GroupCapExceeded
+        with pytest.raises(GroupCapExceeded, match="int64"):
+            generate_group([((2, 1), (1, 1))])
+
+
+def random_unimodular(rng, d):
+    """A random integer matrix of determinant +-1: signed row operations."""
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        t[i] = [a + c * b for a, b in zip(t[i], t[j])]
+        if rng.random() < 0.5:
+            t[i] = [-a for a in t[i]]
+    return tuple(map(tuple, t))
+
+
+class TestBasisImageSearch:
+    @pytest.mark.parametrize("name", sorted(n[:-5] for n in os.listdir(HERE)))
+    def test_unimodular_images_of_fixtures(self, name):
+        p = load(name)
+        rng = random.Random(name)
+        order = len(automorphism_group(p))
+        for _ in range(3):
+            u = random_unimodular(rng, p.dim)
+            moved = convex_hull([la.mat_vec(u, v) for v in p.vertices])
+            t = unimodular_equivalent(p, moved)
+            assert t is not None and abs(la.det(t)) == 1
+            assert {la.mat_vec(t, v) for v in p.vertices} == \
+                set(moved.vertices)
+            assert len(automorphism_group(moved)) == order

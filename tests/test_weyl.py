@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,22 @@ class TestStarContainment:
         assert star_containment_check(
             self.fixture_record("B", 3, (1, 0, 0))).passed
 
+    def test_failure_carries_an_exact_witness(self):
+        # the square with the non-dominant vertex (-1, -2) in place of its
+        # weight: the chamber part of the boundary leaves that vertex's star
+        rec = self.fixture_record("B", 2, (0, 2))
+        rec = dataclasses.replace(rec, weight=(-1, -2))
+        verdict = star_containment_check(rec)
+        assert not verdict.passed and verdict.mode == "certified"
+        side, x = verdict.witness
+        assert side == "primal"
+        p = rec.polytope
+        assert rec.system.is_dominant(x)
+        assert any(la.vdot(x, n) == c for n, c in p.facets)
+        m_idx = p.vertex_index((-1, -2))
+        assert not any(la.vdot(x, p.facets[f][0]) == p.facets[f][1]
+                       for f in p.vertex_facets[m_idx])
+
     def test_p3_and_v3(self):
         assert star_containment_check(
             self.fixture_record("A", 3, (4, 0, 0))).passed
@@ -234,13 +251,3 @@ class TestRecordConsistency:
         rec = mr_family("An-roots", 3)
         det = is_weyl_polytope(rec.polytope)
         assert det is not None
-
-
-class TestSamplingHelpers:
-    def test_barycentric_samples_inside_hull(self):
-        from weylot.weyl import _barycentric_samples
-        verts = [(0, 0), (4, 0), (0, 4)]
-        pts = _barycentric_samples(verts, depth=2)
-        assert pts == _barycentric_samples(verts, depth=2)
-        for q in pts:
-            assert q[0] >= 0 and q[1] >= 0 and q[0] + q[1] <= 4
