@@ -1,11 +1,11 @@
 """Reflexive Weyl polytopes, boundary measures, and exact transport stability."""
 
-from .errors import (CombinatorialBudgetExceeded, GroupCapExceeded,
-                     InternalTableViolation, MalformedHeader, NonIntegerEntry,
-                     NotDominant, NotFullDimensional, NotLatticePoint,
-                     NotReflexive, OrbitCapExceeded, OriginNotInterior,
-                     OutOfTableRange, UnbalancedMasses, UnsupportedType,
-                     VertexNotFound, WeylotError)
+from .errors import (GroupCapExceeded, InternalTableViolation,
+                     MalformedHeader, NonIntegerEntry, NotDominant,
+                     NotFullDimensional, NotLatticePoint, NotReflexive,
+                     OrbitCapExceeded, OriginNotInterior, OutOfTableRange,
+                     UnbalancedMasses, UnsupportedType, VertexNotFound,
+                     WeylotError)
 from .polytope import (Face, Polytope, barycenter, closed_star, convex_hull,
                        dual_facet, dual_polytope, enumerate_faces, is_delzant,
                        is_reflexive, lattice_volume)

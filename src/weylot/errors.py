@@ -61,10 +61,6 @@ class UnbalancedMasses(WeylotError):
     """Source and target measures have different total mass."""
 
 
-class CombinatorialBudgetExceeded(WeylotError):
-    """Cycle check would exceed the combination budget."""
-
-
 class MalformedHeader(WeylotError):
     """Polytope or measure file header is not two positive integers."""
 

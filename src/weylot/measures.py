@@ -294,9 +294,11 @@ def _scaled_points(points):
 
 
 def _int_array(points):
+    """:func:`_scaled_points` as an int64 array when every entry fits, else
+    as object ints; products of it go through :func:`_matmul_dtype`."""
     pts, scale = _scaled_points(points)
     bound = max((max(abs(x) for x in p) for p in pts), default=0)
-    dtype = np.int64 if bound < (1 << 30) else object
+    dtype = np.int64 if bound < (1 << 63) else object
     return np.array(pts, dtype=dtype), scale
 
 
@@ -311,14 +313,21 @@ def _matmul_dtype(x, y, factor=1):
     return np.int64 if bound < _INT64_GUARD else object
 
 
+def _exact_matmul(x, y):
+    """x @ y of integer arrays, in the dtype :func:`_matmul_dtype` picks."""
+    dtype = _matmul_dtype(x, y)
+    return x.astype(dtype) @ y.astype(dtype)
+
+
 def tight_matrix(pts, scale, p: Polytope):
     """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``."""
-    normals = np.array([n for n, _ in p.facets], dtype=pts.dtype)
+    normals = np.array([n for n, _ in p.facets])
     offsets = [Fraction(c) * scale for _, c in p.facets]
     if any(f.denominator != 1 for f in offsets):
         raise ValueError("facet offsets did not scale to integers")
-    return (pts @ normals.T) == np.array([int(f) for f in offsets],
-                                         dtype=pts.dtype)
+    # object offsets: c * scale need not fit int64 when the points do
+    return _exact_matmul(pts, normals.T) == np.array(
+        [int(f) for f in offsets], dtype=object)
 
 
 def chamber_incidence(points, system, group, side):

@@ -180,7 +180,7 @@ def automorphism_group(polytope, cap=None):
                                             False, cap)))
 
 
-def unimodular_equivalent(p, q, cap=None):
+def unimodular_equivalent(p, q):
     """A determinant +-1 integer map with T(V(p)) = V(q), or None.
 
     Quick invariants (counts, volume, sorted Gram-diagonal multisets) reject

@@ -9,6 +9,10 @@ re-prices only the subtree it cuts off, and entering arcs come from a block
 search over rows of the reduced-cost matrix in numpy.  It runs in int64
 when a proven bound on every potential and reduced cost fits, on exact
 Python ints otherwise, and every pivot is deterministic.
+
+Cyclical monotonicity of a plan's support is decided exactly at every cycle
+length by one longest-path pass over the support pairs: a pass leaves a
+potential that bounds every cycle sum by 0, a failure a positive cycle.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import (CombinatorialBudgetExceeded, InternalCheckFailed,
-                     NotReflexive, PivotCapExceeded, UnbalancedMasses)
+from .errors import (InternalCheckFailed, NotReflexive, PivotCapExceeded,
+                     UnbalancedMasses)
 from . import linalg as la
-from .measures import (_INT64_GUARD, _incidence, _matmul_dtype, discretize,
-                       tight_matrix)
+from .measures import (_INT64_GUARD, _exact_matmul, _incidence, _matmul_dtype,
+                       discretize, tight_matrix)
 
 _PIVOT_CAP = 2_000_000
 
@@ -60,8 +64,7 @@ class CycleVerdict:
 def _cost_matrix(mu, nu):
     """Integer cost matrix K with c = K / scale, via numpy when safe."""
     (pm, sm), (pn, sn) = mu.scaled, nu.scaled
-    dtype = _matmul_dtype(pm, pn)
-    return -(pm.astype(dtype) @ pn.astype(dtype).T), sm * sn
+    return -_exact_matmul(pm, pn.T), sm * sn
 
 
 def _scaled_masses(masses_a, masses_b):
@@ -100,12 +103,21 @@ def solve_ot(mu, nu):
         cost += mass * Fraction(int(k[i, j]), cost_scale)
     phi = [Fraction(x, cost_scale) for x in u]
     psi = [Fraction(x, cost_scale) for x in v]
-    anchor = min(range(len(a)), key=lambda i: mu.points[i])
-    shift = phi[anchor]
-    phi = tuple(la.norm_scalar(x - shift) for x in phi)
-    psi = tuple(la.norm_scalar(x + shift) for x in psi)
     plan = TransportPlan(tuple(triples), la.norm_scalar(cost))
-    return plan, KantorovichPotentials(phi, psi)
+    return plan, _anchored(mu, phi, psi)
+
+
+def _anchored(mu, phi, psi):
+    """Potentials shifted so that phi is 0 at the lex-least source point."""
+    shift = phi[min(range(len(mu.points)), key=lambda i: mu.points[i])]
+    return KantorovichPotentials(tuple(la.norm_scalar(x - shift) for x in phi),
+                                 tuple(la.norm_scalar(x + shift) for x in psi))
+
+
+def _dual_value(mu, nu, phi, psi):
+    """The dual objective: sum of mu * phi plus sum of nu * psi."""
+    pairs = list(zip(mu.masses, phi)) + list(zip(nu.masses, psi))
+    return sum((Fraction(m) * p for m, p in pairs), Fraction(0))
 
 
 def _northwest_tree(a, b):
@@ -340,13 +352,22 @@ def symmetrize_plan(plan, group, mu, nu):
 
 # -- support checks -----------------------------------------------------------
 
-def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3, budget=10 ** 6):
-    """Exhaustive cycle check over the support, lengths 2..max_cycle_length.
+def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3):
+    """Exact c-cyclical monotonicity of the support, at every cycle length.
 
     A violating cycle is a sequence of support pairs whose cyclic
-    reassignment lowers the total cost.  Lengths 2 and 3 run as exact
-    integer matrix scans; ``budget`` caps the number of cycle combinations
-    (pass None to lift the cap).
+    reassignment lowers the total cost.  With arc weights
+    ``g[p, q] = c(p, p) - c(p, q)`` over the support pairs, a violation is
+    a positive cycle, found or ruled out by one synchronous Bellman-Ford
+    longest-path pass from ``d = 0``.  If the pass settles within s rounds
+    (s support pairs), ``psi = -d`` satisfies ``g[p, q] <= psi_p - psi_q``
+    on every arc, so every cycle sum telescopes to at most 0: a proof for
+    all lengths at once.  Otherwise the predecessors (updated only on a
+    strict gain) close a cycle, whose exactly positive sum is checked and
+    which is returned as the single violation.
+
+    ``max_cycle_length`` is validated (at least 2) and echoed in the
+    verdict; it does not limit the proof.
     """
     if max_cycle_length < 2:
         raise ValueError("cycle length must be at least 2")
@@ -354,15 +375,11 @@ def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3, budget=10 ** 6
     s = len(support)
     if s == 0:
         return CycleVerdict(True, max_cycle_length, ())
-    combos = 0
-    for length in range(2, max_cycle_length + 1):
-        combos += s ** length
-    if budget is not None and combos > budget:
-        raise CombinatorialBudgetExceeded(
-            f"{combos} cycle combinations exceed budget {budget}")
 
     (pm, _), (pn, _) = mu.scaled, nu.scaled
-    dtype = _matmul_dtype(pm, pn, 4)
+    # |g| <= 2 max|cross| and 0 <= d <= s max|g| over s rounds, so every
+    # value below is at most 2(s+1) max|cross| in magnitude
+    dtype = _matmul_dtype(pm, pn, 2 * (s + 1))
     src = pm[[i for i, _ in support]].astype(dtype)
     tgt = pn[[j for _, j in support]].astype(dtype)
     # cost(p, q) = -<m_p, n_q> in scaled units; g[p, q] = c(p,p) - c(p,q)
@@ -370,49 +387,33 @@ def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3, budget=10 ** 6
     own = np.diag(cross).copy()
     g = own[:, None] - cross
 
-    violations = []
-    two = g + g.T
-    if (two > 0).any():
-        idx = np.argwhere(two > 0)
-        p, q = (int(idx[0][0]), int(idx[0][1]))
-        violations.append((support[p], support[q]))
-    if max_cycle_length >= 3 and not violations:
-        for i in range(s):
-            d2 = (g[i][:, None] + g).max(axis=0)
-            tot = d2 + g[:, i]
-            if (tot > 0).any():
-                kk = int(np.argmax(tot))
-                jj = int(np.argmax(g[i] + g[:, kk]))
-                violations.append((support[i], support[jj], support[kk]))
-                break
-    if max_cycle_length >= 4 and not violations:
-        violations.extend(_long_cycles(g, support, max_cycle_length))
-    return CycleVerdict(not violations, max_cycle_length, tuple(violations))
+    d = np.zeros(s, dtype=dtype)
+    pred = np.zeros(s, dtype=np.int64)
+    for _ in range(s):
+        cand = d[:, None] + g
+        best = cand.max(axis=0)
+        changed = best > d
+        if not changed.any():
+            return CycleVerdict(True, max_cycle_length, ())
+        pred[changed] = cand.argmax(axis=0)[changed]
+        d = np.where(changed, best, d)
 
-
-def _long_cycles(g, support, max_len):
-    """First positive cycle of length 4..max_len found by DFS, if any."""
-    s = len(support)
-
-    def dfs(start, chain, acc):
-        last = chain[-1]
-        if len(chain) >= 4 and acc + int(g[last, start]) > 0:
-            return tuple(support[i] for i in chain)
-        if len(chain) == max_len:
-            return None
-        for nxt in range(s):
-            if nxt == start:
-                continue
-            hit = dfs(start, chain + [nxt], acc + int(g[last, nxt]))
-            if hit:
-                return hit
-        return None
-
-    for start in range(s):
-        hit = dfs(start, [start], 0)
-        if hit:
-            return [hit]
-    return []
+    # A node that gains in round r > 1 gains from one that gained in round
+    # r - 1, so each node within s - 1 predecessor steps of a round-s gain
+    # has a predecessor, and s steps end on a cycle.  Any predecessor cycle
+    # is positive: its sum is its nodes' gains since their arcs were set.
+    x = int(np.flatnonzero(changed)[0])
+    for _ in range(s):
+        x = int(pred[x])
+    cycle = [x]
+    while (y := int(pred[cycle[-1]])) != x and len(cycle) < s:
+        cycle.append(y)
+    cycle.reverse()                     # pred[q] = p is the arc p -> q
+    total = sum(int(g[p, q]) for p, q in zip(cycle, cycle[1:] + cycle[:1]))
+    if total <= 0:
+        raise InternalCheckFailed("predecessor cycle is not positive")
+    return CycleVerdict(False, max_cycle_length,
+                        (tuple(support[p] for p in cycle),))
 
 
 def check_reflection_sign(plan, system, mu, nu):
@@ -424,10 +425,9 @@ def check_reflection_sign(plan, system, mu, nu):
     if not plan.triples:
         return CheckVerdict(True, Fraction(0), ())
     (pm, _), (pn, _) = mu.scaled, nu.scaled
-    roots = np.array(system.roots, dtype=pm.dtype)
-    coroots = np.array(system.coroots, dtype=pm.dtype)
-    sv = pm @ coroots.T          # <x, alpha^vee> per source point and root
-    tv = pn @ roots.T            # <alpha, y> per target point and root
+    # <x, alpha^vee> per source point and root, <alpha, y> per target point
+    sv = _exact_matmul(pm, np.array(system.coroots).T)
+    tv = _exact_matmul(pn, np.array(system.roots).T)
     src = np.array([i for i, _, _ in plan.triples])
     tgt = np.array([j for _, j, _ in plan.triples])
     aa = sv[src]
@@ -460,22 +460,22 @@ def check_stability_support(plan, delta, mu, nu):
     if not plan.triples:
         return CheckVerdict(True, Fraction(0), ())
     (pm, ms), (pn, ns) = mu.scaled, nu.scaled
-    verts = np.array(delta.vertices, dtype=pm.dtype)
+    verts = np.array(delta.vertices)
 
     # y must lie in the dual polytope: <v, y> <= 1 for every vertex v
-    vy = verts @ pn.T
+    vy = _exact_matmul(verts, pn.T)
     if (vy > ns).any():
         j = int(np.argwhere((vy > ns).any(axis=0))[0][0])
         raise ValueError(f"target point {nu.points[j]} is outside the dual")
 
     tight = tight_matrix(pm, ms, delta)                 # sources x facets
-    inc = np.zeros((len(delta.facets), len(delta.vertices)), dtype=np.int8)
+    inc = np.zeros((len(delta.facets), len(delta.vertices)), dtype=bool)
     for f, members in enumerate(delta.incidence):
-        for vi in members:
-            inc[f, vi] = 1
-    cand = (tight.astype(np.int8) @ inc) > 0            # sources x vertices
+        inc[f, list(members)] = True
+    # bool matmuls: "any" over facets and vertices, which cannot wrap
+    cand = tight @ inc                                  # sources x vertices
     tau = (vy == ns)                                    # vertices x targets
-    ok_matrix = (cand.astype(np.int16) @ tau.astype(np.int16)) > 0
+    ok_matrix = cand @ tau
     witnesses = []
     offending = Fraction(0)
     for i, j, mass in plan.triples:
@@ -541,7 +541,7 @@ def _orbit_decomposition(maps):
     return reps, [rep_pos[r] for r in rep_of]
 
 
-def solve_invariant_ot(mu, nu, group, _system=None):
+def solve_invariant_ot(mu, nu, group):
     """Exactly optimal invariant plan and potentials for invariant clouds.
 
     The invariant problem collapses to a transport problem between orbit
@@ -600,19 +600,11 @@ def solve_invariant_ot(mu, nu, group, _system=None):
     psin = np.array(v, dtype=dtype)[tgt_rep_of]
     if ((phin[:, None] + psin[None, :]) > k).any():
         raise InternalCheckFailed("lifted potentials are not dual feasible")
-    phi = tuple(la.norm_scalar(Fraction(u[p], scale)) for p in src_rep_of)
-    psi = tuple(la.norm_scalar(Fraction(v[p], scale)) for p in tgt_rep_of)
-    dual_value = sum((Fraction(m) * p for m, p in zip(mu.masses, phi)),
-                     Fraction(0))
-    dual_value += sum((Fraction(m) * p for m, p in zip(nu.masses, psi)),
-                      Fraction(0))
-    if dual_value != plan.cost_value:
+    phi = [Fraction(u[p], scale) for p in src_rep_of]
+    psi = [Fraction(v[p], scale) for p in tgt_rep_of]
+    if _dual_value(mu, nu, phi, psi) != plan.cost_value:
         raise InternalCheckFailed("quotient reduction produced a duality gap")
-    anchor = min(range(len(mu.points)), key=lambda i: mu.points[i])
-    shift = phi[anchor]
-    phi = tuple(la.norm_scalar(x - shift) for x in phi)
-    psi = tuple(la.norm_scalar(x + shift) for x in psi)
-    return plan, KantorovichPotentials(phi, psi)
+    return plan, _anchored(mu, phi, psi)
 
 
 # -- the full certification pipeline ------------------------------------------
@@ -637,13 +629,14 @@ class CertificationReport:
                 and self.duality_gap == 0)
 
 
-def certify(rec, refinement=0, max_cycle_length=3, cycle_budget=None):
+def certify(rec, refinement=0, max_cycle_length=3):
     """Discretize both boundaries, transport, symmetrize, and run all checks.
 
     The transport problem is solved through the exact quotient reduction
     (the invariant problem collapses to orbit masses), which both returns a
     group-invariant optimal plan directly and keeps the pivoting small; the
-    resulting plan is what all four checks run on.
+    resulting plan is what all four checks run on.  ``max_cycle_length`` is
+    only echoed: the cycle check covers every length.
     """
     if not rec.polytope.is_reflexive:
         raise NotReflexive("certification needs a reflexive polytope")
@@ -653,17 +646,13 @@ def certify(rec, refinement=0, max_cycle_length=3, cycle_budget=None):
     nu = discretize(rec.polytope.dual(), refinement, group=group, side="N")
     plan, pots = solve_invariant_ot(mu, nu, group)
 
-    dual_value = sum((Fraction(m) * p for m, p in zip(mu.masses, pots.phi)),
-                     Fraction(0))
-    dual_value += sum((Fraction(m) * p for m, p in zip(nu.masses, pots.psi)),
-                      Fraction(0))
-    gap = la.norm_scalar(plan.cost_value - dual_value)
+    gap = la.norm_scalar(plan.cost_value - _dual_value(mu, nu, pots.phi,
+                                                       pots.psi))
 
     stability = check_stability_support(plan, rec.polytope, mu, nu)
     chamber = check_chamber_support(plan, rec, group, mu, nu)
     refl = check_reflection_sign(plan, system, mu, nu)
-    cycles = check_cyclical_monotonicity(plan, mu, nu, max_cycle_length,
-                                         cycle_budget)
+    cycles = check_cyclical_monotonicity(plan, mu, nu, max_cycle_length)
     return CertificationReport(
         stability=stability,
         chamber_support=chamber,

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +14,14 @@ from weylot import linalg as la
 from weylot.errors import OriginNotInterior, NotFullDimensional
 from weylot.polytope import convex_hull
 from weylot.rootsystems import build_root_system, weight_to_coords
-from weylot.transport import certify, solve_invariant_ot, solve_ot
-from weylot.measures import discretize
+from weylot.transport import (TransportPlan, certify, check_reflection_sign,
+                              check_stability_support, solve_invariant_ot,
+                              solve_ot)
+from weylot.measures import (WeightedPointCloud, chamber_incidence,
+                             discretize, tight_matrix)
 from weylot.weyl import weyl_polytope
 
+from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 
 
@@ -195,3 +200,87 @@ class TestMoreQuotientCrossChecks:
         direct, _ = solve_ot(mu, nu)
         invariant, _ = solve_invariant_ot(mu, nu, W)
         assert direct.cost_value == invariant.cost_value
+
+
+B2 = build_root_system("B", 2)
+B2_SQUARE = weyl_polytope(B2, weight_to_coords(B2, (0, 2))).polytope
+
+
+@st.composite
+def rational_points(draw, polytope, off_boundary):
+    """Up to 4 points over one denominator just below 2^30, 2^45 or 2^61,
+    with coordinates up to 3 in size, so the scaled ones reach 2^62: points
+    on the polygon's edges and, if ``off_boundary``, anywhere in the box
+    [-3, 3]^2."""
+    den = (1 << draw(st.sampled_from((30, 45, 61)))) - draw(
+        st.integers(1, 1 << 20))
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        if off_boundary and draw(st.booleans()):
+            # an integer part keeps the scaled coordinate large even when
+            # the drawn numerator is small
+            points.append(tuple(
+                Fraction(den * draw(st.integers(-2, 2))
+                         + draw(st.integers(-den, den)), den)
+                for _ in range(2)))
+            continue
+        f = draw(st.integers(0, len(polytope.facets) - 1))
+        v0, v1 = (polytope.vertices[i] for i in sorted(polytope.incidence[f]))
+        t = Fraction(draw(st.integers(0, den)), den)
+        points.append(tuple(a + t * (b - a) for a, b in zip(v0, v1)))
+    return [tuple(map(la.norm_scalar, p)) for p in points]
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+class TestIntegerBounds:
+    """Scaled coordinates up to 2^62 against exact Fraction oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_points(B2_SQUARE, True),
+           rational_points(B2_SQUARE.dual(), False))
+    def test_incidences_and_verdicts(self, xs, ys):
+        delta = B2_SQUARE
+        W = B2.weyl_group()
+        mu = WeightedPointCloud(tuple(xs), (Fraction(1, len(xs)),) * len(xs),
+                                (None,) * len(xs), (None,) * len(xs), delta,
+                                "M")
+        nu = WeightedPointCloud(tuple(ys), (Fraction(1, len(ys)),) * len(ys),
+                                (None,) * len(ys), (None,) * len(ys),
+                                delta.dual(), "N")
+        assert tight_matrix(*mu.scaled, delta).tolist() == [
+            [la.vdot(x, n) == c for n, c in delta.facets] for x in xs]
+        for side, pts in (("M", xs), ("N", ys)):
+            inc = chamber_incidence(pts, B2, W, side)
+            assert [[int(w) for w in np.flatnonzero(col)] for col in inc.T] \
+                == [incident_chambers_oracle(B2, W, x, side) for x in pts]
+
+        plan = TransportPlan(tuple((i, j, mu.masses[i] * nu.masses[j])
+                                   for i in range(len(xs))
+                                   for j in range(len(ys))), Fraction(0))
+
+        def in_star_and_tau(x, y):
+            return any(la.vdot(m, y) == 1 and any(
+                vi in delta.incidence[f] and la.vdot(x, n) == c
+                for f, (n, c) in enumerate(delta.facets))
+                for vi, m in enumerate(delta.vertices))
+
+        def opposed_root(x, y):
+            return next((a for a, av in zip(B2.roots, B2.coroots)
+                         if sign(la.vdot(x, av)) * sign(la.vdot(a, y)) < 0),
+                        None)
+
+        def assert_verdict(verdict, bad):       # bad: (mass, witness) pairs
+            assert verdict.passed == (not bad)
+            assert verdict.offending_mass == sum(mass for mass, _ in bad)
+            assert verdict.witnesses == tuple(w for _, w in bad[:8])
+
+        pairs = [(xs[i], ys[j], mass) for i, j, mass in plan.triples]
+        assert_verdict(check_stability_support(plan, delta, mu, nu),
+                       [(mass, (x, y)) for x, y, mass in pairs
+                        if not in_star_and_tau(x, y)])
+        assert_verdict(check_reflection_sign(plan, B2, mu, nu),
+                       [(mass, ((x, y), opposed_root(x, y)))
+                        for x, y, mass in pairs if opposed_root(x, y)])

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from weylot.errors import (CombinatorialBudgetExceeded, NotReflexive,
-                           UnbalancedMasses)
+from weylot.errors import NotReflexive, UnbalancedMasses
 from weylot import linalg as la
+from weylot import measures
 from weylot.measures import WeightedPointCloud, discretize
 from weylot.polytope import convex_hull
 from weylot.rootsystems import build_root_system, weight_to_coords
@@ -392,18 +392,120 @@ class TestCyclicalMonotonicity:
         verdict = check_cyclical_monotonicity(plan, mu, nu, 3)
         assert verdict.passed and verdict.max_cycle_length == 3
 
-    def test_budget(self, square):
-        mu = discretize(square, 0)
-        nu = discretize(square.dual(), 0)
-        plan, _ = solve_ot(mu, nu)
-        with pytest.raises(CombinatorialBudgetExceeded):
-            check_cyclical_monotonicity(plan, mu, nu, 3, budget=10)
-
     def test_longer_cycles(self, square):
         mu = discretize(square, 0)
         nu = discretize(square.dual(), 0)
         plan, _ = solve_ot(mu, nu)
-        assert check_cyclical_monotonicity(plan, mu, nu, 4, budget=None).passed
+        assert check_cyclical_monotonicity(plan, mu, nu, 4).passed
+
+    @staticmethod
+    def cycle_gain(cycle, mu, nu):
+        """Exact cost drop from moving source p of each pair to the next
+        pair's target."""
+        def c(i, j):
+            return -Fraction(la.vdot(mu.points[i], nu.points[j]))
+        nxt = cycle[1:] + cycle[:1]
+        return sum((c(i, j) - c(i, j2) for (i, j), (_, j2) in zip(cycle, nxt)),
+                   Fraction(0))
+
+    def random_case(self, seed):
+        """Seeds 0, 1, 2 mod 3: arbitrary arc weights on at most 6 pairs, an
+        optimal plan's support, that support plus one random pair."""
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            # unit-vector sources: g[p, q] = y_q[p] - y_p[p] is arbitrary
+            s = rng.randint(1, 6)
+            eye = [tuple(int(i == p) for i in range(s)) for p in range(s)]
+            ys = [tuple(rng.randint(-4, 4) + 3 * (i == q) for i in range(s))
+                  for q in range(s)]
+            plan = TransportPlan(tuple((p, p, Fraction(1, s))
+                                       for p in range(s)), Fraction(0))
+            return plan, cloud(eye, [Fraction(1, s)] * s), cloud(
+                ys, [Fraction(1, s)] * s)
+        dim = rng.choice((2, 3))
+
+        def points(n):
+            return [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                          for _ in range(dim)) for _ in range(n)]
+        n, m = rng.randint(2, 3), rng.randint(2, 3)
+        mu = cloud(points(n), [Fraction(1, n)] * n)
+        nu = cloud(points(m), [Fraction(1, m)] * m)
+        support = list(solve_ot(mu, nu)[0].support())
+        rest = sorted({(i, j) for i in range(n) for j in range(m)}
+                      - set(support))
+        if seed % 3 == 2 and rest:
+            support.append(rng.choice(rest))
+        support.sort()
+        plan = TransportPlan(tuple((i, j, Fraction(1, len(support)))
+                                   for i, j in support), Fraction(0))
+        return plan, mu, nu
+
+    def test_matches_brute_force_over_simple_cycles(self):
+        verdicts = []
+        for seed in range(300):
+            plan, mu, nu = self.random_case(seed)
+            support = list(plan.support())
+            positive = any(
+                cycle[0] == min(cycle)
+                and self.cycle_gain(list(cycle), mu, nu) > 0
+                for length in range(2, len(support) + 1)
+                for cycle in permutations(support, length))
+            verdict = check_cyclical_monotonicity(plan, mu, nu, 2)
+            assert verdict.passed == (not positive), seed
+            if not verdict.passed:
+                (witness,) = verdict.violations
+                assert len(witness) >= 2 and set(witness) <= set(support)
+                assert self.cycle_gain(list(witness), mu, nu) > 0
+            verdicts.append(verdict.passed)
+        assert 60 < sum(verdicts) < 240
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 8])
+    def test_only_positive_cycle_is_the_longest(self, s):
+        # unit-vector sources: g[p, q] = y_q[p], which is 1 on the arcs
+        # p -> p + 1 (mod s) and -s elsewhere off the diagonal
+        eye = [tuple(int(i == p) for i in range(s)) for p in range(s)]
+        ys = [tuple(1 if (i + 1) % s == q else 0 if i == q else -s
+                    for i in range(s)) for q in range(s)]
+        mu = cloud(eye, [Fraction(1, s)] * s)
+        nu = cloud(ys, [Fraction(1, s)] * s)
+        plan = TransportPlan(tuple((p, p, Fraction(1, s)) for p in range(s)),
+                             Fraction(0))
+        (witness,) = check_cyclical_monotonicity(plan, mu, nu, 2).violations
+        assert len(witness) == s
+        assert self.cycle_gain(list(witness), mu, nu) == s
+
+    def hexagon_case(self):
+        hexagon = convex_hull([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1),
+                               (1, -1)])
+        mu = discretize(hexagon, 0)
+        nu = discretize(hexagon.dual(), 0)
+        plan = TransportPlan(tuple((i, j, Fraction(1, 4)) for i, j in
+                                   ((0, 0), (3, 5), (5, 4), (1, 1))),
+                             Fraction(0))
+        return plan, mu, nu
+
+    def test_positive_four_cycle_without_shorter_ones(self):
+        plan, mu, nu = self.hexagon_case()
+        support = plan.support()
+        assert all(self.cycle_gain(list(cycle), mu, nu) <= 0
+                   for length in (2, 3)
+                   for cycle in permutations(support, length))
+        verdict = check_cyclical_monotonicity(plan, mu, nu, 3)
+        assert not verdict.passed and verdict.max_cycle_length == 3
+        (witness,) = verdict.violations
+        assert len(witness) == 4 and set(witness) == set(support)
+        assert self.cycle_gain(list(witness), mu, nu) > 0
+
+    def test_object_ints_give_the_same_verdict(self, monkeypatch, square):
+        cases = [self.hexagon_case(), *map(self.random_case, range(20))]
+        mu = discretize(square, 0)
+        nu = discretize(square.dual(), 0)
+        cases.append((solve_ot(mu, nu)[0], mu, nu))
+        expected = [check_cyclical_monotonicity(*case, 3) for case in cases]
+        monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+        for (plan, mu, nu), verdict in zip(cases, expected):
+            assert measures._matmul_dtype(mu.scaled[0], nu.scaled[0]) is object
+            assert check_cyclical_monotonicity(plan, mu, nu, 3) == verdict
 
 
 class FakeSystem:
