@@ -22,6 +22,6 @@ from .transport import (CertificationReport, KantorovichPotentials,
                         check_cyclical_monotonicity, check_reflection_sign,
                         check_stability_support, solve_ot, symmetrize_plan)
 from .measures import (SurfaceMeasure, WeightedPointCloud, chamber_mass,
-                       discretize, surface_measure)
+                       discretize, dominant_cloud, surface_measure)
 
 __version__ = "0.1.0"

@@ -7,6 +7,10 @@ deterministic triangulation through all their lattice points, optionally
 refined by barycentric subdivision, and every cell contributes its centroid
 weighted by the cell's exact volume.  Masses are normalized to total 1, so
 two boundary measures can enter a transport problem directly.
+
+``dominant_cloud`` measures only the facet flag cells inside the closed
+dominant Weyl chamber: a fundamental domain of the invariant cloud, one
+representative per orbit, carrying the orbit masses.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from math import gcd
 
 import numpy as np
 
+from .errors import InternalCheckFailed
 from . import linalg as la
 from .polytope import Polytope, face_coordinates
 
@@ -163,12 +168,14 @@ def _cell_volume(cell):
     return abs(Fraction(la.det(mat))) / fact
 
 
-def _flag_cells(p, face):
+def _flag_cells(p, face, keep=None):
     """Barycentric-subdivision simplices of a face: one cell per face flag.
 
     Cell vertices are vertex-average barycenters of a chain of faces, which
     every lattice automorphism of the polytope maps to cells of the image
-    face; the resulting set of cells is canonical.
+    face; the resulting set of cells is canonical.  ``keep``, a predicate
+    on barycenters, prunes the walk: a chain enters only faces whose
+    barycenter it accepts.
     """
     def bcenter(f):
         vs = f.vertex_indices
@@ -180,7 +187,10 @@ def _flag_cells(p, face):
     cells = []
 
     def walk(f, chain):
-        chain = chain + [bcenter(f)]
+        b = bcenter(f)
+        if keep is not None and not keep(b):
+            return
+        chain = chain + [b]
         if f.dimension == 0:
             cells.append(tuple(reversed(chain)))
             return
@@ -191,8 +201,48 @@ def _flag_cells(p, face):
     return cells
 
 
+def local_frame(p, face):
+    """``(v0, to_local)`` of a facet: its first vertex, and the map from a
+    difference vector ``x - v0`` to coordinates in a lattice basis of the
+    facet's direction space."""
+    verts = [p.vertices[i] for i in face.vertex_indices]
+    v0 = verts[0]
+    diffs = [la.vsub(v, v0) for v in verts[1:]]
+    basis = la.saturation_basis(diffs)
+    if not basis:
+        return v0, lambda dvec: ()
+    # pick an invertible square subsystem once; reuse for every cell vertex
+    cols = list(zip(*basis))
+    rows, idx = [], []
+    for r in range(len(cols)):
+        if la.rank(rows + [list(cols[r])]) > len(rows):
+            rows.append(list(cols[r]))
+            idx.append(r)
+            if len(rows) == len(basis):
+                break
+    inv = la.inverse(rows)
+
+    def to_local(dvec):
+        return la.mat_vec(inv, [dvec[r] for r in idx])
+
+    return v0, to_local
+
+
+def measure_cells(p, face, cells):
+    """``(centroid, lattice volume)`` of each cell of one facet, exactly."""
+    v0, to_local = local_frame(p, face)
+    out = []
+    for cell in cells:
+        local = tuple(to_local(la.vsub(v, v0)) for v in cell)
+        centroid = tuple(
+            la.norm_scalar(sum(Fraction(v[c]) for v in cell) / len(cell))
+            for c in range(p.dim))
+        out.append((centroid, _cell_volume(local)))
+    return out
+
+
 def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
-               system=None) -> WeightedPointCloud:
+               system=None, keep=None) -> WeightedPointCloud:
     """Weighted point cloud approximating the boundary surface measure.
 
     ``refinement`` counts barycentric subdivision rounds applied to every
@@ -203,69 +253,40 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     invariant; ``side`` selects the action ("M" for the polytope, "N" for
     its dual).  ``system`` is only for chamber tags: each point's first
     incident chamber (see :func:`chamber_incidence`), else None.
+    ``keep``, a predicate on face barycenters, measures only the flag cells
+    of the faces it accepts (see :func:`_flag_cells`), with or without a
+    group; the kept masses are normalized to total 1.
     """
     if not p.is_lattice:
         raise ValueError("discretization needs a lattice polytope")
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
-    faces = p.facet_faces()
 
-    def local_frame(face):
-        verts = [p.vertices[i] for i in face.vertex_indices]
-        v0 = verts[0]
-        diffs = [la.vsub(v, v0) for v in verts[1:]]
-        basis = la.saturation_basis(diffs)
-        if not basis:
-            return v0, basis, lambda dvec: ()
-        # pick an invertible square subsystem once; reuse for every cell vertex
-        cols = list(zip(*basis))
-        rows, idx = [], []
-        for r in range(len(cols)):
-            if la.rank(rows + [list(cols[r])]) > len(rows):
-                rows.append(list(cols[r]))
-                idx.append(r)
-                if len(rows) == len(basis):
-                    break
-        inv = la.inverse(rows)
-
-        def to_local(dvec):
-            return la.mat_vec(inv, [dvec[r] for r in idx])
-
-        return v0, basis, to_local
-
-    def measure_cells(face, ambient_cells):
-        v0, basis, to_local = local_frame(face)
-        out = []
-        for cell in ambient_cells:
-            local = tuple(to_local(la.vsub(v, v0)) for v in cell)
-            vol = _cell_volume(local)
-            centroid = tuple(
-                la.norm_scalar(sum(Fraction(v[c]) for v in cell) / len(cell))
+    def cells_of(face):
+        if group is not None or keep is not None:
+            return _flag_cells(p, face, keep)
+        v0, basis, cells = _facet_cells(p, face)
+        return [tuple(
+            tuple(la.norm_scalar(Fraction(v0[c]) + sum(
+                Fraction(v[j]) * basis[j][c] for j in range(len(basis))))
                 for c in range(p.dim))
-            out.append((centroid, vol))
-        return out
+            for v in cell) for cell in cells]
 
     accum = {}
-    for face in faces:
-        if group is None:
-            v0, basis, cells = _facet_cells(p, face)
-            ambient = []
-            for cell in cells:
-                ambient.append(tuple(
-                    tuple(la.norm_scalar(Fraction(v0[c]) + sum(
-                        Fraction(v[j]) * basis[j][c] for j in range(len(basis))))
-                        for c in range(p.dim))
-                    for v in cell))
-        else:
-            ambient = _flag_cells(p, face)
+    for face in p.facet_faces():
+        cells = cells_of(face)
         for _ in range(refinement):
-            ambient = [sub for cell in ambient
-                       for sub in _barycentric_subdivide(cell)]
-        for centroid, vol in measure_cells(face, ambient):
+            cells = [sub for cell in cells
+                     for sub in _barycentric_subdivide(cell)]
+        if not cells:
+            continue
+        for centroid, vol in measure_cells(p, face, cells):
             accum[centroid] = accum.get(centroid, Fraction(0)) + vol
+    if not accum:
+        raise InternalCheckFailed("no boundary cell was kept")
 
     total = sum(accum.values(), Fraction(0))
-    points = sorted(accum)
+    points = tuple(sorted(accum))
     masses = tuple(la.norm_scalar(accum[pt] / total) for pt in points)
     scaled = _int_array(points)
     tight = tight_matrix(*scaled, p)
@@ -277,10 +298,46 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     if system is not None and group is not None:
         inc = _incidence(scaled[0], system, group, side)
         chamber_tags = tuple(int(w) for w in inc.argmax(axis=0))
-    cloud = WeightedPointCloud(tuple(points), masses, facet_tags,
-                               chamber_tags, p, side)
+    cloud = WeightedPointCloud(points, masses, facet_tags, chamber_tags, p,
+                               side)
     cloud.__dict__["scaled"] = scaled       # fills the cached property
     return cloud
+
+
+def dominant_cloud(p: Polytope, refinement: int, system,
+                   side: str) -> WeightedPointCloud:
+    """One representative per Weyl orbit of the invariant cloud.
+
+    ``discretize(p, refinement, group=W, side=side)`` is the W-orbit of
+    this cloud, each point carrying 1/|W| of its representative's mass.
+    W acts freely on the facet flag cells: an element fixing a cell fixes
+    its vertices, which span M linearly, since the facet misses 0.  Each
+    cell lies in one closed chamber, and barycentric subdivision keeps
+    that true.  So the cells inside the closed dominant chamber form a
+    fundamental domain, and the walk keeps exactly them: it enters only
+    faces whose barycenter is dominant (against the simple coroots on the
+    M side, the simple roots on the N side).  They are refined and measured
+    by :func:`discretize` with that ``keep`` predicate, and their masses,
+    normalized to total 1, are the orbit masses.  Every centroid must be
+    strictly dominant, so every orbit has exactly |W| points; a centroid on
+    a wall raises InternalCheckFailed.
+    """
+    cloud = discretize(p, refinement, side=side,
+                       keep=lambda x: system.is_dominant(x, side))
+    walls = np.array(_walls(system, side))
+    if not (_exact_matmul(cloud.scaled[0], walls.T) > 0).all():
+        raise InternalCheckFailed(
+            "a kept cell centroid is not strictly dominant")
+    return cloud
+
+
+def _walls(system, side):
+    """The simple chamber walls as covectors: coroots on M, roots on N."""
+    if side == "M":
+        return system.simple_coroots
+    if side == "N":
+        return system.simple_roots
+    raise ValueError("side must be 'M' or 'N'")
 
 
 def _scaled_points(points):
@@ -308,8 +365,17 @@ def _matmul_dtype(x, y, factor=1):
     An entry of x @ y is a sum of ``x.shape[-1]`` products of an entry of x
     and an entry of y.
     """
-    bound = (int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0))
-             * x.shape[-1] * factor)
+    return _bounded_dtype(int(np.abs(x).max(initial=0))
+                          * int(np.abs(y).max(initial=0))
+                          * x.shape[-1] * factor)
+
+
+def _bounded_dtype(bound):
+    """int64 if ``bound`` provably caps every magnitude computed, else object.
+
+    The one place the int64 guard is read: every integer array whose
+    values are proven below a bound states that bound here.
+    """
     return np.int64 if bound < _INT64_GUARD else object
 
 
@@ -342,17 +408,17 @@ def chamber_incidence(points, system, group, side):
 
 def _incidence(pts, system, group, side):
     """:func:`chamber_incidence` of common-denominator integer points."""
-    if side == "M":
-        mats, simple = [e.dual_matrix for e in group], system.simple_coroots
-    elif side == "N":
-        mats, simple = [e.matrix for e in group], system.simple_roots
-    else:
-        raise ValueError("side must be 'M' or 'N'")
+    mats = np.array([e.dual_matrix if side == "M" else e.matrix
+                     for e in group])
     # w^-1 is the transposed dual matrix on M and transposed matrix on N
-    proj = np.array([la.mat_mul(m, la.transpose(simple)) for m in mats])
+    proj = _exact_matmul(mats, np.array(_walls(system, side)).T)
     dtype = _matmul_dtype(pts, proj)
     pts, proj = pts.astype(dtype), proj.astype(dtype)
-    return np.array([((pts @ m) >= 0).all(axis=1) for m in proj], dtype=bool)
+    out = np.empty((len(proj), len(pts)), dtype=bool)
+    step = max(1, (1 << 22) // max(1, pts.size))    # products per block
+    for lo in range(0, len(proj), step):
+        out[lo:lo + step] = ((pts @ proj[lo:lo + step]) >= 0).all(axis=2)
+    return out
 
 
 def chamber_mass(cloud: WeightedPointCloud, system, group, side=None):

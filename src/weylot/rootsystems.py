@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import (GroupCapExceeded, NotDominant, NotLatticePoint,
                      OrbitCapExceeded, UnsupportedType)
@@ -133,6 +134,8 @@ def _cartan_matrix(family, rank):
 
 _ADMISSIBLE = {"A": 1, "B": 2, "C": 3, "D": 4}
 _EXCEPTIONAL = {("E", 6), ("F", 4), ("G", 2)}
+_EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+                      ("F", 4): 1152, ("G", 2): 12}
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,24 @@ class RootSystem:
 
     def label(self):
         return "x".join(f"{fam}{rk}" for fam, rk in self.type_label)
+
+    @property
+    def order(self):
+        """|W| in closed form from the type label, without building the
+        group (Bourbaki, *Lie*, VI, plates I-IX)."""
+        out = 1
+        for fam, rk in self.type_label:
+            if fam == "A":
+                out *= factorial(rk + 1)
+            elif fam in ("B", "C"):
+                out *= 2 ** rk * factorial(rk)
+            elif fam == "D":
+                out *= 2 ** (rk - 1) * factorial(rk)
+            elif (fam, rk) in _EXCEPTIONAL_ORDER:
+                out *= _EXCEPTIONAL_ORDER[fam, rk]
+            else:
+                raise UnsupportedType(f"no closed-form order for {fam}{rk}")
+        return out
 
     def __repr__(self):
         return (f"RootSystem({self.label()}, {len(self.roots)} roots, "

@@ -13,6 +13,14 @@ Python ints otherwise, and every pivot is deterministic.
 Cyclical monotonicity of a plan's support is decided exactly at every cycle
 length by one longest-path pass over the support pairs: a pass leaves a
 potential that bounds every cycle sum by 0, a failure a positive cycle.
+
+``certify`` works on one closed Weyl chamber: for dominant x in M and y in
+N, max over w of <x, w y> is <x, y> (Humphreys, *Reflection Groups and
+Coxeter Groups*, 1.12), so the invariant problem is a plain transport
+problem between dominant representatives, and its exactly feasible,
+tight potentials certify the lifted plan at every cycle length.
+``solve_invariant_ot`` and ``symmetrize_plan`` work over a materialized
+group; ``certify`` solves its quotient with the trivial one.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ import numpy as np
 from .errors import (InternalCheckFailed, NotReflexive, PivotCapExceeded,
                      UnbalancedMasses)
 from . import linalg as la
-from .measures import (_INT64_GUARD, _exact_matmul, _incidence, _matmul_dtype,
-                       discretize, tight_matrix)
+from .measures import (_bounded_dtype, _exact_matmul, _incidence,
+                       _matmul_dtype, dominant_cloud, tight_matrix)
+from .rootsystems import GroupElement
 
 _PIVOT_CAP = 2_000_000
 
@@ -189,8 +198,8 @@ def _tree_simplex(a, b, k):
     n, m = len(a), len(b)
     nodes = n + m
     kmax = int(np.abs(k).max(initial=0))
-    dtype = (np.int64 if k.dtype == np.int64
-             and 2 * nodes * kmax < _INT64_GUARD else object)
+    dtype = (_bounded_dtype(2 * nodes * kmax) if k.dtype == np.int64
+             else object)
     k = k.astype(dtype, copy=False)
     adj = [[] for _ in range(nodes)]
     for (i, j), x in _northwest_tree(a, b).items():
@@ -363,8 +372,10 @@ def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3):
     (s support pairs), ``psi = -d`` satisfies ``g[p, q] <= psi_p - psi_q``
     on every arc, so every cycle sum telescopes to at most 0: a proof for
     all lengths at once.  Otherwise the predecessors (updated only on a
-    strict gain) close a cycle, whose exactly positive sum is checked and
-    which is returned as the single violation.
+    strict gain) close a cycle.  After every round the predecessors are
+    walked from the nodes that changed, O(s) in all, and the first round
+    that closes a cycle ends the pass; the cycle's exactly positive sum is
+    checked and it is returned as the single violation.
 
     ``max_cycle_length`` is validated (at least 2) and echoed in the
     verdict; it does not limit the proof.
@@ -397,23 +408,44 @@ def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3):
             return CycleVerdict(True, max_cycle_length, ())
         pred[changed] = cand.argmax(axis=0)[changed]
         d = np.where(changed, best, d)
+        cycle = _predecessor_cycle(pred, d, np.flatnonzero(changed))
+        if cycle:
+            break
+    else:
+        raise InternalCheckFailed("Bellman-Ford ran s rounds without a cycle")
 
-    # A node that gains in round r > 1 gains from one that gained in round
-    # r - 1, so each node within s - 1 predecessor steps of a round-s gain
-    # has a predecessor, and s steps end on a cycle.  Any predecessor cycle
-    # is positive: its sum is its nodes' gains since their arcs were set.
-    x = int(np.flatnonzero(changed)[0])
-    for _ in range(s):
-        x = int(pred[x])
-    cycle = [x]
-    while (y := int(pred[cycle[-1]])) != x and len(cycle) < s:
-        cycle.append(y)
     cycle.reverse()                     # pred[q] = p is the arc p -> q
     total = sum(int(g[p, q]) for p, q in zip(cycle, cycle[1:] + cycle[:1]))
     if total <= 0:
         raise InternalCheckFailed("predecessor cycle is not positive")
     return CycleVerdict(False, max_cycle_length,
                         (tuple(support[p] for p in cycle),))
+
+
+def _predecessor_cycle(pred, d, starts):
+    """A cycle of the predecessor graph reached from ``starts``, or None.
+
+    A node has a predecessor iff it ever gained, that is iff d > 0.  Walks
+    share their marks, so the search visits each node once.  A node that
+    gains in round r > 1 gains from one that gained in round r - 1, so
+    after round s each node within s - 1 steps of a round-s gain has a
+    predecessor, and the walk from it must close a cycle.  Any predecessor
+    cycle is positive: take the last round r that set one of its arcs.
+    Each arc p -> q satisfies d[q] <= d[p] + g[p, q] at the end of round
+    r - 1, strictly for the arcs set in round r, so summing over the cycle
+    leaves 0 < sum g.  Returns the nodes in walk order, x, pred[x], ...
+    """
+    pred, has_pred = pred.tolist(), (d > 0).tolist()
+    mark = {}
+    for walk, x in enumerate(starts.tolist()):
+        path = []
+        while x not in mark and has_pred[x]:
+            mark[x] = walk
+            path.append(x)
+            x = pred[x]
+        if mark.get(x) == walk:
+            return path[path.index(x):]
+    return None
 
 
 def check_reflection_sign(plan, system, mu, nu):
@@ -595,7 +627,7 @@ def solve_invariant_ot(mu, nu, group):
         raise InternalCheckFailed("quotient lift changed the transport cost")
 
     # exact feasibility of the lifted potentials on every pair
-    dtype = k.dtype if 2 * max(map(abs, u + v)) < _INT64_GUARD else object
+    dtype = _bounded_dtype(2 * max(map(abs, u + v)))
     phin = np.array(u, dtype=dtype)[src_rep_of]
     psin = np.array(v, dtype=dtype)[tgt_rep_of]
     if ((phin[:, None] + psin[None, :]) > k).any():
@@ -630,37 +662,58 @@ class CertificationReport:
 
 
 def certify(rec, refinement=0, max_cycle_length=3):
-    """Discretize both boundaries, transport, symmetrize, and run all checks.
+    """Certify the invariant optimal plan between the two boundary measures.
 
-    The transport problem is solved through the exact quotient reduction
-    (the invariant problem collapses to orbit masses), which both returns a
-    group-invariant optimal plan directly and keeps the pivoting small; the
-    resulting plan is what all four checks run on.  ``max_cycle_length`` is
-    only echoed: the cycle check covers every length.
+    Runs on one closed Weyl chamber and never builds a full cloud.
+    ``dominant_cloud`` gives one representative per orbit on each side,
+    with the orbit masses.  For x dominant in M and y dominant in N,
+    max over w of <x, w y> is <x, y>: y - w y is a nonnegative sum of
+    simple coroots (Humphreys, *Reflection Groups and Coxeter Groups*,
+    1.12; Bourbaki, *Lie*, VI 1.6), and x pairs nonnegatively with each.
+    So the quotient cost of an orbit pair is -<x, y>: the quotient problem
+    is the transport problem between the representative clouds, which is
+    ``solve_invariant_ot`` under the trivial group.  Its plan lifts to the
+    invariant plan moving mass/|W| from w x to w y for every w, with the
+    same cost.
+
+    The potential certificate: the quotient potentials u, v lift to
+    potentials constant on orbits, feasible on every pair of the full
+    problem iff ``u_X + v_Y <= -<x, y>`` on every pair of representatives
+    (by the lemma), and tight on the lifted support iff tight on the
+    quotient support.  ``solve_invariant_ot`` checks feasibility on every
+    pair and a zero duality gap exactly, which with positive masses is
+    tightness on the support; a failure raises InternalCheckFailed.  So the
+    lifted plan is optimal and c-cyclically monotone at every length.
+
+    All four checks run on the quotient plan over the representatives:
+    stability, reflection sign, cyclical monotonicity (the longest-path
+    pass, which the potentials already decide), and chamber support over
+    the materialized W.  Each offending set is W-invariant, so the
+    offending masses are those of the lifted plan; witnesses are dominant
+    representatives.  The sizes are |W| times the representative counts.
+    ``max_cycle_length`` is validated (at least 2) and echoed.
     """
     if not rec.polytope.is_reflexive:
         raise NotReflexive("certification needs a reflexive polytope")
+    if max_cycle_length < 2:
+        raise ValueError("cycle length must be at least 2")
     system = rec.system
     group = system.weyl_group()
-    mu = discretize(rec.polytope, refinement, group=group, side="M")
-    nu = discretize(rec.polytope.dual(), refinement, group=group, side="N")
-    plan, pots = solve_invariant_ot(mu, nu, group)
-
+    mu = dominant_cloud(rec.polytope, refinement, system, "M")
+    nu = dominant_cloud(rec.polytope.dual(), refinement, system, "N")
+    eye = la.identity(system.rank)
+    plan, pots = solve_invariant_ot(mu, nu, (GroupElement(eye, eye, ()),))
     gap = la.norm_scalar(plan.cost_value - _dual_value(mu, nu, pots.phi,
                                                        pots.psi))
-
-    stability = check_stability_support(plan, rec.polytope, mu, nu)
-    chamber = check_chamber_support(plan, rec, group, mu, nu)
-    refl = check_reflection_sign(plan, system, mu, nu)
-    cycles = check_cyclical_monotonicity(plan, mu, nu, max_cycle_length)
     return CertificationReport(
-        stability=stability,
-        chamber_support=chamber,
-        reflection_sign=refl,
-        cyclical_monotonicity=cycles,
+        stability=check_stability_support(plan, rec.polytope, mu, nu),
+        chamber_support=check_chamber_support(plan, rec, group, mu, nu),
+        reflection_sign=check_reflection_sign(plan, system, mu, nu),
+        cyclical_monotonicity=check_cyclical_monotonicity(
+            plan, mu, nu, max_cycle_length),
         duality_gap=gap,
         cost=plan.cost_value,
         refinement=refinement,
-        source_size=len(mu),
-        target_size=len(nu),
+        source_size=system.order * len(mu),
+        target_size=system.order * len(nu),
     )

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from weylot import fileio, transport
+from weylot import fileio, measures, transport
 from weylot.cli import main
 from weylot.polytope import convex_hull
 from weylot.symmetry import unimodular_equivalent
@@ -130,6 +130,10 @@ class TestCertify:
                           "1", "--cycles", "3"], "certify-cube-B3-k1.json"),
         ("v3-A3.poly", ["--type", "A3", "--weight", "0,2,0", "--refine",
                         "0"], "certify-v3-A3-k0.json"),
+        ("2w1-D4.poly", ["--type", "D4", "--weight", "2,0,0,0", "--refine",
+                         "0"], "certify-2w1-D4-k0.json"),
+        ("w4-F4.poly", ["--type", "F4", "--weight", "0,0,0,1", "--refine",
+                        "0"], "certify-w4-F4-k0.json"),
     ])
     def test_golden_report(self, capsys, poly, args, report):
         golden = Path(__file__).parent / "golden"
@@ -201,6 +205,19 @@ class TestInternalCheck:
         assert main(["ot", *crossed_pair(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("internal error: basis does not span")
+
+
+    def test_centroid_on_a_wall_exit_code(self, monkeypatch, capsys):
+        # a walk that keeps every flag cell leaves centroids off the open
+        # dominant chamber, which certify's cloud check rejects
+        every_cell = measures._flag_cells
+        monkeypatch.setattr(measures, "_flag_cells",
+                            lambda p, face, keep=None: every_cell(p, face))
+        golden = Path(__file__).parent / "golden"
+        assert main(["certify", str(golden / "cube-B3.poly"), "--type", "B3",
+                     "--weight", "0,0,2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: a kept cell centroid")
 
 
 class TestInputErrors:

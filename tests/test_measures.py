@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from weylot import linalg as la
+from weylot import measures
+from weylot.errors import InternalCheckFailed
 from weylot.measures import (WeightedPointCloud, chamber_incidence,
-                             chamber_mass, discretize, surface_measure)
+                             chamber_mass, discretize, dominant_cloud,
+                             surface_measure)
 from weylot.polytope import convex_hull
 from weylot.rootsystems import build_root_system, weight_to_coords
 from weylot.transport import TransportPlan, check_chamber_support
@@ -215,3 +218,54 @@ class TestChamberIncidence:
         assert verdict.offending_mass == sum(mass for _, _, mass in bad)
         assert verdict.witnesses == tuple(
             (mu.points[i], nu.points[j]) for i, j, _ in bad[:8])
+
+
+# The criterion-4 fixtures, the A2 weight-lattice triangle and D4 = Dn-2w1.
+ORBIT_CASES = [
+    ("B", 2, (0, 2), "root", 1), ("B", 2, (1, 0), "root", 1),
+    ("A", 2, (1, 1), "root", 1), ("A", 2, (3, 0), "root", 1),
+    ("B", 3, (0, 0, 2), "root", 1), ("B", 3, (1, 0, 0), "root", 1),
+    ("A", 3, (4, 0, 0), "root", 1), ("A", 3, (0, 2, 0), "root", 1),
+    ("A", 2, (1, 0), "weight", 1), ("D", 4, (2, 0, 0, 0), "root", 0),
+]
+
+
+def orbit_expansion(cloud, group):
+    """Every group element applied to every representative, mass / |W|."""
+    out = {}
+    for pt, mass in zip(cloud.points, cloud.masses):
+        for e in group:
+            image = e.apply(pt) if cloud.side == "M" else e.apply_dual(pt)
+            image = tuple(la.norm_scalar(x) for x in image)
+            assert image not in out
+            out[image] = Fraction(mass, len(group))
+    return out
+
+
+class TestDominantCloud:
+    @pytest.mark.parametrize("family,rank,omega,lattice,kmax", ORBIT_CASES)
+    def test_orbit_expansion_is_the_invariant_cloud(self, family, rank, omega,
+                                                    lattice, kmax):
+        system = build_root_system(family, rank, lattice)
+        if lattice == "root":
+            omega = weight_to_coords(system, omega)
+        rec = weyl_polytope(system, omega)
+        W = system.weyl_group()
+        assert system.order == len(W)
+        for k in range(kmax + 1):
+            for p, side in ((rec.polytope, "M"), (rec.polytope.dual(), "N")):
+                reps = dominant_cloud(p, k, system, side)
+                full = discretize(p, k, group=W, side=side)
+                assert sum(reps.masses) == 1
+                assert orbit_expansion(reps, W) == dict(
+                    zip(full.points, full.masses))
+                assert len(full) == system.order * len(reps)
+
+    def test_centroid_off_the_open_chamber_raises(self, monkeypatch):
+        b2 = build_root_system("B", 2)
+        rec = weyl_polytope(b2, weight_to_coords(b2, (0, 2)))
+        every_cell = measures._flag_cells
+        monkeypatch.setattr(measures, "_flag_cells",
+                            lambda p, face, keep=None: every_cell(p, face))
+        with pytest.raises(InternalCheckFailed, match="strictly dominant"):
+            dominant_cloud(rec.polytope, 0, b2, "M")

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from weylot import linalg as la
 from weylot.errors import OriginNotInterior, NotFullDimensional
 from weylot.polytope import convex_hull
-from weylot.rootsystems import build_root_system, weight_to_coords
+from weylot.rootsystems import (build_from_label, build_root_system,
+                                weight_to_coords)
 from weylot.transport import (TransportPlan, certify, check_reflection_sign,
                               check_stability_support, solve_invariant_ot,
                               solve_ot)
@@ -163,6 +164,40 @@ class TestWeylGroupWords:
             inv = la.inverse(e.matrix)
             inv = tuple(tuple(la.norm_scalar(x) for x in row) for row in inv)
             assert la.transpose(inv) == e.dual_matrix
+
+
+LEMMA_LABELS = ("A2", "B2", "G2", "B3", "A1xA2")
+_GROUPS = {}
+
+
+def lemma_system(label):
+    if label not in _GROUPS:
+        system = build_from_label(label)
+        _GROUPS[label] = (system, system.weyl_group())
+    return _GROUPS[label]
+
+
+@st.composite
+def dominant_pairs(draw):
+    """A system, a dominant x in M and a dominant y in N (integer points)."""
+    system, group = lemma_system(draw(st.sampled_from(LEMMA_LABELS)))
+    coords = st.lists(st.integers(-6, 6), min_size=system.rank,
+                      max_size=system.rank)
+    x, _ = system.dominant_representative(draw(coords), "M")
+    y, _ = system.dominant_representative(draw(coords), "N")
+    return system, group, x, y
+
+
+class TestDominantPairingLemma:
+    @given(dominant_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_max_over_w_is_the_dominant_pairing(self, case):
+        # max_w <x, w y> = <x, y> for x, y dominant (Humphreys 1.12): the
+        # quotient cost of certify is one matmul
+        system, group, x, y = case
+        assert system.is_dominant(x, "M") and system.is_dominant(y, "N")
+        best = max(la.vdot(x, e.apply_dual(y)) for e in group)
+        assert best == la.vdot(x, y)
 
 
 class TestWeightLatticeCertification:

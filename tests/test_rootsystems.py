@@ -232,6 +232,16 @@ class TestWeylGroup:
         assert [e.dual_matrix for e in elements] == \
             [e.dual_matrix for e in oracle]
 
+    @pytest.mark.parametrize("label", CLOSURE_LABELS + (
+        "A1xA1", "A1xA1xA2", "B2xG2", "A2xC3"))
+    def test_order_is_the_group_size(self, label):
+        system = closure_system(label)
+        assert system.order == len(system.weyl_group())
+
+    def test_exceptional_orders(self):
+        assert build_root_system("E", 6).order == 51840
+        assert build_from_label("E6xG2").order == 51840 * 12
+
     def test_cap_boundary(self):
         b3 = build_root_system("B", 3)
         with pytest.raises(OrbitCapExceeded):

@@ -5,18 +5,20 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from weylot.errors import NotReflexive, UnbalancedMasses
+from weylot.errors import (InternalCheckFailed, NotReflexive,
+                           UnbalancedMasses)
 from weylot import linalg as la
-from weylot import measures
+from weylot import measures, transport
 from weylot.measures import WeightedPointCloud, discretize
 from weylot.polytope import convex_hull
-from weylot.rootsystems import build_root_system, weight_to_coords
+from weylot.rootsystems import (build_from_label, build_root_system,
+                                weight_to_coords)
 from weylot.transport import (TransportPlan, _cost_matrix, _network_simplex,
                               _scaled_masses, certify, check_chamber_support,
                               check_cyclical_monotonicity,
                               check_reflection_sign, check_stability_support,
                               solve_invariant_ot, solve_ot, symmetrize_plan)
-from weylot.weyl import weyl_polytope
+from weylot.weyl import mr_family, weyl_polytope
 
 
 def cloud(points, masses, polytope=None, side="M"):
@@ -612,3 +614,79 @@ class TestCertify:
         rec = weyl_polytope(b2, (2, 3))
         with pytest.raises(NotReflexive):
             certify(rec, 0, 3)
+
+
+def invariant_route(rec, k):
+    """The oracle for ``certify``: the whole group, both invariant clouds,
+    the orbit-map quotient solve and all four checks on the lifted plan."""
+    system = rec.system
+    W = system.weyl_group()
+    mu = discretize(rec.polytope, k, group=W, side="M")
+    nu = discretize(rec.polytope.dual(), k, group=W, side="N")
+    plan, pots = solve_invariant_ot(mu, nu, W)
+    dual_value = sum(Fraction(m) * p for m, p in zip(mu.masses, pots.phi))
+    dual_value += sum(Fraction(m) * p for m, p in zip(nu.masses, pots.psi))
+    checks = (check_stability_support(plan, rec.polytope, mu, nu),
+              check_chamber_support(plan, rec, W, mu, nu),
+              check_reflection_sign(plan, system, mu, nu))
+    return (plan.cost_value, len(mu), len(nu), plan.cost_value - dual_value,
+            [(v.passed, v.offending_mass) for v in checks],
+            check_cyclical_monotonicity(plan, mu, nu, 3).passed)
+
+
+def certify_summary(rec, k):
+    r = certify(rec, k, 3)
+    checks = (r.stability, r.chamber_support, r.reflection_sign)
+    return (r.cost, r.source_size, r.target_size, r.duality_gap,
+            [(v.passed, v.offending_mass) for v in checks],
+            r.cyclical_monotonicity.passed)
+
+
+class TestQuotientCertify:
+    @pytest.mark.parametrize("family,rank,omega", [
+        ("B", 2, (0, 2)), ("B", 2, (1, 0)), ("A", 2, (1, 1)),
+        ("A", 2, (3, 0)), ("B", 3, (0, 0, 2)), ("B", 3, (1, 0, 0)),
+        ("A", 3, (4, 0, 0)), ("A", 3, (0, 2, 0)),
+    ])
+    def test_matches_the_invariant_route(self, family, rank, omega):
+        system = build_root_system(family, rank)
+        rec = weyl_polytope(system, weight_to_coords(system, omega))
+        for k in (0, 1, 2):
+            assert certify_summary(rec, k) == invariant_route(rec, k), k
+
+    @pytest.mark.parametrize("label,omega", [
+        ("F4", (0, 0, 0, 1)), ("A1xA2", (2, 1, 1))])
+    def test_matches_the_invariant_route_at_rank_4(self, label, omega):
+        system = build_from_label(label)
+        rec = weyl_polytope(system, weight_to_coords(system, omega))
+        assert certify_summary(rec, 0) == invariant_route(rec, 0)
+
+    @pytest.mark.parametrize("row,rank,points,cost", [
+        ("Bn-cube", 5, 3840, Fraction(-4, 5)),
+        ("Dn-w2", 5, 15360, Fraction(-42281, 48600)),
+        ("E6-w2", 6, 311040, Fraction(-146437, 168480)),
+    ])
+    def test_rank_five_and_six_pins(self, row, rank, points, cost):
+        report = certify(mr_family(row, rank), 0, 3)
+        assert report.passed and report.duality_gap == 0
+        assert report.source_size == report.target_size == points
+        assert report.cost == cost
+
+    @pytest.mark.parametrize("shift,message", [
+        (1, "not dual feasible"), (-1, "duality gap")])
+    def test_a_broken_certificate_raises(self, monkeypatch, shift, message):
+        # one source potential off by one cost unit: raised, the tight pair
+        # turns infeasible; lowered, the dual value drops below the cost
+        real = transport._network_simplex
+
+        def shifted(a, b, k):
+            flows, u, v = real(a, b, k)
+            return flows, [u[0] + shift] + u[1:], v
+
+        monkeypatch.setattr(transport, "_network_simplex", shifted)
+        with pytest.raises(InternalCheckFailed, match=message):
+            certify(mr_family("Bn-cube", 3), 1, 3)
+
+    def test_cycle_length_below_two_is_rejected(self):
+        with pytest.raises(ValueError):
+            certify(mr_family("Bn-cube", 2), 0, 1)
