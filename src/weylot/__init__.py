@@ -6,9 +6,7 @@ from .errors import (GroupCapExceeded, InternalTableViolation,
                      OrbitCapExceeded, OriginNotInterior, OutOfTableRange,
                      UnbalancedMasses, UnsupportedType, VertexNotFound,
                      WeylotError)
-from .polytope import (Face, Polytope, barycenter, closed_star, convex_hull,
-                       dual_facet, dual_polytope, enumerate_faces, is_delzant,
-                       is_reflexive, lattice_volume)
+from .polytope import Face, Polytope, convex_hull
 from .rootsystems import (RootSystem, WeylGroup, build_from_label,
                           build_root_system, dual_system, product,
                           weight_to_coords)

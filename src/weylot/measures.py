@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InternalCheckFailed
 from . import linalg as la
-from .polytope import Polytope, face_coordinates
+from .polytope import Polytope, simplex_volume
 
 _BOX_CAP = 200_000
 _INT64_GUARD = 1 << 60
@@ -134,19 +134,11 @@ def _barycentric_subdivide(cell):
 def _facet_cells(p, face):
     """Lattice-simplex cells of one facet, in local lattice coordinates.
 
-    Returns (origin vertex, basis, cells); cells are tuples of integer local
+    Returns (origin vertex, basis, cells) of the facet's frame
+    (:meth:`Polytope.face_frame`); cells are tuples of integer local
     coordinate tuples.
     """
-    verts = [p.vertices[i] for i in face.vertex_indices]
-    v0 = verts[0]
-    diffs = [la.vsub(v, v0) for v in verts[1:]]
-    basis = la.saturation_basis(diffs)
-    if len(basis) != face.dimension:
-        raise ValueError("facet basis extraction failed")
-
-    def to_local(x):
-        return face_coordinates(basis, la.vsub(x, v0))
-
+    v0, basis, to_local = p.face_frame(face)
     local = {p.vertices[i]: to_local(p.vertices[i]) for i in face.vertex_indices}
     base_cells = []
     for cell in p._triangulate_face(face):
@@ -155,17 +147,6 @@ def _facet_cells(p, face):
     extra = [to_local(q) for q in lattice_pts if q not in local]
     cells = _stellar_triangulation(base_cells, extra)
     return v0, basis, cells
-
-
-def _cell_volume(cell):
-    s = len(cell) - 1
-    if s == 0:
-        return Fraction(1)
-    mat = [la.vsub(v, cell[0]) for v in cell[1:]]
-    fact = 1
-    for j in range(1, s + 1):
-        fact *= j
-    return abs(Fraction(la.det(mat))) / fact
 
 
 def _flag_cells(p, face, keep=None):
@@ -201,43 +182,16 @@ def _flag_cells(p, face, keep=None):
     return cells
 
 
-def local_frame(p, face):
-    """``(v0, to_local)`` of a facet: its first vertex, and the map from a
-    difference vector ``x - v0`` to coordinates in a lattice basis of the
-    facet's direction space."""
-    verts = [p.vertices[i] for i in face.vertex_indices]
-    v0 = verts[0]
-    diffs = [la.vsub(v, v0) for v in verts[1:]]
-    basis = la.saturation_basis(diffs)
-    if not basis:
-        return v0, lambda dvec: ()
-    # pick an invertible square subsystem once; reuse for every cell vertex
-    cols = list(zip(*basis))
-    rows, idx = [], []
-    for r in range(len(cols)):
-        if la.rank(rows + [list(cols[r])]) > len(rows):
-            rows.append(list(cols[r]))
-            idx.append(r)
-            if len(rows) == len(basis):
-                break
-    inv = la.inverse(rows)
-
-    def to_local(dvec):
-        return la.mat_vec(inv, [dvec[r] for r in idx])
-
-    return v0, to_local
-
-
 def measure_cells(p, face, cells):
     """``(centroid, lattice volume)`` of each cell of one facet, exactly."""
-    v0, to_local = local_frame(p, face)
+    _, _, to_local = p.face_frame(face)
     out = []
     for cell in cells:
-        local = tuple(to_local(la.vsub(v, v0)) for v in cell)
+        local = tuple(to_local(v) for v in cell)
         centroid = tuple(
             la.norm_scalar(sum(Fraction(v[c]) for v in cell) / len(cell))
             for c in range(p.dim))
-        out.append((centroid, _cell_volume(local)))
+        out.append((centroid, simplex_volume(local)))
     return out
 
 

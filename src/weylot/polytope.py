@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 
 from .errors import NotFullDimensional, OriginNotInterior, VertexNotFound
 from . import linalg as la
@@ -279,62 +280,64 @@ class Polytope:
         return self.is_lattice and all(c == 1 for _, c in self.facets)
 
     # -- face lattice --------------------------------------------------------
+    #
+    # A polytope's face lattice is atomic and coatomic: every face is an
+    # intersection of facets, and the facets of a face F are the maximal
+    # proper nonempty sets F & G over the facets G (Ziegler, *Lectures on
+    # Polytopes*, 2.2).  So every face is derived from ``incidence`` on
+    # demand, with no closure over the whole lattice.
 
     @cached_property
     def faces(self):
         """All proper faces, in increasing dimension, each deterministic.
 
-        Built by closing the facet list under pairwise intersection; the
+        Walked down from the facets through :meth:`face_children`; the
         order is (dimension, sorted vertex index tuple).
         """
+        return self._faces_below(self.facet_faces())
+
+    def _faces_below(self, roots):
+        """The faces ``roots`` and every face below them, sorted as ``faces``."""
         found = {}
-        queue = [frozenset(members) for members in self.incidence]
-        for s in queue:
-            found[s] = None
-        while queue:
-            cur = queue.pop()
-            for members in self.incidence:
-                inter = cur & members
-                if inter and inter not in found:
-                    found[inter] = None
-                    queue.append(inter)
-        for i in range(len(self.vertices)):
-            found.setdefault(frozenset([i]), None)
-
-        faces = []
-        for vset in found:
-            vs = tuple(sorted(vset))
-            if len(vs) == 1:
-                fdim = 0
-            else:
-                base = self.vertices[vs[0]]
-                fdim = la.rank([la.vsub(self.vertices[i], base) for i in vs[1:]])
-            fset = tuple(f for f, members in enumerate(self.incidence)
-                         if vset <= members)
-            faces.append(Face(vs, fdim, fset))
-        faces.sort(key=lambda f: (f.dimension, f.vertex_indices))
-        return tuple(faces)
-
-    @cached_property
-    def _faces_by_vertices(self):
-        return {frozenset(f.vertex_indices): f for f in self.faces}
+        stack = list(roots)
+        while stack:
+            face = stack.pop()
+            if face.vertex_indices not in found:
+                found[face.vertex_indices] = face
+                stack.extend(self.face_children(face))
+        return tuple(sorted(found.values(),
+                            key=lambda f: (f.dimension, f.vertex_indices)))
 
     def face_children(self, face):
-        """Faces of one dimension lower contained in the given face."""
+        """Faces of one dimension lower contained in the given face.
+
+        They are the maximal sets among the nonempty proper intersections of
+        the face with the facets, sorted by vertex indices.  A child lies on
+        the facets through the face and on the facets cutting it out.
+        """
         vset = frozenset(face.vertex_indices)
-        return tuple(f for f in self.faces
-                     if f.dimension == face.dimension - 1
-                     and frozenset(f.vertex_indices) <= vset)
+        cuts = {}
+        for g, members in enumerate(self.incidence):
+            inter = vset & members
+            if inter and inter != vset:
+                cuts.setdefault(inter, []).append(g)
+        children = [
+            Face(tuple(sorted(s)), face.dimension - 1,
+                 tuple(sorted(face.facet_indices + tuple(gs))))
+            for s, gs in cuts.items() if not any(s < t for t in cuts)]
+        return tuple(sorted(children, key=lambda f: f.vertex_indices))
 
     def facet_faces(self):
         """The faces corresponding to facets, indexed like ``self.facets``."""
-        lookup = self._faces_by_vertices
-        return tuple(lookup[frozenset(members)] for members in self.incidence)
+        return tuple(Face(tuple(sorted(members)), self.dim - 1, (f,))
+                     for f, members in enumerate(self.incidence))
 
     def closed_star(self, m):
         """All faces containing the vertex ``m`` (the closed star of m)."""
         i = self.vertex_index(m)
-        return tuple(f for f in self.faces if i in f.vertex_indices)
+        facets = self.facet_faces()
+        below = self._faces_below(facets[f] for f in self.vertex_facets[i])
+        return tuple(f for f in below if i in f.vertex_indices)
 
     def dual_facet(self, m):
         """The facet of the dual polytope on which the bracket with ``m`` is 1."""
@@ -342,10 +345,10 @@ class Polytope:
         dual = self.dual()
         members = frozenset(
             j for j, n in enumerate(dual.vertices) if la.vdot(m, n) == 1)
-        face = dual._faces_by_vertices.get(members)
-        if face is None:
-            raise VertexNotFound(f"no dual facet found for {m}")
-        return dual, face
+        for face, incident in zip(dual.facet_faces(), dual.incidence):
+            if incident == members:
+                return dual, face
+        raise VertexNotFound(f"no dual facet found for {m}")
 
     # -- triangulation and volume -------------------------------------------
 
@@ -373,15 +376,11 @@ class Polytope:
     @cached_property
     def volume(self):
         """Lebesgue volume (normalized so the lattice fundamental cell is 1)."""
-        total = Fraction(0)
-        dfact = 1
-        for k in range(1, self.dim + 1):
-            dfact *= k
-        for cells in self.boundary_triangulation():
-            for cell in cells:
-                mat = [self.vertices[i] for i in cell]
-                total += abs(Fraction(la.det(mat)))
-        return la.norm_scalar(total / dfact)
+        origin = (0,) * self.dim
+        return la.norm_scalar(sum(
+            (simplex_volume([origin] + [self.vertices[i] for i in cell])
+             for cells in self.boundary_triangulation() for cell in cells),
+            Fraction(0)))
 
     @cached_property
     def barycenter(self):
@@ -400,36 +399,51 @@ class Polytope:
                     acc[k] += w * (s / (self.dim + 1))
         return tuple(la.norm_scalar(a / total) for a in acc)
 
+    def face_frame(self, face):
+        """``(v0, basis, to_local)``: a lattice frame of a face's span.
+
+        ``v0`` is the face's first vertex and ``basis`` a lattice basis of
+        its direction space (the saturation of the vertex differences, each
+        cleared of denominators first, so rational faces work too).
+        ``to_local`` maps a point x of the span to the exact coordinates of
+        x - v0 in ``basis``; it raises ValueError for a point off the span.
+        """
+        verts = [self.vertices[i] for i in face.vertex_indices]
+        v0 = verts[0]
+        basis = la.saturation_basis(
+            [la.clear_denominators(la.vsub(v, v0))[0] for v in verts[1:]])
+        if len(basis) != face.dimension:
+            raise ValueError("face dimension mismatch")
+        # solve on an invertible square subsystem, check the other rows
+        rows = [tuple(b[r] for b in basis) for r in range(self.dim)]
+        idx = []
+        for r, row in enumerate(rows):
+            if len(idx) < len(basis) and \
+                    la.rank([rows[i] for i in idx] + [row]) > len(idx):
+                idx.append(r)
+        inv = la.inverse([rows[r] for r in idx])
+        rest = [r for r in range(self.dim) if r not in idx]
+
+        def to_local(x):
+            dvec = la.vsub(x, v0)
+            sol = la.mat_vec(inv, [dvec[r] for r in idx])
+            if any(la.vdot(sol, rows[r]) != dvec[r] for r in rest):
+                raise ValueError("vector not in the span of the basis")
+            return sol
+
+        return v0, basis, to_local
+
     def face_lattice_volume(self, face):
         """Volume of a face, normalized to the lattice induced on its span.
 
         A point counts 1; a segment of lattice length L counts L; a
         unimodular k-simplex counts 1/k!.
         """
-        if face.dimension == 0:
-            return 1
-        vs = [self.vertices[i] for i in face.vertex_indices]
-        base = vs[0]
-        diffs = [la.vsub(v, base) for v in vs[1:]]
-        ints = []
-        for dvec in diffs:
-            cleared, _ = la.clear_denominators(dvec)
-            ints.append(cleared)
-        basis = la.saturation_basis(ints)
-        k = face.dimension
-        if len(basis) != k:
-            raise ValueError("face dimension mismatch in volume computation")
-        coords = {face.vertex_indices[0]: (0,) * k}
-        for idx in face.vertex_indices[1:]:
-            coords[idx] = face_coordinates(basis, la.vsub(self.vertices[idx], base))
-        kfact = 1
-        for j in range(1, k + 1):
-            kfact *= j
-        total = Fraction(0)
-        for cell in self._triangulate_face(face):
-            mat = [la.vsub(coords[i], coords[cell[0]]) for i in cell[1:]]
-            total += abs(Fraction(la.det(mat)))
-        return la.norm_scalar(total / kfact)
+        _, _, to_local = self.face_frame(face)
+        coords = {i: to_local(self.vertices[i]) for i in face.vertex_indices}
+        return la.norm_scalar(sum(
+            (simplex_volume([coords[i] for i in cell])
+             for cell in self._triangulate_face(face)), Fraction(0)))
 
     # -- local smoothness ----------------------------------------------------
 
@@ -465,64 +479,12 @@ class Polytope:
         return True
 
 
-def face_coordinates(basis, dvec):
-    """Coordinates of ``dvec`` in an integer lattice basis of its span."""
-    if not basis:
-        if any(x != 0 for x in dvec):
-            raise ValueError("vector not in the span of the basis")
-        return ()
-    cols = list(zip(*basis))
-    k = len(basis)
-    rows = []
-    idx = []
-    for r in range(len(cols)):
-        if la.rank(rows + [list(cols[r])]) > len(rows):
-            rows.append(list(cols[r]))
-            idx.append(r)
-            if len(rows) == k:
-                break
-    sol = la.solve(rows, [dvec[r] for r in idx])
-    if sol is None:
-        raise ValueError("degenerate face basis")
-    check = [la.vdot(sol, col) for col in cols]
-    if list(check) != [la.norm_scalar(x) for x in dvec]:
-        raise ValueError("vector not in the span of the basis")
-    return tuple(la.norm_scalar(x) for x in sol)
+def simplex_volume(cell):
+    """Volume of a simplex given by its vertices in lattice coordinates.
 
-
-# -- module-level operation names ------------------------------------------
-
-
-def dual_polytope(p: Polytope) -> Polytope:
-    return p.dual()
-
-
-def is_reflexive(p: Polytope) -> bool:
-    return p.is_reflexive
-
-
-def enumerate_faces(p: Polytope):
-    return p.faces
-
-
-def closed_star(p: Polytope, m):
-    return p.closed_star(m)
-
-
-def dual_facet(p: Polytope, m):
-    return p.dual_facet(m)
-
-
-def lattice_volume(obj, face=None):
-    """Normalized volume of a polytope, or of one of its faces."""
-    if face is None:
-        return obj.volume
-    return obj.face_lattice_volume(face)
-
-
-def barycenter(p: Polytope):
-    return p.barycenter
-
-
-def is_delzant(p: Polytope) -> bool:
-    return p.is_delzant
+    A point counts 1; a unimodular k-simplex counts 1/k!.
+    """
+    mat = [la.vsub(v, cell[0]) for v in cell[1:]]
+    if not mat:
+        return Fraction(1)
+    return abs(Fraction(la.det(mat))) / factorial(len(mat))

@@ -451,8 +451,14 @@ def _predecessor_cycle(pred, d, starts):
 def check_reflection_sign(plan, system, mu, nu):
     """Per support pair and root: the two bracket signs never oppose.
 
-    Assumes a group-invariant plan (e.g. from :func:`symmetrize_plan`).
-    All sign tests run on common-denominator integer coordinates.
+    Tests the given plan's pairs (x, y) against every root: <x, alpha^vee>
+    and <alpha, y> must not have strictly opposite signs.  The offending
+    set is W-invariant, since w maps the brackets of (x, y) with alpha to
+    those of (w x, w y) with w alpha; so on ``certify``'s quotient plan over
+    dominant representatives it gives the offending mass of the lifted
+    invariant plan.  Between two dominant points both brackets have the
+    sign of alpha, so on that plan the check cannot fail.  All sign tests
+    run on common-denominator integer coordinates.
     """
     if not plan.triples:
         return CheckVerdict(True, Fraction(0), ())

@@ -1,15 +1,18 @@
 import os
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from weylot.errors import NotFullDimensional, OriginNotInterior, VertexNotFound
-from weylot.polytope import Polytope, convex_hull, h_polytope_vertices
+from weylot.polytope import (Face, Polytope, convex_hull,
+                             h_polytope_vertices)
 from weylot import linalg as la
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
 from test_fixture_files import HERE, load
+from test_properties import random_polytope
 
 
 def edge_normal_oracle(a, b):
@@ -106,6 +109,30 @@ def brute_force_faces(p):
     return found
 
 
+def closure_faces(p):
+    """Oracle: the faces by closing the facet list under pairwise
+    intersection, in the order (dimension, vertex indices)."""
+    found = set(p.incidence)
+    queue = list(found)
+    while queue:
+        cur = queue.pop()
+        for members in p.incidence:
+            inter = cur & members
+            if inter and inter not in found:
+                found.add(inter)
+                queue.append(inter)
+    found |= {frozenset([i]) for i in range(len(p.vertices))}
+    faces = []
+    for vset in found:
+        vs = tuple(sorted(vset))
+        base = p.vertices[vs[0]]
+        fdim = la.rank([la.vsub(p.vertices[i], base) for i in vs[1:]])
+        fset = tuple(f for f, members in enumerate(p.incidence)
+                     if vset <= members)
+        faces.append(Face(vs, fdim, fset))
+    return sorted(faces, key=lambda f: (f.dimension, f.vertex_indices))
+
+
 class TestFaces:
     def test_square_counts(self, square):
         dims = [f.dimension for f in square.faces]
@@ -125,6 +152,26 @@ class TestFaces:
         faces = cube.faces
         keys = [(f.dimension, f.vertex_indices) for f in faces]
         assert keys == sorted(keys)
+
+    def test_facet_local_lattice_matches_the_closure(self):
+        polys = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
+        for row in sorted(FAMILY_ROWS):
+            for rank in family_smallest_ranks(row):
+                if rank <= 5:
+                    p = mr_family(row, rank).polytope
+                    polys += [p, p.dual()]
+        assert len(polys) == 65
+        for p in polys:
+            oracle = closure_faces(p)
+            assert list(p.faces) == oracle, p
+            by_vertices = {frozenset(f.vertex_indices): f for f in oracle}
+            assert p.facet_faces() == tuple(
+                by_vertices[members] for members in p.incidence), p
+            for face in oracle:
+                vset = set(face.vertex_indices)
+                assert list(p.face_children(face)) == [
+                    f for f in oracle if f.dimension == face.dimension - 1
+                    and set(f.vertex_indices) <= vset], (p, face)
 
 
 class TestStarAndDualFacet:
@@ -189,9 +236,15 @@ class TestVolumes:
         assert segment.volume == 2
 
     def test_surface_equals_dim_times_volume(self, cube, square, hexagon,
-                                             diamond):
-        for p in (cube, square, hexagon, diamond, cube.dual()):
-            total = sum(p.face_lattice_volume(f) for f in p.facet_faces())
+                                             diamond, b2_octagon):
+        # rational duals reach the frame's clear-denominators path
+        rng = random.Random(3)
+        rational = [b2_octagon.dual()] + [random_polytope(rng).dual()
+                                          for _ in range(4)]
+        assert not any(p.is_lattice for p in rational)
+        for p in [cube, square, hexagon, diamond, cube.dual()] + rational:
+            total = sum(Fraction(c) * p.face_lattice_volume(f)
+                        for (_, c), f in zip(p.facets, p.facet_faces()))
             assert total == p.dim * p.volume
 
     def test_volume_unimodular_invariance(self, hexagon):

@@ -103,21 +103,23 @@ class TestHullAgainst2dOracle:
             assert p.facets == reference.facets
 
 
-class TestEulerAndDuality3d:
-    def random_polytope(self, rng):
-        while True:
-            pts = {(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-                   for _ in range(rng.randint(6, 12))}
-            pts |= {(1, 1, 1), (-1, -1, -1)}
-            try:
-                return convex_hull(sorted(pts))
-            except (OriginNotInterior, NotFullDimensional):
-                continue
+def random_polytope(rng):
+    """A random lattice 3-polytope with 0 in its interior."""
+    while True:
+        pts = {(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+               for _ in range(rng.randint(6, 12))}
+        pts |= {(1, 1, 1), (-1, -1, -1)}
+        try:
+            return convex_hull(sorted(pts))
+        except (OriginNotInterior, NotFullDimensional):
+            continue
 
+
+class TestEulerAndDuality3d:
     def test_euler_characteristic_and_facet_validity(self):
         rng = random.Random(11)
         for _ in range(25):
-            p = self.random_polytope(rng)
+            p = random_polytope(rng)
             dims = [f.dimension for f in p.faces]
             v, e, f = dims.count(0), dims.count(1), dims.count(2)
             assert v - e + f == 2
@@ -130,13 +132,13 @@ class TestEulerAndDuality3d:
     def test_dual_involution_random(self):
         rng = random.Random(23)
         for _ in range(15):
-            p = self.random_polytope(rng)
+            p = random_polytope(rng)
             assert p.dual().dual() == p
 
     def test_barycentric_cone_volume_matches_facet_measure(self):
         rng = random.Random(5)
         for _ in range(10):
-            p = self.random_polytope(rng)
+            p = random_polytope(rng)
             if not p.is_lattice:
                 continue
             total = sum(Fraction(c) * p.face_lattice_volume(face)
