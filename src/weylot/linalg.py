@@ -21,24 +21,12 @@ def norm_scalar(q):
     return q
 
 
-def norm_vector(v) -> Vector:
-    return tuple(norm_scalar(x) for x in v)
-
-
 def vdot(a, b):
     return norm_scalar(sum(x * y for x, y in zip(a, b)))
 
 
-def vadd(a, b) -> Vector:
-    return tuple(norm_scalar(x + y) for x, y in zip(a, b))
-
-
 def vsub(a, b) -> Vector:
     return tuple(norm_scalar(x - y) for x, y in zip(a, b))
-
-
-def vscale(c, v) -> Vector:
-    return tuple(norm_scalar(c * x) for x in v)
 
 
 def mat_vec(m, v) -> Vector:
@@ -81,28 +69,35 @@ def clear_denominators(v):
     return tuple(int(x * mult) for x in v), mult
 
 
-def rank(rows) -> int:
-    """Rank of a matrix given as an iterable of rows."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
+def independent_rows(rows, limit):
+    """Indices of the first ``limit`` rows independent of the rows before them.
+
+    One incremental fraction-free elimination: each row is reduced against
+    the kept rows, every kept row being zero in the pivot columns of the
+    rows kept before it, and is kept, as a primitive integer row, if
+    anything is left.  Fewer than ``limit`` indices come back when the rows
+    span less.
+    """
+    kept = []       # (pivot column, reduced row)
+    out = []
+    for i, row in enumerate(rows):
+        if len(out) == limit:
             break
-    return r
+        r = list(row)
+        for c, b in kept:
+            if r[c] != 0:
+                f, g = b[c], r[c]
+                r = [f * x - g * y for x, y in zip(r, b)]
+        c = next((j for j, x in enumerate(r) if x != 0), None)
+        if c is not None:
+            kept.append((c, primitivize(clear_denominators(r)[0])[0]))
+            out.append(i)
+    return out
+
+
+def rank(rows) -> int:
+    """Rank of a matrix given as a list of rows."""
+    return len(independent_rows(rows, len(rows[0]) if rows else 0))
 
 
 def det(m):
@@ -164,21 +159,8 @@ def solve(m, b):
 
 def inverse(m):
     """Exact inverse of a square matrix; None if singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(norm_scalar(a[i][n + j]) for j in range(n)) for i in range(n))
+    cols = [solve(m, e) for e in identity(len(m))]
+    return None if None in cols else transpose(cols)
 
 
 def adjugate_int(m):

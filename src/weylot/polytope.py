@@ -44,16 +44,10 @@ def _dd_cone(rows):
     Raises ValueError if the rows do not span (non-pointed cone).
     """
     dim = len(rows[0])
-    seed_idx = []
-    seed_rows = []
-    for i, a in enumerate(rows):
-        if la.rank(seed_rows + [list(a)]) > len(seed_rows):
-            seed_idx.append(i)
-            seed_rows.append(list(a))
-            if len(seed_rows) == dim:
-                break
-    if len(seed_rows) < dim:
+    seed_idx = la.independent_rows(rows, dim)
+    if len(seed_idx) < dim:
         raise ValueError("constraint rows do not span; cone is not pointed")
+    seed_rows = [list(rows[i]) for i in seed_idx]
 
     d = la.det(seed_rows)
     adj = la.adjugate_int(tuple(map(tuple, seed_rows)))
@@ -416,11 +410,7 @@ class Polytope:
             raise ValueError("face dimension mismatch")
         # solve on an invertible square subsystem, check the other rows
         rows = [tuple(b[r] for b in basis) for r in range(self.dim)]
-        idx = []
-        for r, row in enumerate(rows):
-            if len(idx) < len(basis) and \
-                    la.rank([rows[i] for i in idx] + [row]) > len(idx):
-                idx.append(r)
+        idx = la.independent_rows(rows, len(basis))
         inv = la.inverse([rows[r] for r in idx])
         rest = [r for r in range(self.dim) if r not in idx]
 

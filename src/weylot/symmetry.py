@@ -7,9 +7,13 @@ search strategies used below:
 
 * reflections are B-orthogonal, hence determined by their (-1)-eigenvector
   alone, and that eigenvector is parallel to a difference of two vertices;
-* automorphisms and unimodular equivalences come from one search that
-  extends tuples of basis-vertex images whose pairwise B-products match,
-  then checks the vertex set.
+* automorphisms and unimodular equivalences come from one level-wise
+  integer search (the form-invariant method of Bremner, Dutour Sikiric,
+  Pasechnik, Rehn and Schuermann, "Computing symmetry groups of
+  polyhedra", 2014): numpy arrays of tuples of basis-vertex images grow
+  one basis vertex a level, kept where their pairwise B-products match,
+  and every complete tuple's map is checked exactly, in blocks, for
+  integrality, the vertex set and |det| = 1.
 """
 
 from __future__ import annotations
@@ -22,18 +26,9 @@ from . import linalg as la
 from .rootsystems import group_closure, orbit_cap
 
 
-def moment_adjugate(polytope):
+def moment_adjugate(vertices):
     """Adjugate and determinant of G = sum over vertices of v v^T (integers)."""
-    d = polytope.dim
-    g = [[0] * d for _ in range(d)]
-    for v in polytope.vertices:
-        for i in range(d):
-            vi = v[i]
-            if vi == 0:
-                continue
-            for j in range(d):
-                g[i][j] += vi * v[j]
-    g = tuple(tuple(row) for row in g)
+    g = la.mat_mul(la.transpose(vertices), vertices)
     return la.adjugate_int(g), la.det(g)
 
 
@@ -49,52 +44,26 @@ def reflections(polytope):
     verts = polytope.vertices
     if not all(isinstance(x, int) for v in verts for x in v):
         raise ValueError("reflection search requires a lattice polytope")
-    d = polytope.dim
-    badj, _ = moment_adjugate(polytope)
+    badj, _ = moment_adjugate(verts)
     vset = set(verts)
-
-    basis = []
-    for v in verts:
-        if la.rank(basis + [list(v)]) > len(basis):
-            basis.append(list(v))
-            if len(basis) == d:
-                break
-
-    directions = []
-    seen_dirs = set()
-    for b in basis:
+    directions = {}     # primitive, first nonzero entry positive; in order
+    for i in la.independent_rows(verts, polytope.dim):
         for w in verts:
-            diff = tuple(bi - wi for bi, wi in zip(b, w))
-            if all(x == 0 for x in diff):
-                continue
-            prim, _ = la.primitivize(diff)
-            if prim[next(i for i, x in enumerate(prim) if x != 0)] < 0:
-                prim = tuple(-x for x in prim)
-            if prim not in seen_dirs:
-                seen_dirs.add(prim)
-                directions.append(prim)
+            prim, g = la.primitivize(la.vsub(verts[i], w))
+            if g:
+                sign = 1 if next(x for x in prim if x != 0) > 0 else -1
+                directions.setdefault(tuple(sign * x for x in prim))
 
     found = {}
     for alpha in directions:
         balpha = la.mat_vec(badj, alpha)
         s = la.vdot(alpha, balpha)
         # sigma = I - 2 alpha (B alpha)^T / (alpha^T B alpha); must be integral
-        ok = True
-        mat = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                num = 2 * alpha[i] * balpha[j]
-                if num % s != 0:
-                    ok = False
-                    break
-                row.append((1 if i == j else 0) - num // s)
-            if not ok:
-                break
-            mat.append(tuple(row))
-        if not ok:
+        num = [[2 * a * b for b in balpha] for a in alpha]
+        if any(x % s for row in num for x in row):
             continue
-        mat = tuple(mat)
+        mat = tuple(tuple(int(i == j) - x // s for j, x in enumerate(row))
+                    for i, row in enumerate(num))
         if all(la.mat_vec(mat, v) in vset for v in verts):
             found[mat] = alpha
     return tuple(sorted(found))
@@ -108,75 +77,136 @@ def generate_group(generators, cap=None):
     return tuple(tuple(map(tuple, g)) for g in elements.tolist())
 
 
-def _vertex_gram(polytope):
-    """Pairwise products of the vertices in the form adj(G), and det G."""
-    badj, det = moment_adjugate(polytope)
-    verts = polytope.vertices
-    bv = [la.mat_vec(badj, v) for v in verts]
-    return [[la.vdot(u, w) for w in bv] for u in verts], det
+# tuples of basis images in one block of the search: large enough to pay
+# for the numpy calls a block makes, small enough that a search for one map
+# reaches its first complete tuples early and that a block of images stays
+# small (128 n d entries)
+_BLOCK = 128
 
 
-def _basis_image_search(p, gram_p, q, gram_q, first_only, cap):
-    """Determinant +-1 integer maps T with T(V(p)) = V(q).
-
-    Backtracking over images in V(q) of a vertex basis of p, pruned by
-    exact equality of pairwise products in the invariant forms; every
-    surviving candidate map is checked for integrality, |det| = 1 and the
-    full vertex set.  Stops at the first map when ``first_only``; raises
-    GroupCapExceeded once more than ``cap`` maps are found.
-    """
-    verts_p, verts_q = p.vertices, q.vertices
-    d = p.dim
-    basis_idx = []
-    basis_rows = []
-    for i, v in enumerate(verts_p):
-        if la.rank(basis_rows + [list(v)]) > len(basis_rows):
-            basis_idx.append(i)
-            basis_rows.append(list(v))
-            if len(basis_rows) == d:
-                break
-    # T sends basis row r to image row r: T = images^T (basis^T)^-1
-    binv_t = la.transpose(la.inverse(basis_rows))
-    vset_q = set(verts_q)
-    candidates = [[c for c in range(len(verts_q))
-                   if gram_q[c][c] == gram_p[bi][bi]] for bi in basis_idx]
+def _vertex_data(*polytopes):
+    """For each polytope: its vertices as integers, all scaled by one
+    common denominator; their pairwise products in the form adj(G) of
+    those rows; and det G."""
+    import numpy as np
+    from .measures import _exact_matmul, _int_array
+    pts, _ = _int_array([v for p in polytopes for v in p.vertices])
     out = []
+    for p in polytopes:
+        verts, pts = pts[:len(p.vertices)], pts[len(p.vertices):]
+        adj, det = moment_adjugate(verts.tolist())
+        gram = _exact_matmul(_exact_matmul(verts, np.array(adj, dtype=object)),
+                             verts.T)
+        out.append((verts, gram, det))
+    return out
 
-    def extend(images):
-        level = len(images)
-        if level == d:
-            u = tuple(verts_q[c] for c in images)
-            t = la.mat_mul(la.transpose(u), binv_t)
-            if not all(isinstance(la.norm_scalar(x), int) for row in t for x in row):
-                return
-            t = tuple(tuple(la.norm_scalar(x) for x in row) for row in t)
-            if abs(la.det(t)) != 1:
-                return
-            if all(la.mat_vec(t, v) in vset_q for v in verts_p):
-                out.append(t)
-                if len(out) > cap:
-                    raise GroupCapExceeded(
-                        f"automorphism count exceeds cap {cap}")
-            return
-        bi = basis_idx[level]
-        for cand in candidates[level]:
-            if all(gram_q[images[prev]][cand] == gram_p[basis_idx[prev]][bi]
-                   for prev in range(level)):
-                images.append(cand)
-                extend(images)
-                images.pop()
-                if first_only and out:
-                    return
 
-    extend([])
+def _row_keys(rows, bound):
+    """Exact ids of integer rows with entries in [-bound, bound]: their
+    digits in base 2 bound + 1."""
+    import numpy as np
+    from .measures import _exact_matmul
+    weights = [(2 * bound + 1) ** i for i in range(rows.shape[-1])]
+    return _exact_matmul(rows + bound, np.array(weights, dtype=object))
+
+
+def _batched_det(a):
+    """Exact determinants of a stack of integer matrices: fraction-free
+    Bareiss elimination with row pivoting, on every matrix at once."""
+    import numpy as np
+    a, at = a.copy(), np.arange(len(a))
+    sign, prev = 1, 1
+    for k in range(a.shape[1] - 1):
+        piv = k + np.argmax(a[:, k:, k] != 0, axis=1)
+        a[at, k], a[at, piv] = a[at, piv], a[at, k]
+        sign = np.where(piv == k, sign, -sign)
+        pk = a[:, k, k]
+        # a zero pivot column leaves zeros below and right of it
+        a[:, k + 1:, k + 1:] = (a[:, k + 1:, k + 1:] * pk[:, None, None]
+                                - a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+                                ) // np.where(prev == 0, 1, prev)[..., None, None]
+        prev = pk
+    return sign * a[:, -1, -1]
+
+
+def _leaf_maps(leaves, search):
+    """The maps of complete image tuples that pass every exact check, in
+    order.  Tuple r gives T = U^T adj(B)^T / det B, U its image rows; T must
+    be integral, send every vertex of p to a vertex of q (matched on exact
+    row keys) and have |det T| = 1, that is |det U| = |det B|."""
+    import numpy as np
+    from .measures import _exact_matmul
+    adj_t, det_b, det_dtype, verts_p, verts_q, q_keys = search
+    u = verts_q[leaves]
+    num = _exact_matmul(u.transpose(0, 2, 1), adj_t)
+    ok = (num % det_b == 0).all(axis=(1, 2))
+    u, t = u[ok], num[ok] // det_b
+    images = _exact_matmul(verts_p, t.transpose(0, 2, 1))
+    qmax = int(np.abs(verts_q).max())
+    inside = (np.abs(images) <= qmax).all(axis=2)
+    keys = _row_keys(np.clip(images, -qmax, qmax), qmax)
+    ok = (inside & np.isin(keys, q_keys)).all(axis=1)
+    u, t = u[ok], t[ok]
+    t = t[abs(_batched_det(u.astype(det_dtype))) == abs(det_b)]
+    return [tuple(map(tuple, m)) for m in t.tolist()]
+
+
+def _basis_image_search(verts_p, gram_p, verts_q, gram_q, first_only, cap):
+    """Determinant +-1 integer maps T with T(V(p)) = V(q), in the
+    lexicographic order of the images of a vertex basis of p.
+
+    ``verts_*`` and ``gram_*`` come from :func:`_vertex_data`.  Level k
+    extends every tuple of images of the first k basis vertices by each
+    vertex of q whose products with those images equal the basis's own
+    (one broadcast compare per earlier level).  Blocks of at most
+    ``_BLOCK`` tuples go depth first, so memory stays bounded and the maps
+    come in the order a recursive backtracking search meets them;
+    complete tuples are checked exactly by :func:`_leaf_maps`.  Stops at
+    the first map when ``first_only``; raises GroupCapExceeded once more
+    than ``cap`` maps are found.
+    """
+    import numpy as np
+    from .measures import _bounded_dtype
+    d = verts_q.shape[1]
+    basis = la.independent_rows(verts_p.tolist(), d)
+    brows = verts_p[basis].tolist()
+    # T B^T = U^T for image rows U, so det(B) T = U^T adj(B)^T
+    adj_t = np.array(la.transpose(la.adjugate_int(brows)), dtype=object)
+    det_b = la.det(brows)
+    # Bareiss on image rows multiplies two minors, each below max |v|^d
+    det_dtype = _bounded_dtype(
+        2 * max(sum(x * x for x in v) for v in verts_q.tolist()) ** d)
+    search = (adj_t, det_b, det_dtype, verts_p, verts_q,
+              _row_keys(verts_q, int(np.abs(verts_q).max())))
+    cands = [np.flatnonzero(gram_q.diagonal() == gram_p[b, b]) for b in basis]
+    stack = [np.zeros((1, 0), dtype=np.intp)]
+    out = []
+    while stack:
+        front = stack.pop()
+        k = front.shape[1]
+        if k == d:
+            out += _leaf_maps(front, search)
+            if first_only and out:
+                return out[:1]
+            if len(out) > cap:
+                raise GroupCapExceeded(f"automorphism count exceeds cap {cap}")
+            continue
+        keep = np.ones((len(front), len(cands[k])), dtype=bool)
+        for prev in range(k):
+            keep &= (gram_q[front[:, prev, None], cands[k]]
+                     == gram_p[basis[prev], basis[k]])
+        rows, cols = np.nonzero(keep)
+        grown = np.concatenate([front[rows], cands[k][cols, None]], axis=1)
+        stack += [grown[i:i + _BLOCK]
+                  for i in range(0, len(grown), _BLOCK)][::-1]
     return out
 
 
 def automorphism_group(polytope, cap=None):
     """All determinant +-1 integer maps sending the vertex set onto itself."""
     cap = orbit_cap() if cap is None else cap
-    gram, _ = _vertex_gram(polytope)
-    return tuple(sorted(_basis_image_search(polytope, gram, polytope, gram,
+    (verts, gram, _), = _vertex_data(polytope)
+    return tuple(sorted(_basis_image_search(verts, gram, verts, gram,
                                             False, cap)))
 
 
@@ -192,14 +222,12 @@ def unimodular_equivalent(p, q):
         return None
     if p.volume != q.volume:
         return None
-    gram_p, det_p = _vertex_gram(p)
-    gram_q, det_q = _vertex_gram(q)
+    (verts_p, gram_p, det_p), (verts_q, gram_q, det_q) = _vertex_data(p, q)
     if det_p != det_q:
         return None
-    if sorted(gram_p[i][i] for i in range(len(gram_p))) != \
-       sorted(gram_q[i][i] for i in range(len(gram_q))):
+    if sorted(gram_p.diagonal().tolist()) != sorted(gram_q.diagonal().tolist()):
         return None
-    found = _basis_image_search(p, gram_p, q, gram_q, True, 1)
+    found = _basis_image_search(verts_p, gram_p, verts_q, gram_q, True, 1)
     return found[0] if found else None
 
 

@@ -1,0 +1,89 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from weylot import linalg as la
+from weylot.polytope import _dd_cone
+
+
+def fraction_rank(rows):
+    """Oracle: rank by Gauss-Jordan elimination over the rationals."""
+    m = [list(map(Fraction, r)) for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def rank_loop(rows, limit):
+    """Oracle: the first ``limit`` rows that raise the rank, one rank each."""
+    idx = []
+    for i, row in enumerate(rows):
+        if len(idx) == limit:
+            break
+        if fraction_rank([rows[j] for j in idx] + [row]) > len(idx):
+            idx.append(i)
+    return idx
+
+
+def seeded_rows(rng, dim):
+    """Integer rows with a random rank, some leading rows dependent."""
+    span = [[rng.randint(-9, 9) for _ in range(dim)]
+            for _ in range(rng.randint(1, dim))]
+    rows = []
+    for _ in range(rng.randint(1, 3 * dim)):
+        coeffs = [rng.randint(-3, 3) for _ in span]
+        rows.append(tuple(sum(c * s[k] for c, s in zip(coeffs, span))
+                          for k in range(dim)))
+    # a zero row and a repeated row up front
+    return [(0,) * dim, rows[0]] + rows
+
+
+class TestIndependentRows:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_rank_loop(self, seed):
+        rng = random.Random(seed)
+        dim = rng.randint(1, 6)
+        rows = seeded_rows(rng, dim)
+        for limit in (1, dim, len(rows)):
+            assert la.independent_rows(rows, limit) == rank_loop(rows, limit)
+        assert la.rank(rows) == fraction_rank(rows)
+
+    def test_dependent_leading_rows(self):
+        rows = [(2, 4, 6), (1, 2, 3), (-3, -6, -9), (0, 1, 0), (1, 3, 3),
+                (0, 0, 5)]
+        assert la.independent_rows(rows, 3) == [0, 3, 5]
+        assert la.independent_rows(rows, 2) == [0, 3]
+
+    def test_rational_rows(self):
+        rows = [(Fraction(1, 2), Fraction(1, 3)), (3, 2), (Fraction(1, 7), 0)]
+        assert la.independent_rows(rows, 2) == [0, 2]
+        assert la.rank(rows) == 2
+
+    def test_empty(self):
+        assert la.independent_rows([], 3) == []
+        assert la.rank([]) == 0
+
+
+class TestDDConeSeed:
+    def test_rows_that_do_not_span(self):
+        rows = [(1, 0, -1), (0, 1, -1), (1, 1, -2), (-1, -1, 2)]
+        with pytest.raises(ValueError, match="do not span"):
+            _dd_cone(rows)
+
+    def test_dependent_leading_rows(self):
+        # the unit square's facets, homogenized; a repeated row comes first
+        rows = [(1, 0, -1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1)]
+        rays = _dd_cone(rows)
+        assert sorted(rays) == sorted(
+            [(x, y, 1) for x in (-1, 1) for y in (-1, 1)])
