@@ -101,42 +101,28 @@ def rank(rows) -> int:
 
 
 def det(m):
-    """Exact determinant (fraction-free Bareiss for integer input)."""
+    """Exact determinant of an integer matrix (fraction-free Bareiss).
+
+    Raises ValueError for an entry that is not an int.
+    """
     n = len(m)
     a = [list(row) for row in m]
-    if all(isinstance(x, int) for row in a for x in row):
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[-1][-1]
-    a = [[Fraction(x) for x in row] for row in a]
+    if not all(isinstance(x, int) for row in a for x in row):
+        raise ValueError("determinant needs an integer matrix")
     sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        out *= a[c][c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return norm_scalar(sign * out)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def solve(m, b):
@@ -174,100 +160,3 @@ def adjugate_int(m):
             minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
             cof[i][j] = (-1) ** (i + j) * det(minor)
     return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
-
-
-def nullspace(rows):
-    """Primitive integer basis of the rational null space of the rows."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        ints, _ = clear_denominators(v)
-        prim, _ = primitivize(ints)
-        basis.append(prim)
-    return tuple(basis)
-
-
-def integer_kernel(rows):
-    """Basis of {x integer : rows . x = 0} via unimodular column reduction."""
-    if not rows:
-        return ()
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    u = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def col_op(j, k, f):
-        # column_j -= f * column_k
-        for i in range(nrows):
-            m[i][j] -= f * m[i][k]
-        for i in range(ncols):
-            u[i][j] -= f * u[i][k]
-
-    def col_swap(j, k):
-        for i in range(nrows):
-            m[i][j], m[i][k] = m[i][k], m[i][j]
-        for i in range(ncols):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
-
-    pivot_col = 0
-    for i in range(nrows):
-        if pivot_col == ncols:
-            break
-        while True:
-            nz = [k for k in range(pivot_col, ncols) if m[i][k] != 0]
-            if len(nz) <= 1:
-                if nz and nz[0] != pivot_col:
-                    col_swap(nz[0], pivot_col)
-                break
-            k = min(nz, key=lambda c: abs(m[i][c]))
-            for c in nz:
-                if c != k:
-                    col_op(c, k, m[i][c] // m[i][k])
-        if m[i][pivot_col] != 0:
-            pivot_col += 1
-    kernel = []
-    for j in range(pivot_col, ncols):
-        if all(m[i][j] == 0 for i in range(nrows)):
-            kernel.append(tuple(u[i][j] for i in range(ncols)))
-    return tuple(kernel)
-
-
-def saturation_basis(vectors):
-    """Basis of (rational span of ``vectors``) intersected with the integer lattice.
-
-    The input vectors must be integral.  The result is a basis of the
-    saturated sublattice, so coordinates of any lattice point of the span
-    in this basis are integers.
-    """
-    vecs = [v for v in vectors if any(x != 0 for x in v)]
-    if not vecs:
-        return ()
-    orth = nullspace(vecs)
-    if not orth:
-        n = len(vecs[0])
-        return identity(n)
-    return integer_kernel(orth)

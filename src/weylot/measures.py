@@ -8,6 +8,11 @@ refined by barycentric subdivision, and every cell contributes its centroid
 weighted by the cell's exact volume.  Masses are normalized to total 1, so
 two boundary measures can enter a transport problem directly.
 
+Cells stay in global coordinates.  A cell of the facet <x, n> = c, n
+primitive, is the base of a cone from 0 of lattice height c, so its volume
+is |det| of its vertex rows over (d - 1)! c: one batched integer
+determinant per facet (:func:`measure_cells`), with no lattice frame.
+
 ``dominant_cloud`` measures only the facet flag cells inside the closed
 dominant Weyl chamber: a fundamental domain of the invariant cloud, one
 representative per orbit, carrying the orbit masses.
@@ -19,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product as iproduct
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 
 from .errors import InternalCheckFailed
 from . import linalg as la
-from .polytope import Polytope, simplex_volume
+from .polytope import Polytope
 
 _BOX_CAP = 200_000
 _INT64_GUARD = 1 << 60
@@ -95,14 +100,19 @@ def _facet_lattice_points(p, face):
 
 
 def _stellar_triangulation(cells, extra_points):
-    """Insert points into a simplicial complex, lex order, by stellar splits."""
+    """Insert points into the cells of one facet by stellar splits.
+
+    Cells and points are in global coordinates, and the points are inserted
+    in lex order of those coordinates.  A point's barycentric coordinates
+    in a cell solve one square system on the cell's vertex rows, which is
+    nonsingular because the facet misses 0.
+    """
     cells = [tuple(c) for c in cells]
     for q in sorted(extra_points):
         new_cells = []
         for cell in cells:
-            mat = [tuple(v) + (1,) for v in cell]
-            lam = la.solve(la.transpose(mat), tuple(q) + (1,))
-            if lam is None or any(x < 0 for x in lam):
+            lam = la.solve(la.transpose(cell), q)
+            if any(x < 0 for x in lam):
                 new_cells.append(cell)
                 continue
             split = [i for i, x in enumerate(lam) if x > 0]
@@ -132,21 +142,17 @@ def _barycentric_subdivide(cell):
 
 
 def _facet_cells(p, face):
-    """Lattice-simplex cells of one facet, in local lattice coordinates.
+    """Lattice-simplex cells of one facet through all its lattice points.
 
-    Returns (origin vertex, basis, cells) of the facet's frame
-    (:meth:`Polytope.face_frame`); cells are tuples of integer local
-    coordinate tuples.
+    The facet's pulling triangulation (:meth:`Polytope._triangulate_face`)
+    is split at every other lattice point of the facet by
+    :func:`_stellar_triangulation`; cells are tuples of global vertices.
     """
-    v0, basis, to_local = p.face_frame(face)
-    local = {p.vertices[i]: to_local(p.vertices[i]) for i in face.vertex_indices}
-    base_cells = []
-    for cell in p._triangulate_face(face):
-        base_cells.append(tuple(local[p.vertices[i]] for i in cell))
-    lattice_pts = _facet_lattice_points(p, face)
-    extra = [to_local(q) for q in lattice_pts if q not in local]
-    cells = _stellar_triangulation(base_cells, extra)
-    return v0, basis, cells
+    verts = set(p.vertices[i] for i in face.vertex_indices)
+    base_cells = [tuple(p.vertices[i] for i in cell)
+                  for cell in p._triangulate_face(face)]
+    extra = [q for q in _facet_lattice_points(p, face) if q not in verts]
+    return _stellar_triangulation(base_cells, extra)
 
 
 def _flag_cells(p, face, keep=None):
@@ -183,16 +189,22 @@ def _flag_cells(p, face, keep=None):
 
 
 def measure_cells(p, face, cells):
-    """``(centroid, lattice volume)`` of each cell of one facet, exactly."""
-    _, _, to_local = p.face_frame(face)
-    out = []
-    for cell in cells:
-        local = tuple(to_local(v) for v in cell)
-        centroid = tuple(
-            la.norm_scalar(sum(Fraction(v[c]) for v in cell) / len(cell))
-            for c in range(p.dim))
-        out.append((centroid, simplex_volume(local)))
-    return out
+    """``(centroid, lattice volume)`` of each cell of one facet, exactly.
+
+    The facet lies on <x, n> = c with n primitive, so the cone from 0 over
+    a cell has lattice height c, and the cell's lattice volume is
+    |det(v_1, ..., v_d)| / ((d - 1)! c): one batched determinant of the
+    cells' vertex rows, scaled by one common denominator.
+    """
+    d = p.dim
+    pts, scale = _int_array([v for cell in cells for v in cell])
+    pts = pts.reshape(len(cells), d, d)
+    dets = abs(_batched_det(pts)).tolist()
+    sums = pts.astype(object).sum(axis=1).tolist()
+    denom = factorial(d - 1) * p.facets[face.facet_indices[0]][1] * scale ** d
+    return [(tuple(la.norm_scalar(Fraction(x, d * scale)) for x in s),
+             la.norm_scalar(Fraction(det) / denom))
+            for s, det in zip(sums, dets)]
 
 
 def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
@@ -201,7 +213,9 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
 
     ``refinement`` counts barycentric subdivision rounds applied to every
     cell.  Without a group, facets are cut into lattice simplices through
-    all their lattice points (deterministic stellar triangulation).  With a
+    all their lattice points: the pulling triangulation is split at the
+    other lattice points in lex order of their global coordinates
+    (deterministic stellar triangulation).  With a
     group, cells are the facet flag simplices (barycentric subdivision),
     which are canonical under every automorphism, so the cloud is exactly
     invariant; ``side`` selects the action ("M" for the polytope, "N" for
@@ -216,19 +230,12 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
 
-    def cells_of(face):
-        if group is not None or keep is not None:
-            return _flag_cells(p, face, keep)
-        v0, basis, cells = _facet_cells(p, face)
-        return [tuple(
-            tuple(la.norm_scalar(Fraction(v0[c]) + sum(
-                Fraction(v[j]) * basis[j][c] for j in range(len(basis))))
-                for c in range(p.dim))
-            for v in cell) for cell in cells]
-
     accum = {}
     for face in p.facet_faces():
-        cells = cells_of(face)
+        if group is not None or keep is not None:
+            cells = _flag_cells(p, face, keep)
+        else:
+            cells = _facet_cells(p, face)
         for _ in range(refinement):
             cells = [sub for cell in cells
                      for sub in _barycentric_subdivide(cell)]
@@ -337,6 +344,33 @@ def _exact_matmul(x, y):
     """x @ y of integer arrays, in the dtype :func:`_matmul_dtype` picks."""
     dtype = _matmul_dtype(x, y)
     return x.astype(dtype) @ y.astype(dtype)
+
+
+def _batched_det(a):
+    """Exact determinants of a stack of integer matrices: fraction-free
+    Bareiss elimination with row pivoting, on every matrix at once.
+
+    Every entry Bareiss computes is a minor, below H = max(1, |row|)^d by
+    Hadamard's inequality, and every product it forms is below H^2; the
+    dtype is picked from 2 H^2.
+    """
+    d = a.shape[-1]
+    top = int(np.abs(a).max(initial=0))
+    rows = a.astype(_bounded_dtype(d * top * top))
+    norm2 = max(1, int((rows * rows).sum(axis=-1).max(initial=0)))
+    a, at = a.astype(_bounded_dtype(2 * norm2 ** d)), np.arange(len(a))
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        piv = k + np.argmax(a[:, k:, k] != 0, axis=1)
+        a[at, k], a[at, piv] = a[at, piv], a[at, k]
+        sign = np.where(piv == k, sign, -sign)
+        pk = a[:, k, k]
+        # a zero pivot column leaves zeros below and right of it
+        a[:, k + 1:, k + 1:] = (a[:, k + 1:, k + 1:] * pk[:, None, None]
+                                - a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+                                ) // np.where(prev == 0, 1, prev)[..., None, None]
+        prev = pk
+    return sign * a[:, -1, -1]
 
 
 def tight_matrix(pts, scale, p: Polytope):

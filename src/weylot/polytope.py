@@ -5,8 +5,9 @@ its interior, carried in both representations at once: an irredundant list
 of vertices and an irredundant list of facet inequalities ``<x, n> <= c``
 with primitive integer normals ``n`` and positive rational offsets ``c``.
 
-All arithmetic is exact (ints and ``fractions.Fraction``); there is no
-floating point anywhere in this module.  Facet enumeration runs an
+All arithmetic is exact (ints, ``fractions.Fraction`` and integer arrays
+in a dtype proven wide enough); there is no floating point anywhere in this
+module.  Facet enumeration runs an
 incremental double-description pass over the homogenized polar cone, which
 keeps the working set proportional to the facet count rather than the
 vertex count.
@@ -58,24 +59,18 @@ def _dd_cone(rows):
         prim, _ = la.primitivize(col)
         rays.append(prim)
 
-    processed = list(seed_idx)
     seed_set = set(seed_idx)
-
-    def fresh_zeroset(r):
-        z = 0
-        for bit, ci in enumerate(processed):
-            if la.vdot(rows[ci], r) == 0:
-                z |= 1 << bit
-        return z
-
-    zsets = [fresh_zeroset(r) for r in rays]
+    # bit b of a zero set: the ray is tight on the b-th row inserted, seed
+    # rows first; seed ray j is tight on every seed row but row j, since
+    # seed . adj(seed) = det I
+    zsets = [((1 << dim) - 1) & ~(1 << j) for j in range(dim)]
+    bit = 1 << (dim - 1)
 
     for ci, a in enumerate(rows):
         if ci in seed_set:
             continue
         vals = [la.vdot(a, r) for r in rays]
-        bit = 1 << len(processed)
-        processed.append(ci)
+        bit <<= 1
         if all(v <= 0 for v in vals):
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
             continue
@@ -83,7 +78,7 @@ def _dd_cone(rows):
         neg_i = [i for i, v in enumerate(vals) if v < 0]
         pos_i = [i for i, v in enumerate(vals) if v > 0]
         min_tight = dim - 2
-        new_rays = []
+        new_rays, new_zsets = [], []
         for p in neg_i:
             zp = zsets[p]
             for q in pos_i:
@@ -101,9 +96,11 @@ def _dd_cone(rows):
                               for k in range(dim))
                 prim, _ = la.primitivize(combo)
                 new_rays.append(prim)
+                # a positive combination of p and q, tight on the new row
+                new_zsets.append(z | bit)
         rays = [rays[i] for i in keep_i] + new_rays
         zsets = [zsets[i] | (bit if vals[i] == 0 else 0) for i in keep_i]
-        zsets += [fresh_zeroset(r) for r in new_rays]
+        zsets += new_zsets
     return rays
 
 
@@ -368,72 +365,64 @@ class Polytope:
         return tuple(self._triangulate_face(f) for f in self.facet_faces())
 
     @cached_property
+    def _cones(self):
+        """The cones from 0 over the cells of ``boundary_triangulation``:
+        per facet its cells and |det| of each cell's vertex rows, all
+        vertices scaled by one common denominator; and that denominator."""
+        import numpy as np
+        from .measures import _batched_det, _int_array
+        tri = self.boundary_triangulation()
+        verts, scale = _int_array(self.vertices)
+        flat = abs(_batched_det(verts[np.array(
+            [cell for cells in tri for cell in cells])])).tolist()
+        dets, at = [], 0
+        for cells in tri:
+            dets.append(flat[at:at + len(cells)])
+            at += len(cells)
+        return tri, dets, scale
+
+    @cached_property
     def volume(self):
         """Lebesgue volume (normalized so the lattice fundamental cell is 1)."""
-        origin = (0,) * self.dim
-        return la.norm_scalar(sum(
-            (simplex_volume([origin] + [self.vertices[i] for i in cell])
-             for cells in self.boundary_triangulation() for cell in cells),
-            Fraction(0)))
+        _, dets, scale = self._cones
+        return la.norm_scalar(Fraction(sum(map(sum, dets)),
+                                       factorial(self.dim) * scale ** self.dim))
 
     @cached_property
     def barycenter(self):
-        """Exact centroid of the solid polytope, via the cone triangulation from 0."""
-        total = Fraction(0)
-        acc = [Fraction(0)] * self.dim
-        for cells in self.boundary_triangulation():
-            for cell in cells:
-                mat = [self.vertices[i] for i in cell]
-                w = abs(Fraction(la.det(mat)))
-                if w == 0:
-                    continue
-                total += w
-                for k in range(self.dim):
-                    s = sum(Fraction(self.vertices[i][k]) for i in cell)
-                    acc[k] += w * (s / (self.dim + 1))
-        return tuple(la.norm_scalar(a / total) for a in acc)
+        """Exact centroid of the solid polytope, via the cone triangulation from 0.
 
-    def face_frame(self, face):
-        """``(v0, basis, to_local)``: a lattice frame of a face's span.
-
-        ``v0`` is the face's first vertex and ``basis`` a lattice basis of
-        its direction space (the saturation of the vertex differences, each
-        cleared of denominators first, so rational faces work too).
-        ``to_local`` maps a point x of the span to the exact coordinates of
-        x - v0 in ``basis``; it raises ValueError for a point off the span.
+        A cone's centroid is the sum of its cell's vertices over dim + 1.
         """
-        verts = [self.vertices[i] for i in face.vertex_indices]
-        v0 = verts[0]
-        basis = la.saturation_basis(
-            [la.clear_denominators(la.vsub(v, v0))[0] for v in verts[1:]])
-        if len(basis) != face.dimension:
-            raise ValueError("face dimension mismatch")
-        # solve on an invertible square subsystem, check the other rows
-        rows = [tuple(b[r] for b in basis) for r in range(self.dim)]
-        idx = la.independent_rows(rows, len(basis))
-        inv = la.inverse([rows[r] for r in idx])
-        rest = [r for r in range(self.dim) if r not in idx]
-
-        def to_local(x):
-            dvec = la.vsub(x, v0)
-            sol = la.mat_vec(inv, [dvec[r] for r in idx])
-            if any(la.vdot(sol, rows[r]) != dvec[r] for r in rest):
-                raise ValueError("vector not in the span of the basis")
-            return sol
-
-        return v0, basis, to_local
+        tri, dets, _ = self._cones
+        weight = [0] * len(self.vertices)
+        for cells, ws in zip(tri, dets):
+            for cell, w in zip(cells, ws):
+                for i in cell:
+                    weight[i] += w
+        total = (self.dim + 1) * sum(map(sum, dets))
+        return tuple(
+            la.norm_scalar(Fraction(sum(w * v[k] for w, v in
+                                        zip(weight, self.vertices)), total))
+            for k in range(self.dim))
 
     def face_lattice_volume(self, face):
-        """Volume of a face, normalized to the lattice induced on its span.
+        """Volume of a facet, normalized to the lattice induced on its span.
 
         A point counts 1; a segment of lattice length L counts L; a
-        unimodular k-simplex counts 1/k!.
+        unimodular k-simplex counts 1/k!.  The facet lies on <x, n> = c
+        with n primitive, so the cone from 0 over a cell of its pulling
+        triangulation has lattice height c, and the cell's volume is
+        |det(v_1, ..., v_d)| / ((d - 1)! c).  Raises ValueError for a face
+        that is not a facet.
         """
-        _, _, to_local = self.face_frame(face)
-        coords = {i: to_local(self.vertices[i]) for i in face.vertex_indices}
-        return la.norm_scalar(sum(
-            (simplex_volume([coords[i] for i in cell])
-             for cell in self._triangulate_face(face)), Fraction(0)))
+        if face.dimension != self.dim - 1:
+            raise ValueError("lattice volume is defined here for facets only")
+        f = face.facet_indices[0]
+        _, dets, scale = self._cones
+        return la.norm_scalar(
+            Fraction(sum(dets[f]), factorial(self.dim - 1) * scale ** self.dim)
+            / self.facets[f][1])
 
     # -- local smoothness ----------------------------------------------------
 
@@ -468,13 +457,3 @@ class Polytope:
                 return False
         return True
 
-
-def simplex_volume(cell):
-    """Volume of a simplex given by its vertices in lattice coordinates.
-
-    A point counts 1; a unimodular k-simplex counts 1/k!.
-    """
-    mat = [la.vsub(v, cell[0]) for v in cell[1:]]
-    if not mat:
-        return Fraction(1)
-    return abs(Fraction(la.det(mat))) / factorial(len(mat))

@@ -110,33 +110,14 @@ def _row_keys(rows, bound):
     return _exact_matmul(rows + bound, np.array(weights, dtype=object))
 
 
-def _batched_det(a):
-    """Exact determinants of a stack of integer matrices: fraction-free
-    Bareiss elimination with row pivoting, on every matrix at once."""
-    import numpy as np
-    a, at = a.copy(), np.arange(len(a))
-    sign, prev = 1, 1
-    for k in range(a.shape[1] - 1):
-        piv = k + np.argmax(a[:, k:, k] != 0, axis=1)
-        a[at, k], a[at, piv] = a[at, piv], a[at, k]
-        sign = np.where(piv == k, sign, -sign)
-        pk = a[:, k, k]
-        # a zero pivot column leaves zeros below and right of it
-        a[:, k + 1:, k + 1:] = (a[:, k + 1:, k + 1:] * pk[:, None, None]
-                                - a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
-                                ) // np.where(prev == 0, 1, prev)[..., None, None]
-        prev = pk
-    return sign * a[:, -1, -1]
-
-
 def _leaf_maps(leaves, search):
     """The maps of complete image tuples that pass every exact check, in
     order.  Tuple r gives T = U^T adj(B)^T / det B, U its image rows; T must
     be integral, send every vertex of p to a vertex of q (matched on exact
     row keys) and have |det T| = 1, that is |det U| = |det B|."""
     import numpy as np
-    from .measures import _exact_matmul
-    adj_t, det_b, det_dtype, verts_p, verts_q, q_keys = search
+    from .measures import _batched_det, _exact_matmul
+    adj_t, det_b, verts_p, verts_q, q_keys = search
     u = verts_q[leaves]
     num = _exact_matmul(u.transpose(0, 2, 1), adj_t)
     ok = (num % det_b == 0).all(axis=(1, 2))
@@ -147,7 +128,7 @@ def _leaf_maps(leaves, search):
     keys = _row_keys(np.clip(images, -qmax, qmax), qmax)
     ok = (inside & np.isin(keys, q_keys)).all(axis=1)
     u, t = u[ok], t[ok]
-    t = t[abs(_batched_det(u.astype(det_dtype))) == abs(det_b)]
+    t = t[abs(_batched_det(u)) == abs(det_b)]
     return [tuple(map(tuple, m)) for m in t.tolist()]
 
 
@@ -166,17 +147,13 @@ def _basis_image_search(verts_p, gram_p, verts_q, gram_q, first_only, cap):
     than ``cap`` maps are found.
     """
     import numpy as np
-    from .measures import _bounded_dtype
     d = verts_q.shape[1]
     basis = la.independent_rows(verts_p.tolist(), d)
     brows = verts_p[basis].tolist()
     # T B^T = U^T for image rows U, so det(B) T = U^T adj(B)^T
     adj_t = np.array(la.transpose(la.adjugate_int(brows)), dtype=object)
     det_b = la.det(brows)
-    # Bareiss on image rows multiplies two minors, each below max |v|^d
-    det_dtype = _bounded_dtype(
-        2 * max(sum(x * x for x in v) for v in verts_q.tolist()) ** d)
-    search = (adj_t, det_b, det_dtype, verts_p, verts_q,
+    search = (adj_t, det_b, verts_p, verts_q,
               _row_keys(verts_q, int(np.abs(verts_q).max())))
     cands = [np.flatnonzero(gram_q.diagonal() == gram_p[b, b]) for b in basis]
     stack = [np.zeros((1, 0), dtype=np.intp)]

@@ -25,6 +25,25 @@ def fraction_rank(rows):
     return r
 
 
+def fraction_det(m):
+    """Oracle: determinant of a rational matrix by Gaussian elimination."""
+    a = [list(map(Fraction, r)) for r in m]
+    n = len(a)
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            out = -out
+        out *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return la.norm_scalar(out)
+
+
 def rank_loop(rows, limit):
     """Oracle: the first ``limit`` rows that raise the rank, one rank each."""
     idx = []
@@ -73,6 +92,20 @@ class TestIndependentRows:
     def test_empty(self):
         assert la.independent_rows([], 3) == []
         assert la.rank([]) == 0
+
+
+class TestDet:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_fraction_elimination(self, seed):
+        rng = random.Random(seed)
+        d = rng.randint(1, 6)
+        m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(d)]
+             for _ in range(d)]
+        assert la.det(m) == fraction_det(m)
+
+    def test_fraction_matrix_raises(self):
+        with pytest.raises(ValueError):
+            la.det([[Fraction(1, 2), 0], [0, 2]])
 
 
 class TestDDConeSeed:

@@ -237,7 +237,7 @@ class TestVolumes:
 
     def test_surface_equals_dim_times_volume(self, cube, square, hexagon,
                                              diamond, b2_octagon):
-        # rational duals reach the frame's clear-denominators path
+        # rational duals reach the common-denominator scaling of the vertices
         rng = random.Random(3)
         rational = [b2_octagon.dual()] + [random_polytope(rng).dual()
                                           for _ in range(4)]

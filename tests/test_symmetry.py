@@ -10,15 +10,16 @@ import pytest
 from weylot import linalg as la
 from weylot import measures
 from weylot.errors import GroupCapExceeded
+from weylot.measures import _batched_det
 from weylot.polytope import convex_hull
-from weylot.symmetry import (_basis_image_search, _batched_det,
-                             _vertex_data, automorphism_group,
-                             generate_group, reflection_data, reflections,
+from weylot.symmetry import (_basis_image_search, _vertex_data,
+                             automorphism_group, generate_group,
+                             reflection_data, reflections,
                              unimodular_equivalent)
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
 from test_fixture_files import HERE, load
-from test_linalg import rank_loop
+from test_linalg import fraction_det, rank_loop
 
 
 def automorphisms_by_permutation(p):
@@ -193,9 +194,10 @@ def oracle_gram(polytope):
     d = polytope.dim
     g = [[sum(v[i] * v[j] for v in verts) for j in range(d)]
          for i in range(d)]
-    badj = la.adjugate_int(g)
+    det = fraction_det(g)
+    badj = [[det * x for x in row] for row in la.inverse(g)]
     bv = [la.mat_vec(badj, v) for v in verts]
-    return [[la.vdot(u, w) for w in bv] for u in verts], la.det(g)
+    return [[la.vdot(u, w) for w in bv] for u in verts], det
 
 
 def oracle_search(p, gram_p, q, gram_q, first_only, cap):
