@@ -96,36 +96,13 @@ def cmd_check(args):
             doc["star_containment"] = None
             ok = False
         else:
-            rec = _detected_record(p, det)
-            verdict = star_containment_check(rec)
+            verdict = star_containment_check(WeylPolytopeRecord(
+                p, det.system, det.dominant_vertex, "custom"))
             doc["star_containment"] = {"pass": verdict.passed,
                                        "mode": verdict.mode}
             ok &= verdict.passed
     sys.stdout.write(fileio.write_report(doc))
     return 0 if ok else 1
-
-
-def _detected_record(p, det):
-    """Wrap a detected Weyl polytope as a record over its own lattice."""
-    from .rootsystems import RootSystem
-    from . import linalg as la
-    roots = []
-    seen = {}
-    for mat in det.reflections:
-        from .symmetry import reflection_data
-        rd = reflection_data(mat)
-        for sign in (1, -1):
-            a = tuple(sign * x for x in rd.root)
-            seen[a] = tuple(sign * x for x in rd.coroot)
-    all_roots = sorted(seen)
-    coroots = [seen[a] for a in all_roots]
-    simple_idx = [all_roots.index(a) for a in det.simple_roots]
-    cartan = tuple(tuple(la.vdot(det.simple_roots[j], det.simple_coroots[i])
-                         for j in range(len(det.simple_roots)))
-                   for i in range(len(det.simple_roots)))
-    system = RootSystem([("detected", len(det.simple_roots))], all_roots,
-                        coroots, simple_idx, cartan, "custom")
-    return WeylPolytopeRecord(p, system, det.dominant_vertex, "custom")
 
 
 def cmd_classify(args):

@@ -8,7 +8,7 @@ the matrices involved are tiny (dimension at most 8 or so).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple
 Matrix = tuple
@@ -61,12 +61,12 @@ def primitivize(v):
 
 
 def clear_denominators(v):
-    """Integer vector parallel to a rational one.  Returns (ints, lcm of denominators)."""
-    mult = 1
-    for x in v:
-        d = Fraction(x).denominator
-        mult = mult * d // gcd(mult, d)
-    return tuple(int(x * mult) for x in v), mult
+    """Integer vector parallel to a rational one.  Returns (ints, lcm of denominators).
+
+    Reads each entry's numerator and denominator, which ints have too.
+    """
+    mult = lcm(*{x.denominator for x in v})
+    return tuple(x.numerator * (mult // x.denominator) for x in v), mult
 
 
 def independent_rows(rows, limit):

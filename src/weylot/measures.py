@@ -8,10 +8,13 @@ refined by barycentric subdivision, and every cell contributes its centroid
 weighted by the cell's exact volume.  Masses are normalized to total 1, so
 two boundary measures can enter a transport problem directly.
 
-Cells stay in global coordinates.  A cell of the facet <x, n> = c, n
-primitive, is the base of a cone from 0 of lattice height c, so its volume
-is |det| of its vertex rows over (d - 1)! c: one batched integer
-determinant per facet (:func:`measure_cells`), with no lattice frame.
+A facet's cells are one integer array of vertex rows over one common
+denominator, from the face walk or the stellar split through refinement to
+the measurement; the cloud's points and masses become Fractions once, at
+the end.  A cell of the facet <x, n> = c, n primitive, is the base of a
+cone from 0 of lattice height c, so its volume is |det| of its vertex rows
+over (d - 1)! c: one batched integer determinant per facet
+(:func:`measure_cells`), with no lattice frame.
 
 ``dominant_cloud`` measures only the facet flag cells inside the closed
 dominant Weyl chamber: a fundamental domain of the invariant cloud, one
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product as iproduct
-from math import factorial, gcd
+from math import factorial, lcm
 
 import numpy as np
 
@@ -100,45 +103,41 @@ def _facet_lattice_points(p, face):
 
 
 def _stellar_triangulation(cells, extra_points):
-    """Insert points into the cells of one facet by stellar splits.
+    """Insert lattice points, in lex order, into integer cells of one facet
+    by stellar splits.
 
-    Cells and points are in global coordinates, and the points are inserted
-    in lex order of those coordinates.  A point's barycentric coordinates
-    in a cell solve one square system on the cell's vertex rows, which is
-    nonsingular because the facet misses 0.
+    A cell's vertex rows are independent, since the facet misses 0, so by
+    Cramer's rule the point's i-th barycentric coordinate has the sign of
+    the determinant with row i replaced by the point, against the cell's
+    own: one batched determinant per point.
     """
-    cells = [tuple(c) for c in cells]
+    d = cells.shape[1]
     for q in sorted(extra_points):
-        new_cells = []
-        for cell in cells:
-            lam = la.solve(la.transpose(cell), q)
-            if any(x < 0 for x in lam):
-                new_cells.append(cell)
-                continue
-            split = [i for i, x in enumerate(lam) if x > 0]
-            if len(split) <= 1:
-                new_cells.append(cell)
-                continue
-            for i in split:
-                new_cells.append(tuple(v for j, v in enumerate(cell) if j != i)
-                                 + (tuple(q),))
-        cells = new_cells
+        swapped = np.repeat(cells[:, None], d + 1, axis=1)
+        swapped[:, np.arange(1, d + 1), np.arange(d)] = q
+        dets = _batched_det(swapped.reshape(-1, d, d)).reshape(-1, d + 1)
+        signed = dets[:, 1:] != 0
+        pos = signed & ((dets[:, 1:] > 0) == (dets[:, :1] > 0))
+        # a cell holding q at two or more positive coordinates splits there
+        whole = (signed & ~pos).any(axis=1) | (pos.sum(axis=1) < 2)
+        cells = np.concatenate(
+            [cells[whole], swapped[:, 1:][pos & ~whole[:, None]]])
     return cells
 
 
-def _barycentric_subdivide(cell):
-    s = len(cell) - 1
-    if s == 0:
-        return [cell]
-    out = []
-    for perm in permutations(range(s + 1)):
-        pts = []
-        acc = tuple(Fraction(0) for _ in cell[0])
-        for step, idx in enumerate(perm, start=1):
-            acc = tuple(a + Fraction(x) for a, x in zip(acc, cell[idx]))
-            pts.append(tuple(la.norm_scalar(a / step) for a in acc))
-        out.append(tuple(pts))
-    return out
+def _barycentric_subdivide(cells, denom):
+    """One barycentric subdivision of cells over ``denom``: the subcell of
+    a vertex permutation has the average of the first j permuted vertices as
+    its j-th vertex, over ``denom * lcm(1, ..., d)`` the sum of the first j
+    permuted rows times lcm / j, so entries grow by at most the lcm."""
+    d = cells.shape[1]
+    big = lcm(*range(1, d + 1))
+    dtype = _bounded_dtype(big * int(np.abs(cells).max(initial=0)))
+    weights = np.tril(np.ones((d, d), dtype=dtype)) * np.array(
+        [[big // j] for j in range(1, d + 1)], dtype=dtype)
+    perms = np.array(list(permutations(range(d))))
+    subs = weights @ cells.astype(dtype)[:, perms]
+    return subs.reshape(-1, d, cells.shape[2]), denom * big
 
 
 def _facet_cells(p, face):
@@ -146,69 +145,83 @@ def _facet_cells(p, face):
 
     The facet's pulling triangulation (:meth:`Polytope._triangulate_face`)
     is split at every other lattice point of the facet by
-    :func:`_stellar_triangulation`; cells are tuples of global vertices.
+    :func:`_stellar_triangulation`; returns ``(cells, 1)`` as
+    :func:`_flag_cells` does.
     """
-    verts = set(p.vertices[i] for i in face.vertex_indices)
-    base_cells = [tuple(p.vertices[i] for i in cell)
-                  for cell in p._triangulate_face(face)]
-    extra = [q for q in _facet_lattice_points(p, face) if q not in verts]
-    return _stellar_triangulation(base_cells, extra)
+    verts, _ = p.scaled_vertices
+    cells = verts[np.array(p._triangulate_face(face))]
+    corners = {p.vertices[i] for i in face.vertex_indices}
+    extra = [q for q in _facet_lattice_points(p, face) if q not in corners]
+    return _stellar_triangulation(cells, extra), 1
 
 
-def _flag_cells(p, face, keep=None):
+def _flag_cells(p, face, walls=None):
     """Barycentric-subdivision simplices of a face: one cell per face flag.
 
     Cell vertices are vertex-average barycenters of a chain of faces, which
     every lattice automorphism of the polytope maps to cells of the image
-    face; the resulting set of cells is canonical.  ``keep``, a predicate
-    on barycenters, prunes the walk: a chain enters only faces whose
-    barycenter it accepts.
+    face; the resulting set of cells is canonical.  A barycenter is a
+    vertex-row sum over a positive count, so ``walls``, covectors, prune
+    the walk on the sum alone: a chain enters only faces whose barycenter
+    pairs nonnegatively with every wall.  Returns ``(cells, denominator)``:
+    an integer array (cell, vertex, coordinate) over one denominator.
     """
-    def bcenter(f):
-        vs = f.vertex_indices
-        return tuple(
-            la.norm_scalar(sum(Fraction(p.vertices[i][c]) for i in vs)
-                           / len(vs))
-            for c in range(p.dim))
+    verts, scale = p.scaled_vertices
+    rows = verts.tolist()
+    sums, chains, stack = [], [], [(face, ())]
+    seen = {}           # vertex indices -> (kept face's index, children)
+    while stack:
+        f, chain = stack.pop()
+        key = f.vertex_indices
+        if key not in seen:
+            s = [sum(col) for col in zip(*(rows[i] for i in key))]
+            seen[key] = (None, ())
+            if walls is None or all(sum(x * y for x, y in zip(s, w)) >= 0
+                                    for w in walls):
+                seen[key] = (len(sums),
+                             p.face_children(f) if f.dimension else ())
+                sums.append((s, len(key)))
+        at, children = seen[key]
+        if at is not None:
+            chain = (at,) + chain
+            if f.dimension == 0:
+                chains.append(chain)
+            stack += [(child, chain) for child in reversed(children)]
+    # over lcm(counts), a face row is its sum times lcm / count: |x| <= lcm top
+    big = lcm(*(c for _, c in sums))
+    faces = np.array([[x * (big // c) for x in s] for s, c in sums],
+                     dtype=_bounded_dtype(big * int(np.abs(verts).max())))
+    return faces.reshape(-1, p.dim)[np.array(chains, dtype=np.intp).reshape(
+        -1, face.dimension + 1)], big * scale
 
-    cells = []
 
-    def walk(f, chain):
-        b = bcenter(f)
-        if keep is not None and not keep(b):
-            return
-        chain = chain + [b]
-        if f.dimension == 0:
-            cells.append(tuple(reversed(chain)))
-            return
-        for child in p.face_children(f):
-            walk(child, chain)
-
-    walk(face, [])
-    return cells
-
-
-def measure_cells(p, face, cells):
-    """``(centroid, lattice volume)`` of each cell of one facet, exactly.
+def measure_cells(p, face, cells, denom):
+    """Centroids and lattice volumes of one facet's cells, exactly.
 
     The facet lies on <x, n> = c with n primitive, so the cone from 0 over
     a cell has lattice height c, and the cell's lattice volume is
     |det(v_1, ..., v_d)| / ((d - 1)! c): one batched determinant of the
-    cells' vertex rows, scaled by one common denominator.
+    cells' integer vertex rows over ``denom``.  Returns the centroids'
+    vertex-row sums and |det|s, each as ``(array, denominator)``.
     """
     d = p.dim
-    pts, scale = _int_array([v for cell in cells for v in cell])
-    pts = pts.reshape(len(cells), d, d)
-    dets = abs(_batched_det(pts)).tolist()
-    sums = pts.astype(object).sum(axis=1).tolist()
-    denom = factorial(d - 1) * p.facets[face.facet_indices[0]][1] * scale ** d
-    return [(tuple(la.norm_scalar(Fraction(x, d * scale)) for x in s),
-             la.norm_scalar(Fraction(det) / denom))
-            for s, det in zip(sums, dets)]
+    sums = cells.astype(_bounded_dtype(d * int(np.abs(cells).max()))).sum(1)
+    c = p.facets[face.facet_indices[0]][1]
+    return ((sums, d * denom),
+            (abs(_batched_det(cells)), factorial(d - 1) * c * denom ** d))
+
+
+def _common_denominator(blocks):
+    """``(array, denominator)`` blocks as one integer list over the lcm."""
+    scale = lcm(*(s for _, s in blocks))
+    dtype = _bounded_dtype(max(int(np.abs(a).max()) * (scale // s)
+                               for a, s in blocks))
+    return np.concatenate([a.astype(dtype) * (scale // s)
+                           for a, s in blocks]).tolist(), scale
 
 
 def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
-               system=None, keep=None) -> WeightedPointCloud:
+               system=None, walls=None) -> WeightedPointCloud:
     """Weighted point cloud approximating the boundary surface measure.
 
     ``refinement`` counts barycentric subdivision rounds applied to every
@@ -221,34 +234,41 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     invariant; ``side`` selects the action ("M" for the polytope, "N" for
     its dual).  ``system`` is only for chamber tags: each point's first
     incident chamber (see :func:`chamber_incidence`), else None.
-    ``keep``, a predicate on face barycenters, measures only the flag cells
-    of the faces it accepts (see :func:`_flag_cells`), with or without a
-    group; the kept masses are normalized to total 1.
+    ``walls``, covectors, measure only the flag cells of the faces whose
+    barycenters pair nonnegatively with every wall (see
+    :func:`_flag_cells`), with or without a group; the kept masses are
+    normalized to total 1.
     """
     if not p.is_lattice:
         raise ValueError("discretization needs a lattice polytope")
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
 
-    accum = {}
+    centroids, volumes = [], []
     for face in p.facet_faces():
-        if group is not None or keep is not None:
-            cells = _flag_cells(p, face, keep)
+        if group is not None or walls is not None:
+            cells, denom = _flag_cells(p, face, walls)
         else:
-            cells = _facet_cells(p, face)
+            cells, denom = _facet_cells(p, face)
         for _ in range(refinement):
-            cells = [sub for cell in cells
-                     for sub in _barycentric_subdivide(cell)]
-        if not cells:
-            continue
-        for centroid, vol in measure_cells(p, face, cells):
-            accum[centroid] = accum.get(centroid, Fraction(0)) + vol
-    if not accum:
+            cells, denom = _barycentric_subdivide(cells, denom)
+        if len(cells):
+            centroid, volume = measure_cells(p, face, cells, denom)
+            centroids.append(centroid)
+            volumes.append(volume)
+    if not centroids:
         raise InternalCheckFailed("no boundary cell was kept")
 
-    total = sum(accum.values(), Fraction(0))
-    points = tuple(sorted(accum))
-    masses = tuple(la.norm_scalar(accum[pt] / total) for pt in points)
+    rows, scale = _common_denominator(centroids)
+    vols, total = _common_denominator(volumes)[0], 0
+    accum = {}
+    for row, vol in zip(map(tuple, rows), vols):
+        accum[row] = accum.get(row, 0) + vol
+        total += vol
+    keys = sorted(accum)
+    points = tuple(tuple(la.norm_scalar(Fraction(x, scale)) for x in key)
+                   for key in keys)
+    masses = tuple(la.norm_scalar(Fraction(accum[key], total)) for key in keys)
     scaled = _int_array(points)
     tight = tight_matrix(*scaled, p)
     if (tight.sum(axis=1) != 1).any():
@@ -278,15 +298,14 @@ def dominant_cloud(p: Polytope, refinement: int, system,
     fundamental domain, and the walk keeps exactly them: it enters only
     faces whose barycenter is dominant (against the simple coroots on the
     M side, the simple roots on the N side).  They are refined and measured
-    by :func:`discretize` with that ``keep`` predicate, and their masses,
+    by :func:`discretize` with those ``walls``, and their masses,
     normalized to total 1, are the orbit masses.  Every centroid must be
     strictly dominant, so every orbit has exactly |W| points; a centroid on
     a wall raises InternalCheckFailed.
     """
-    cloud = discretize(p, refinement, side=side,
-                       keep=lambda x: system.is_dominant(x, side))
-    walls = np.array(_walls(system, side))
-    if not (_exact_matmul(cloud.scaled[0], walls.T) > 0).all():
+    walls = _walls(system, side)
+    cloud = discretize(p, refinement, side=side, walls=walls)
+    if not (_exact_matmul(cloud.scaled[0], np.array(walls).T) > 0).all():
         raise InternalCheckFailed(
             "a kept cell centroid is not strictly dominant")
     return cloud
@@ -301,23 +320,13 @@ def _walls(system, side):
     raise ValueError("side must be 'M' or 'N'")
 
 
-def _scaled_points(points):
-    """Common-denominator integer coordinates for a list of rational points."""
-    mult = 1
-    for p in points:
-        for x in p:
-            d = Fraction(x).denominator
-            mult = mult * d // gcd(mult, d)
-    return [tuple(int(x * mult) for x in p) for p in points], mult
-
-
 def _int_array(points):
-    """:func:`_scaled_points` as an int64 array when every entry fits, else
-    as object ints; products of it go through :func:`_matmul_dtype`."""
-    pts, scale = _scaled_points(points)
-    bound = max((max(abs(x) for x in p) for p in pts), default=0)
-    dtype = np.int64 if bound < (1 << 63) else object
-    return np.array(pts, dtype=dtype), scale
+    """Least-common-denominator integer coordinates of rational points, as an
+    int64 array when every entry fits, else as object ints; products of it
+    go through :func:`_matmul_dtype`.  Returns ``(array, scale)``."""
+    flat, scale = la.clear_denominators([x for p in points for x in p])
+    dtype = np.int64 if max(map(abs, flat), default=0) < (1 << 63) else object
+    return np.array(flat, dtype=dtype).reshape(len(points), -1), scale
 
 
 def _matmul_dtype(x, y, factor=1):
@@ -396,8 +405,7 @@ def chamber_incidence(points, system, group, side):
 
 def _incidence(pts, system, group, side):
     """:func:`chamber_incidence` of common-denominator integer points."""
-    mats = np.array([e.dual_matrix if side == "M" else e.matrix
-                     for e in group])
+    mats = group.dual_matrices if side == "M" else group.matrices
     # w^-1 is the transposed dual matrix on M and transposed matrix on N
     proj = _exact_matmul(mats, np.array(_walls(system, side)).T)
     dtype = _matmul_dtype(pts, proj)

@@ -365,14 +365,20 @@ class Polytope:
         return tuple(self._triangulate_face(f) for f in self.facet_faces())
 
     @cached_property
+    def scaled_vertices(self):
+        """``(array, scale)``: integer vertex rows, vertices = array / scale."""
+        from .measures import _int_array
+        return _int_array(self.vertices)
+
+    @cached_property
     def _cones(self):
         """The cones from 0 over the cells of ``boundary_triangulation``:
         per facet its cells and |det| of each cell's vertex rows, all
         vertices scaled by one common denominator; and that denominator."""
         import numpy as np
-        from .measures import _batched_det, _int_array
+        from .measures import _batched_det
         tri = self.boundary_triangulation()
-        verts, scale = _int_array(self.vertices)
+        verts, scale = self.scaled_vertices
         flat = abs(_batched_det(verts[np.array(
             [cell for cells in tri for cell in cells])])).tolist()
         dets, at = [], 0

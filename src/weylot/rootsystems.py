@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .errors import (GroupCapExceeded, NotDominant, NotLatticePoint,
@@ -294,11 +295,8 @@ class RootSystem:
         blocks = [[row + (0,) * n for row in smat] +
                   [(0,) * n + row for row in sdual] for smat, sdual in gens]
         elements, words = group_closure(blocks, cap)
-        mats = elements[:, :n, :n].tolist()
-        duals = elements[:, n:, n:].tolist()
-        return WeylGroup(tuple(GroupElement(tuple(map(tuple, m)),
-                                            tuple(map(tuple, d)), w)
-                               for m, d, w in zip(mats, duals, words)),
+        return WeylGroup(elements[:, :n, :n].copy(),
+                         elements[:, n:, n:].copy(), tuple(words),
                          tuple(gens))
 
     def parabolic_chamber_union(self, m):
@@ -338,14 +336,25 @@ class ParabolicChamberUnion:
 
 
 class WeylGroup:
-    """A materialized Weyl group."""
+    """A materialized Weyl group: int64 arrays of its matrices on M and on
+    N, their words, and on first use one :class:`GroupElement` each."""
 
-    def __init__(self, elements, generators):
-        self.elements = elements
+    def __init__(self, matrices, dual_matrices, words, generators):
+        self.matrices = matrices
+        self.dual_matrices = dual_matrices
+        self.words = words
         self.generators = generators
 
+    @cached_property
+    def elements(self):
+        return tuple(GroupElement(tuple(map(tuple, m)), tuple(map(tuple, d)),
+                                  w)
+                     for m, d, w in zip(self.matrices.tolist(),
+                                        self.dual_matrices.tolist(),
+                                        self.words))
+
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
 
     def __iter__(self):
         return iter(self.elements)

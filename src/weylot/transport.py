@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -77,15 +77,10 @@ def _cost_matrix(mu, nu):
 
 
 def _scaled_masses(masses_a, masses_b):
-    mult = 1
-    for x in list(masses_a) + list(masses_b):
-        d = Fraction(x).denominator
-        mult = mult * d // gcd(mult, d)
-    a = [int(x * mult) for x in masses_a]
-    b = [int(x * mult) for x in masses_b]
-    if min(a + b, default=0) < 0:
+    ints, mult = la.clear_denominators(tuple(masses_a) + tuple(masses_b))
+    if min(ints, default=0) < 0:
         raise ValueError("masses must not be negative")
-    return a, b, mult
+    return list(ints[:len(masses_a)]), list(ints[len(masses_a):]), mult
 
 
 def solve_ot(mu, nu):

@@ -18,7 +18,7 @@ from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
 from . import linalg as la
 from .polytope import Polytope, convex_hull, h_polytope_vertices
 from .rootsystems import RootSystem, build_root_system
-from .symmetry import reflections, reflection_data, generate_group
+from .symmetry import reflections, reflection_data
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,11 @@ def _match_cartan(label_cartans, C):
 
 
 def identify_reflection_group(refs):
-    """Simple system, Cartan matrix, and type label of a set of reflections.
+    """Root system and type label of a set of lattice reflections.
 
     The reflections must generate a finite lattice group whose roots span.
-    Returns (label, simple_roots, simple_coroots).
+    Returns (label, system): the system of the reflections' roots +-a and
+    coroots in the lattice's own coordinates, type ("detected", rank).
     """
     data = [reflection_data(m) for m in refs]
     roots = []
@@ -236,6 +237,11 @@ def identify_reflection_group(refs):
     scov = [av for _, av in simples]
     C = tuple(tuple(la.vdot(sreal[j], scov[i]) for j in range(len(simples)))
               for i in range(len(simples)))
+    roots.sort()
+    all_roots = [a for a, _ in roots]
+    system = RootSystem([("detected", len(simples))], all_roots,
+                        [av for _, av in roots],
+                        [all_roots.index(a) for a in sreal], C, "custom")
     # split into irreducible components along the Dynkin graph
     n = len(simples)
     comp = list(range(n))
@@ -261,7 +267,7 @@ def identify_reflection_group(refs):
             label = f"?{len(members)}"
         labels.append(label)
     labels.sort()
-    return "x".join(labels), tuple(sreal), tuple(scov)
+    return "x".join(labels), system
 
 
 @dataclass(frozen=True)
@@ -270,12 +276,8 @@ class WeylDetection:
 
     type_label: str
     reflections: tuple          # reflection matrices generating the group
-    simple_roots: tuple
-    simple_coroots: tuple
+    system: RootSystem          # the reflections' roots, in p's lattice
     dominant_vertex: tuple
-
-    def group(self, cap=None):
-        return generate_group(self.reflections, cap)
 
 
 def is_weyl_polytope(p: Polytope):
@@ -300,16 +302,9 @@ def is_weyl_polytope(p: Polytope):
                 queue.append(w)
     if len(seen) != len(p.vertices):
         return None
-    label, sroots, scoroots = identify_reflection_group(refs)
-    v = p.vertices[0]
-    while True:
-        j = next((i for i, av in enumerate(scoroots) if la.vdot(v, av) < 0),
-                 None)
-        if j is None:
-            break
-        t = la.vdot(v, scoroots[j])
-        v = tuple(x - t * a for x, a in zip(v, sroots[j]))
-    return WeylDetection(label, refs, sroots, scoroots, tuple(v))
+    label, system = identify_reflection_group(refs)
+    vertex, _ = system.dominant_representative(p.vertices[0])
+    return WeylDetection(label, refs, system, vertex)
 
 
 def is_dual_weyl_polytope(p: Polytope):

@@ -13,16 +13,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
 import pytest
 
 from weylot import linalg as la
 from weylot import measures
-from weylot.measures import (_barycentric_subdivide, _facet_cells,
-                             _flag_cells, measure_cells, surface_measure)
+from weylot.measures import measure_cells, surface_measure
 from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
 from test_fixture_files import HERE, load
+from test_integer_cells import (barycentric_subdivide, facet_cells,
+                                flag_cells, scaled_points)
 from test_linalg import fraction_det
 from test_properties import random_polytope
 
@@ -188,17 +190,18 @@ def fresh(name):
 @lru_cache(maxsize=None)
 def oracle(name):
     """The frame path's facet volumes, volume and barycenter, and per facet
-    its flag cells and (on lattice polytopes) stellar cells, refined k
-    times for k <= 1 (k = 0 in dimension 4), each with its measures."""
+    its flag cells and (on lattice polytopes) stellar cells, built by the
+    Fraction path of ``test_integer_cells`` and refined k times for k <= 1
+    (k = 0 in dimension 4), each with its measures."""
     p = fresh(name)
     cells = []
     for face in p.facet_faces():
-        kinds = [_flag_cells(p, face)]
+        kinds = [flag_cells(p, face)]
         if p.is_lattice:
-            kinds.append(_facet_cells(p, face))
+            kinds.append(facet_cells(p, face))
         if p.dim <= 3:
             kinds += [[sub for cell in kind
-                       for sub in _barycentric_subdivide(cell)]
+                       for sub in barycentric_subdivide(cell)]
                       for kind in kinds]
         cells += [(face, kind, oracle_measure_cells(p, face, kind))
                   for kind in kinds]
@@ -237,7 +240,12 @@ def test_volumes_match_the_frame(name, path):
 def test_measure_cells_match_the_frame(name, path):
     p = fresh(name)
     for face, cells, expected in oracle(name)[3]:
-        assert measure_cells(p, face, cells) == expected
+        rows, denom = scaled_points([v for cell in cells for v in cell])
+        (sums, sden), (dets, vden) = measure_cells(
+            p, face, np.array(rows).reshape(len(cells), p.dim, p.dim), denom)
+        assert [(tuple(la.norm_scalar(Fraction(x, sden)) for x in s),
+                 la.norm_scalar(Fraction(det) / vden))
+                for s, det in zip(sums.tolist(), dets.tolist())] == expected
 
 
 def test_non_facet_face_raises(cube):

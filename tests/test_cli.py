@@ -1,13 +1,20 @@
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from weylot import fileio, measures, transport
+from weylot import linalg as la
 from weylot.cli import main
 from weylot.polytope import convex_hull
-from weylot.symmetry import unimodular_equivalent
+from weylot.rootsystems import RootSystem
+from weylot.symmetry import reflection_data, unimodular_equivalent
+from weylot.weyl import (WeylPolytopeRecord, is_weyl_polytope,
+                         star_containment_check)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write(tmp_path, name, text):
@@ -212,7 +219,7 @@ class TestInternalCheck:
         # dominant chamber, which certify's cloud check rejects
         every_cell = measures._flag_cells
         monkeypatch.setattr(measures, "_flag_cells",
-                            lambda p, face, keep=None: every_cell(p, face))
+                            lambda p, face, walls=None: every_cell(p, face))
         golden = Path(__file__).parent / "golden"
         assert main(["certify", str(golden / "cube-B3.poly"), "--type", "B3",
                      "--weight", "0,0,2"]) == 4
@@ -227,6 +234,49 @@ class TestInputErrors:
     def test_malformed(self, tmp_path, capsys):
         path = write(tmp_path, "bad.poly", "not a header\n")
         assert main(["check", path, "--reflexive"]) == 2
+
+
+def detected_record(p, det):
+    """Oracle: the record ``check --star`` built before the detection kept
+    its root system, from the reflections and simple roots alone."""
+    roots = []
+    seen = {}
+    for mat in det.reflections:
+        rd = reflection_data(mat)
+        for sign in (1, -1):
+            a = tuple(sign * x for x in rd.root)
+            seen[a] = tuple(sign * x for x in rd.coroot)
+    all_roots = sorted(seen)
+    coroots = [seen[a] for a in all_roots]
+    simple_roots = det.system.simple_roots
+    simple_coroots = det.system.simple_coroots
+    simple_idx = [all_roots.index(a) for a in simple_roots]
+    cartan = tuple(tuple(la.vdot(simple_roots[j], simple_coroots[i])
+                         for j in range(len(simple_roots)))
+                   for i in range(len(simple_roots)))
+    system = RootSystem([("detected", len(simple_roots))], all_roots,
+                        coroots, simple_idx, cartan, "custom")
+    return WeylPolytopeRecord(p, system, det.dominant_vertex, "custom")
+
+
+class TestCheckStar:
+    @pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+    def test_matches_the_reflection_record(self, name, capsys):
+        path = str(FIXTURES / name)
+        p = fileio.parse_polytope((FIXTURES / name).read_text())
+        det = is_weyl_polytope(p)
+        old = detected_record(p, det).system
+        new = det.system
+        assert (new.type_label, new.roots, new.coroots, new.simple_indices,
+                new.cartan_matrix, new.lattice_choice) == \
+            (old.type_label, old.roots, old.coroots, old.simple_indices,
+             old.cartan_matrix, old.lattice_choice)
+        verdict = star_containment_check(detected_record(p, det))
+        code = main(["check", path, "--star"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == (0 if verdict.passed else 1)
+        assert doc["star_containment"] == {"pass": verdict.passed,
+                                           "mode": verdict.mode}
 
 
 class TestCheckStarNonWeyl:

@@ -266,6 +266,6 @@ class TestDominantCloud:
         rec = weyl_polytope(b2, weight_to_coords(b2, (0, 2)))
         every_cell = measures._flag_cells
         monkeypatch.setattr(measures, "_flag_cells",
-                            lambda p, face, keep=None: every_cell(p, face))
+                            lambda p, face, walls=None: every_cell(p, face))
         with pytest.raises(InternalCheckFailed, match="strictly dominant"):
             dominant_cloud(rec.polytope, 0, b2, "M")

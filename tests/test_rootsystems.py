@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,6 +257,18 @@ class TestWeylGroup:
             generate_group(refs, cap=47)
         # the reflections generate all 48 automorphisms, in sorted order
         assert generate_group(refs, cap=48) == automorphism_group(cube)
+
+    @pytest.mark.parametrize("label", CLOSURE_LABELS)
+    def test_arrays_are_the_elements(self, label):
+        W = closure_system(label).weyl_group()
+        M, D = W.matrices, W.dual_matrices
+        assert M.dtype == D.dtype == np.int64 and len(M) == len(D) == len(W)
+        assert [(e.matrix, e.dual_matrix, e.word) for e in W] == [
+            (tuple(map(tuple, m)), tuple(map(tuple, d)), w)
+            for m, d, w in zip(M.tolist(), D.tolist(), W.words)]
+        # <M m, D n> = <m, n> for all m, n: M^T D = 1
+        eye = np.eye(M.shape[-1], dtype=np.int64)
+        assert (np.transpose(M, (0, 2, 1)) @ D == eye).all()
 
     def test_dual_matrices_preserve_bracket(self):
         a2 = build_root_system("A", 2)
