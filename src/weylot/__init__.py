@@ -18,7 +18,7 @@ from .weyl import (ClassificationRecord, WeylPolytopeRecord, classify,
 from .transport import (CertificationReport, KantorovichPotentials,
                         TransportPlan, certify, check_chamber_support,
                         check_cyclical_monotonicity, check_reflection_sign,
-                        check_stability_support, solve_ot, symmetrize_plan)
+                        check_stability_support, solve_ot)
 from .measures import (SurfaceMeasure, WeightedPointCloud, chamber_mass,
                        discretize, dominant_cloud, surface_measure)
 

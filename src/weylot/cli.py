@@ -9,6 +9,7 @@ WEYLOT_ORBIT_CAP in the environment overrides the orbit/group size cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import (InternalCheckFailed, OrbitCapExceeded, PivotCapExceeded,
@@ -213,9 +214,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and reused: a parser's objects form
+    reference cycles, so one per call leaves garbage for the collector."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OrbitCapExceeded, PivotCapExceeded) as exc:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import GroupCapExceeded
 from . import linalg as la
-from .rootsystems import group_closure, orbit_cap
+from .rootsystems import orbit_cap
 
 
 def moment_adjugate(vertices):
@@ -67,14 +67,6 @@ def reflections(polytope):
         if all(la.mat_vec(mat, v) in vset for v in verts):
             found[mat] = alpha
     return tuple(sorted(found))
-
-
-def generate_group(generators, cap=None):
-    """Close integer matrices under multiplication; raises past the cap."""
-    if not generators:
-        return ()
-    elements, _ = group_closure(generators, cap)
-    return tuple(tuple(map(tuple, g)) for g in elements.tolist())
 
 
 # tuples of basis images in one block of the search: large enough to pay

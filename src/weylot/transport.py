@@ -17,10 +17,10 @@ potential that bounds every cycle sum by 0, a failure a positive cycle.
 ``certify`` works on one closed Weyl chamber: for dominant x in M and y in
 N, max over w of <x, w y> is <x, y> (Humphreys, *Reflection Groups and
 Coxeter Groups*, 1.12), so the invariant problem is a plain transport
-problem between dominant representatives, and its exactly feasible,
-tight potentials certify the lifted plan at every cycle length.
-``solve_invariant_ot`` and ``symmetrize_plan`` work over a materialized
-group; ``certify`` solves its quotient with the trivial one.
+problem between dominant representatives.  ``solve_invariant_ot`` solves it
+with the same core as ``solve_ot`` and checks the certificate exactly: its
+potentials are feasible on every pair of representatives and leave no
+duality gap, which proves the lifted plan optimal at every cycle length.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (InternalCheckFailed, NotReflexive, PivotCapExceeded,
 from . import linalg as la
 from .measures import (_bounded_dtype, _exact_matmul, _incidence,
                        _matmul_dtype, dominant_cloud, tight_matrix)
-from .rootsystems import GroupElement
 
 _PIVOT_CAP = 2_000_000
 
@@ -83,13 +82,9 @@ def _scaled_masses(masses_a, masses_b):
     return list(ints[:len(masses_a)]), list(ints[len(masses_a):]), mult
 
 
-def solve_ot(mu, nu):
-    """Exactly optimal transport plan and potentials between two clouds.
-
-    Runs a rational network simplex on the bipartite transportation problem;
-    the duality gap of the returned pair is exactly zero.  Raises
-    UnbalancedMasses when the totals differ.
-    """
+def _solve(mu, nu):
+    """The core of both solvers: the optimal plan, the simplex potentials
+    u, v in integer cost units, the integer cost matrix and its scale."""
     if mu.total_mass() != nu.total_mass():
         raise UnbalancedMasses(
             f"total masses differ: {mu.total_mass()} vs {nu.total_mass()}")
@@ -105,9 +100,43 @@ def solve_ot(mu, nu):
         mass = Fraction(x, mass_scale)
         triples.append((i, j, mass))
         cost += mass * Fraction(int(k[i, j]), cost_scale)
-    phi = [Fraction(x, cost_scale) for x in u]
-    psi = [Fraction(x, cost_scale) for x in v]
     plan = TransportPlan(tuple(triples), la.norm_scalar(cost))
+    return plan, u, v, k, cost_scale
+
+
+def solve_ot(mu, nu):
+    """Exactly optimal transport plan and potentials between two clouds.
+
+    Runs a rational network simplex on the bipartite transportation problem;
+    the duality gap of the returned pair is exactly zero.  Raises
+    UnbalancedMasses when the totals differ.
+    """
+    plan, u, v, _, scale = _solve(mu, nu)
+    return plan, _anchored(mu, [Fraction(x, scale) for x in u],
+                           [Fraction(x, scale) for x in v])
+
+
+def solve_invariant_ot(mu, nu):
+    """Exactly optimal plan between dominant representatives, certified.
+
+    Precondition: both clouds hold dominant representatives, one per Weyl
+    orbit with its orbit mass.  For such x and y, max over w of <x, w y>
+    is <x, y>, so ``-<x, y>`` is already the quotient cost and the
+    invariant problem is the plain transport problem between the clouds.
+    The plan comes from the core of :func:`solve_ot`; its potentials are
+    then checked exactly feasible on every pair of representatives, and
+    the duality gap exactly zero.  Either failure raises
+    InternalCheckFailed.
+    """
+    plan, u, v, k, scale = _solve(mu, nu)
+    dtype = _bounded_dtype(2 * max(map(abs, u + v)))
+    phin, psin = np.array(u, dtype=dtype), np.array(v, dtype=dtype)
+    if (phin[:, None] + psin > k).any():
+        raise InternalCheckFailed("quotient potentials are not dual feasible")
+    phi = [Fraction(x, scale) for x in u]
+    psi = [Fraction(x, scale) for x in v]
+    if _dual_value(mu, nu, phi, psi) != plan.cost_value:
+        raise InternalCheckFailed("quotient solve left a duality gap")
     return plan, _anchored(mu, phi, psi)
 
 
@@ -289,71 +318,6 @@ def _tree_simplex(a, b, k):
     return flows, u.tolist(), v.tolist()
 
 
-# -- symmetrization -----------------------------------------------------------
-
-def _index_maps(cloud, matrices):
-    """Permutations induced on a cloud's point list by integer matrices.
-
-    Works on common-denominator integer coordinates, one numpy matmul per
-    matrix; raises if some image is missing (cloud not invariant).
-    """
-    arr, _ = cloud.scaled
-    mats = np.array(matrices)
-    dtype = _matmul_dtype(arr, mats)
-    arr, mats = arr.astype(dtype), mats.astype(dtype)
-    lookup = {p: i for i, p in enumerate(map(tuple, arr.tolist()))}
-    out = []
-    for mat in mats:
-        perm = []
-        for row in (arr @ mat.T).tolist():
-            q = tuple(row)
-            if q not in lookup:
-                raise ValueError("cloud is not invariant under the group")
-            perm.append(lookup[q])
-        out.append(perm)
-    return out
-
-
-def _group_average(pairs, src_maps, tgt_maps, mu, nu):
-    """The plan averaging (i, j, mass) triples over the group's index maps."""
-    order = len(src_maps)
-    accum = {}
-    for src, tgt in zip(src_maps, tgt_maps):
-        for i, j, mass in pairs:
-            key = (src[i], tgt[j])
-            accum[key] = accum.get(key, Fraction(0)) + Fraction(mass, order)
-    triples = tuple((i, j, la.norm_scalar(mass))
-                    for (i, j), mass in sorted(accum.items()) if mass != 0)
-    cost = Fraction(0)
-    for i, j, mass in triples:
-        cost += mass * -Fraction(la.vdot(mu.points[i], nu.points[j]))
-    return TransportPlan(triples, la.norm_scalar(cost))
-
-
-def symmetrize_plan(plan, group, mu, nu):
-    """Group average of a plan: exactly feasible, invariant, same cost.
-
-    Requires both clouds invariant under the group (the source under the
-    matrices, the target under the dual matrices); masses are compared
-    exactly, so a non-invariant input raises.
-    """
-    elements = list(group)
-    src_maps = _index_maps(mu, [e.matrix for e in elements])
-    tgt_maps = _index_maps(nu, [e.dual_matrix for e in elements])
-    for src, tgt in zip(src_maps, tgt_maps):
-        for idx, i2 in enumerate(src):
-            if mu.masses[idx] != mu.masses[i2]:
-                raise ValueError("source masses are not group invariant")
-        for idx, j2 in enumerate(tgt):
-            if nu.masses[idx] != nu.masses[j2]:
-                raise ValueError("target masses are not group invariant")
-    sym = _group_average(plan.triples, src_maps, tgt_maps, mu, nu)
-    if sym.cost_value != plan.cost_value:
-        raise InternalCheckFailed(
-            "symmetrization changed the cost (plan not optimal?)")
-    return sym
-
-
 # -- support checks -----------------------------------------------------------
 
 def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3):
@@ -443,6 +407,32 @@ def _predecessor_cycle(pred, d, starts):
     return None
 
 
+def _verdict(plan, mu, nu, failures, labels=None):
+    """A check's verdict from a failure mask over the plan's triples.
+
+    ``failures(src, tgt)`` takes the source and target index of every
+    triple and returns one flag per triple, or with ``labels`` one flag per
+    triple and label, the first failing label joining the witness.  The
+    offending mass is that of the failing triples, the first eight of which
+    are the witnesses.  An empty plan passes without calling ``failures``.
+    """
+    witnesses = []
+    offending = Fraction(0)
+    if plan.triples:
+        src, tgt, _ = zip(*plan.triples)
+        bad = failures(np.array(src), np.array(tgt))
+        rows = bad if labels is None else bad.any(axis=1)
+        for t in np.flatnonzero(rows).tolist():
+            i, j, mass = plan.triples[t]
+            offending += mass
+            if len(witnesses) < 8:
+                pair = (mu.points[i], nu.points[j])
+                witnesses.append(pair if labels is None else
+                                 (pair, labels[int(np.argmax(bad[t]))]))
+    return CheckVerdict(not witnesses, la.norm_scalar(offending),
+                        tuple(witnesses))
+
+
 def check_reflection_sign(plan, system, mu, nu):
     """Per support pair and root: the two bracket signs never oppose.
 
@@ -455,30 +445,13 @@ def check_reflection_sign(plan, system, mu, nu):
     sign of alpha, so on that plan the check cannot fail.  All sign tests
     run on common-denominator integer coordinates.
     """
-    if not plan.triples:
-        return CheckVerdict(True, Fraction(0), ())
-    (pm, _), (pn, _) = mu.scaled, nu.scaled
-    # <x, alpha^vee> per source point and root, <alpha, y> per target point
-    sv = _exact_matmul(pm, np.array(system.coroots).T)
-    tv = _exact_matmul(pn, np.array(system.roots).T)
-    src = np.array([i for i, _, _ in plan.triples])
-    tgt = np.array([j for _, j, _ in plan.triples])
-    aa = sv[src]
-    bb = tv[tgt]
-    bad = ((aa > 0) & (bb < 0)) | ((aa < 0) & (bb > 0))
-    badrow = bad.any(axis=1)
-    witnesses = []
-    offending = Fraction(0)
-    for t, flag in enumerate(badrow):
-        if flag:
-            i, j, mass = plan.triples[t]
-            offending += mass
-            if len(witnesses) < 8:
-                ridx = int(np.argmax(bad[t]))
-                witnesses.append(((mu.points[i], nu.points[j]),
-                                  system.roots[ridx]))
-    return CheckVerdict(not witnesses, la.norm_scalar(offending),
-                        tuple(witnesses))
+    def opposed(src, tgt):
+        (pm, _), (pn, _) = mu.scaled, nu.scaled
+        # <x, alpha^vee> per source point and root, <alpha, y> per target
+        aa = _exact_matmul(pm, np.array(system.coroots).T)[src]
+        bb = _exact_matmul(pn, np.array(system.roots).T)[tgt]
+        return ((aa > 0) & (bb < 0)) | ((aa < 0) & (bb > 0))
+    return _verdict(plan, mu, nu, opposed, system.roots)
 
 
 def check_stability_support(plan, delta, mu, nu):
@@ -490,34 +463,24 @@ def check_stability_support(plan, delta, mu, nu):
     """
     if not delta.is_reflexive:
         raise NotReflexive("stability support needs a reflexive polytope")
-    if not plan.triples:
-        return CheckVerdict(True, Fraction(0), ())
-    (pm, ms), (pn, ns) = mu.scaled, nu.scaled
-    verts = np.array(delta.vertices)
 
-    # y must lie in the dual polytope: <v, y> <= 1 for every vertex v
-    vy = _exact_matmul(verts, pn.T)
-    if (vy > ns).any():
-        j = int(np.argwhere((vy > ns).any(axis=0))[0][0])
-        raise ValueError(f"target point {nu.points[j]} is outside the dual")
-
-    tight = tight_matrix(pm, ms, delta)                 # sources x facets
-    inc = np.zeros((len(delta.facets), len(delta.vertices)), dtype=bool)
-    for f, members in enumerate(delta.incidence):
-        inc[f, list(members)] = True
-    # bool matmuls: "any" over facets and vertices, which cannot wrap
-    cand = tight @ inc                                  # sources x vertices
-    tau = (vy == ns)                                    # vertices x targets
-    ok_matrix = cand @ tau
-    witnesses = []
-    offending = Fraction(0)
-    for i, j, mass in plan.triples:
-        if not ok_matrix[i, j]:
-            offending += mass
-            if len(witnesses) < 8:
-                witnesses.append((mu.points[i], nu.points[j]))
-    return CheckVerdict(not witnesses, la.norm_scalar(offending),
-                        tuple(witnesses))
+    def outside(src, tgt):
+        (pm, ms), (pn, ns) = mu.scaled, nu.scaled
+        # y must lie in the dual polytope: <v, y> <= 1 for every vertex v
+        vy = _exact_matmul(np.array(delta.vertices), pn.T)
+        if (vy > ns).any():
+            j = int(np.argwhere((vy > ns).any(axis=0))[0][0])
+            raise ValueError(
+                f"target point {nu.points[j]} is outside the dual")
+        tight = tight_matrix(pm, ms, delta)             # sources x facets
+        inc = np.zeros((len(delta.facets), len(delta.vertices)), dtype=bool)
+        for f, members in enumerate(delta.incidence):
+            inc[f, list(members)] = True
+        # bool matmuls: "any" over facets and vertices, which cannot wrap
+        cand = tight @ inc                              # sources x vertices
+        tau = (vy == ns)                                # vertices x targets
+        return ~(cand @ tau)[src, tgt]
+    return _verdict(plan, mu, nu, outside)
 
 
 def check_chamber_support(plan, rec, group, mu, nu):
@@ -529,115 +492,12 @@ def check_chamber_support(plan, rec, group, mu, nu):
     """
     if not rec.polytope.is_reflexive:
         raise NotReflexive("chamber support needs a reflexive polytope")
-    if not plan.triples:
-        return CheckVerdict(True, Fraction(0), ())
-    in_m = _incidence(mu.scaled[0], rec.system, group, "M")
-    in_n = _incidence(nu.scaled[0], rec.system, group, "N")
-    src = np.array([i for i, _, _ in plan.triples])
-    tgt = np.array([j for _, j, _ in plan.triples])
-    shared = (in_m[:, src] & in_n[:, tgt]).any(axis=0)
-    witnesses = []
-    offending = Fraction(0)
-    for t, okflag in enumerate(shared):
-        if not okflag:
-            i, j, mass = plan.triples[t]
-            offending += mass
-            if len(witnesses) < 8:
-                witnesses.append((mu.points[i], nu.points[j]))
-    return CheckVerdict(not witnesses, la.norm_scalar(offending),
-                        tuple(witnesses))
 
-
-# -- invariant problems via the quotient reduction -----------------------------
-
-def _orbit_decomposition(maps):
-    """Orbit representatives (lex-min) and the rep position of every point."""
-    rep_of = [None] * len(maps[0])
-    reps = []
-    for i in range(len(rep_of)):
-        if rep_of[i] is not None:
-            continue
-        orbit = {i}
-        queue = [i]
-        while queue:
-            x = queue.pop()
-            for perm in maps:
-                j = perm[x]
-                if j not in orbit:
-                    orbit.add(j)
-                    queue.append(j)
-        rep = min(orbit)
-        reps.append(rep)
-        for j in orbit:
-            rep_of[j] = rep
-    rep_pos = {r: k for k, r in enumerate(reps)}
-    return reps, [rep_pos[r] for r in rep_of]
-
-
-def solve_invariant_ot(mu, nu, group):
-    """Exactly optimal invariant plan and potentials for invariant clouds.
-
-    The invariant problem collapses to a transport problem between orbit
-    masses for the cost ``min over w of c(x, w y)``; an optimal quotient
-    plan lifts to a group-averaged plan of the same (optimal) cost, and
-    quotient potentials lift to optimal potentials, constant on orbits.
-    The lifted potentials are re-verified feasible on every pair and the
-    duality gap is checked to be exactly zero.
-    """
-    if mu.total_mass() != nu.total_mass():
-        raise UnbalancedMasses(
-            f"total masses differ: {mu.total_mass()} vs {nu.total_mass()}")
-    elements = list(group)
-    src_maps = _index_maps(mu, [e.matrix for e in elements])
-    tgt_maps = _index_maps(nu, [e.dual_matrix for e in elements])
-    src_reps, src_rep_of = _orbit_decomposition(src_maps)
-    tgt_reps, tgt_rep_of = _orbit_decomposition(tgt_maps)
-    k, scale = _cost_matrix(mu, nu)
-
-    # reduced cost over orbit pairs: min over w of c(x_rep, w y_rep), the
-    # first minimizing w kept for the lift
-    images = np.array(tgt_maps)[:, tgt_reps]          # w x target orbits
-    costs = k[np.array(src_reps)[:, None, None], images[None]]
-    best_w = costs.argmin(axis=1)
-    qk = costs.min(axis=1)
-
-    qa = [Fraction(0)] * len(src_reps)
-    for i, pos in enumerate(src_rep_of):
-        if mu.masses[i] != mu.masses[src_reps[pos]]:
-            raise ValueError("source masses are not constant on orbits")
-        qa[pos] += Fraction(mu.masses[i])
-    qb = [Fraction(0)] * len(tgt_reps)
-    for j, pos in enumerate(tgt_rep_of):
-        if nu.masses[j] != nu.masses[tgt_reps[pos]]:
-            raise ValueError("target masses are not constant on orbits")
-        qb[pos] += Fraction(nu.masses[j])
-    a_int, b_int, mass_scale = _scaled_masses(qa, qb)
-    flows, u, v = _network_simplex(a_int, b_int, qk)
-
-    # lift the quotient plan and average it over the group
-    lifted = []
-    qcost = Fraction(0)
-    for (qi, qj), x in sorted(flows.items()):
-        if x == 0:
-            continue
-        mass = Fraction(x, mass_scale)
-        lifted.append((src_reps[qi], int(images[best_w[qi, qj], qj]), mass))
-        qcost += mass * Fraction(int(qk[qi, qj]), scale)
-    plan = _group_average(lifted, src_maps, tgt_maps, mu, nu)
-    if plan.cost_value != qcost:
-        raise InternalCheckFailed("quotient lift changed the transport cost")
-
-    # exact feasibility of the lifted potentials on every pair
-    dtype = _bounded_dtype(2 * max(map(abs, u + v)))
-    phin = np.array(u, dtype=dtype)[src_rep_of]
-    psin = np.array(v, dtype=dtype)[tgt_rep_of]
-    if ((phin[:, None] + psin[None, :]) > k).any():
-        raise InternalCheckFailed("lifted potentials are not dual feasible")
-    phi = [Fraction(u[p], scale) for p in src_rep_of]
-    psi = [Fraction(v[p], scale) for p in tgt_rep_of]
-    if _dual_value(mu, nu, phi, psi) != plan.cost_value:
-        raise InternalCheckFailed("quotient reduction produced a duality gap")
-    return plan, _anchored(mu, phi, psi)
+    def no_shared_chamber(src, tgt):
+        in_m = _incidence(mu.scaled[0], rec.system, group, "M")
+        in_n = _incidence(nu.scaled[0], rec.system, group, "N")
+        return ~(in_m[:, src] & in_n[:, tgt]).any(axis=0)
+    return _verdict(plan, mu, nu, no_shared_chamber)
 
 
 # -- the full certification pipeline ------------------------------------------
@@ -672,10 +532,9 @@ def certify(rec, refinement=0, max_cycle_length=3):
     simple coroots (Humphreys, *Reflection Groups and Coxeter Groups*,
     1.12; Bourbaki, *Lie*, VI 1.6), and x pairs nonnegatively with each.
     So the quotient cost of an orbit pair is -<x, y>: the quotient problem
-    is the transport problem between the representative clouds, which is
-    ``solve_invariant_ot`` under the trivial group.  Its plan lifts to the
-    invariant plan moving mass/|W| from w x to w y for every w, with the
-    same cost.
+    is the transport problem between the representative clouds, which
+    ``solve_invariant_ot`` solves.  Its plan lifts to the invariant plan
+    moving mass/|W| from w x to w y for every w, with the same cost.
 
     The potential certificate: the quotient potentials u, v lift to
     potentials constant on orbits, feasible on every pair of the full
@@ -702,8 +561,7 @@ def certify(rec, refinement=0, max_cycle_length=3):
     group = system.weyl_group()
     mu = dominant_cloud(rec.polytope, refinement, system, "M")
     nu = dominant_cloud(rec.polytope.dual(), refinement, system, "N")
-    eye = la.identity(system.rank)
-    plan, pots = solve_invariant_ot(mu, nu, (GroupElement(eye, eye, ()),))
+    plan, pots = solve_invariant_ot(mu, nu)
     gap = la.norm_scalar(plan.cost_value - _dual_value(mu, nu, pots.phi,
                                                        pots.psi))
     return CertificationReport(

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 from fractions import Fraction
@@ -234,6 +235,30 @@ class TestInputErrors:
     def test_malformed(self, tmp_path, capsys):
         path = write(tmp_path, "bad.poly", "not a header\n")
         assert main(["check", path, "--reflexive"]) == 2
+
+
+class TestInProcess:
+    def test_repeated_calls_free_no_parser_objects(self, capsys):
+        # the parser is built once and reused, so a call leaves no argparse
+        # objects in reference cycles for the collector
+        argv = ["gen", "--type", "B2", "--weight", "0,2"]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            first = main(argv), capsys.readouterr().out
+            gc.collect()
+            second = main(argv), capsys.readouterr().out
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            freed = [type(o).__name__ for o in gc.garbage
+                     if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert first == second and first[0] == 0
+        assert freed == []
 
 
 def detected_record(p, det):

@@ -16,12 +16,12 @@ from weylot.polytope import convex_hull
 from weylot.rootsystems import (build_from_label, build_root_system,
                                 weight_to_coords)
 from weylot.transport import (TransportPlan, certify, check_reflection_sign,
-                              check_stability_support, solve_invariant_ot,
-                              solve_ot)
+                              check_stability_support, solve_ot)
 from weylot.measures import (WeightedPointCloud, chamber_incidence,
                              discretize, tight_matrix)
 from weylot.weyl import weyl_polytope
 
+from invariant_oracle import solve_invariant_ot
 from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 

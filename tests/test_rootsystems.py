@@ -10,8 +10,9 @@ from weylot import linalg as la
 from weylot.polytope import convex_hull
 from weylot.rootsystems import (GroupElement, build_from_label,
                                 build_root_system, dual_system,
+                                group_closure,
                                 parse_type_label, product, weight_to_coords)
-from weylot.symmetry import automorphism_group, generate_group, reflections
+from weylot.symmetry import automorphism_group, reflections
 
 CLASSICAL = {
     ("A", 1): (2, 2), ("A", 2): (6, 6), ("A", 3): (12, 24),
@@ -249,14 +250,16 @@ class TestWeylGroup:
             b3.weyl_group(cap=47)
         assert len(b3.weyl_group(cap=48)) == 48
 
-    def test_generate_group_cap_boundary(self):
+    def test_group_closure_cap_boundary(self):
         cube = convex_hull([(x, y, z) for x in (1, -1) for y in (1, -1)
                             for z in (1, -1)])
         refs = reflections(cube)
         with pytest.raises(OrbitCapExceeded):
-            generate_group(refs, cap=47)
+            group_closure(refs, cap=47)
         # the reflections generate all 48 automorphisms, in sorted order
-        assert generate_group(refs, cap=48) == automorphism_group(cube)
+        elements, _ = group_closure(refs, cap=48)
+        assert elements.tolist() == [list(map(list, g))
+                                     for g in automorphism_group(cube)]
 
     @pytest.mark.parametrize("label", CLOSURE_LABELS)
     def test_arrays_are_the_elements(self, label):

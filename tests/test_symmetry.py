@@ -12,10 +12,10 @@ from weylot import measures
 from weylot.errors import GroupCapExceeded
 from weylot.measures import _batched_det
 from weylot.polytope import convex_hull
+from weylot.rootsystems import group_closure
 from weylot.symmetry import (_basis_image_search, _vertex_data,
-                             automorphism_group, generate_group,
-                             reflection_data, reflections,
-                             unimodular_equivalent)
+                             automorphism_group, reflection_data,
+                             reflections, unimodular_equivalent)
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
 from test_fixture_files import HERE, load
@@ -98,7 +98,7 @@ class TestReflections:
     def test_triangle_reflections_generate_s3(self, p2_dual_triangle):
         refs = reflections(p2_dual_triangle)
         assert len(refs) == 3
-        assert len(generate_group(refs)) == 6
+        assert len(group_closure(refs)[0]) == 6
 
     def test_asymmetric_polytope_single_reflection(self):
         p = convex_hull([(1, 0), (-1, 0), (0, 1), (0, -2)])
@@ -143,17 +143,17 @@ class TestCaps:
         with pytest.raises(GroupCapExceeded):
             automorphism_group(cube, cap=5)
 
-    def test_generate_group_cap(self, square):
+    def test_group_closure_cap(self, square):
         from weylot.errors import GroupCapExceeded
         refs = reflections(square)
         with pytest.raises(GroupCapExceeded):
-            generate_group(refs, cap=3)
+            group_closure(refs, cap=3)
 
-    def test_generate_group_entries_past_int64(self):
+    def test_group_closure_entries_past_int64(self):
         # an infinite group whose entries grow like Fibonacci numbers
         from weylot.errors import GroupCapExceeded
         with pytest.raises(GroupCapExceeded, match="int64"):
-            generate_group([((2, 1), (1, 1))])
+            group_closure([((2, 1), (1, 1))])
 
 
 def random_unimodular(rng, d):

@@ -17,8 +17,10 @@ from weylot.transport import (TransportPlan, _cost_matrix, _network_simplex,
                               _scaled_masses, certify, check_chamber_support,
                               check_cyclical_monotonicity,
                               check_reflection_sign, check_stability_support,
-                              solve_invariant_ot, solve_ot, symmetrize_plan)
+                              solve_ot)
 from weylot.weyl import mr_family, weyl_polytope
+
+from invariant_oracle import solve_invariant_ot, symmetrize_plan
 
 
 def cloud(points, masses, polytope=None, side="M"):
@@ -690,3 +692,42 @@ class TestQuotientCertify:
     def test_cycle_length_below_two_is_rejected(self):
         with pytest.raises(ValueError):
             certify(mr_family("Bn-cube", 2), 0, 1)
+
+    def test_the_quotient_solve_is_the_direct_solve(self):
+        rec = mr_family("Bn-cube", 3)
+        mu = measures.dominant_cloud(rec.polytope, 1, rec.system, "M")
+        nu = measures.dominant_cloud(rec.polytope.dual(), 1, rec.system, "N")
+        assert transport.solve_invariant_ot(mu, nu) == solve_ot(mu, nu)
+
+    def test_the_quotient_solve_rejects_unbalanced_masses(self):
+        mu = cloud([(1, 0)], [Fraction(1)])
+        nu = cloud([(1, 0)], [Fraction(1, 2)])
+        with pytest.raises(UnbalancedMasses):
+            transport.solve_invariant_ot(mu, nu)
+
+
+class TestChecksOnDominantRepresentatives:
+    """Stability, chamber support and reflection sign hold on every pair of
+    dominant representatives, so no plan ``certify`` solves can fail them:
+    the all-pairs plan, with every pair in its support, passes all three."""
+
+    @pytest.mark.parametrize("row,rank,k", [
+        ("Bn-cube", 3, 2), ("F4-w4", 4, 1), ("An-roots", 3, 1),
+        ("G2-v2", 2, 2)])
+    def test_the_all_pairs_plan_passes(self, row, rank, k):
+        rec = mr_family(row, rank)
+        system = rec.system
+        mu = measures.dominant_cloud(rec.polytope, k, system, "M")
+        nu = measures.dominant_cloud(rec.polytope.dual(), k, system, "N")
+        triples = tuple((i, j, Fraction(a) * b)
+                        for i, a in enumerate(mu.masses)
+                        for j, b in enumerate(nu.masses))
+        cost = sum((-mass * Fraction(la.vdot(mu.points[i], nu.points[j]))
+                    for i, j, mass in triples), Fraction(0))
+        plan = TransportPlan(triples, cost)
+        verdicts = (check_stability_support(plan, rec.polytope, mu, nu),
+                    check_chamber_support(plan, rec, system.weyl_group(),
+                                          mu, nu),
+                    check_reflection_sign(plan, system, mu, nu))
+        assert [(v.passed, v.offending_mass) for v in verdicts] == \
+            [(True, 0)] * 3
