@@ -1,13 +1,14 @@
 """Text formats for polytopes, measures, and reports.
 
 Polytope files: optional ``#`` comment lines, a header of two positive
-integers ``r c``, then an ``r x c`` integer matrix.  When ``r <= 6`` and
-``r < c`` the rows are coordinates (columns are vertices); otherwise the
-rows are vertices.  Canonical serialization always writes vertices as rows,
-which round-trips byte-identically.
+integers ``r c``, then an ``r x c`` integer matrix and no further rows.
+When ``r <= 6`` and ``r < c`` the rows are coordinates (columns are
+vertices); otherwise the rows are vertices.  Canonical serialization always
+writes vertices as rows, which round-trips byte-identically.
 
-Measure files carry a rational point cloud: header ``p d``, then ``p`` rows
-of ``d`` rational coordinates followed by one non-negative rational mass.
+Measure files carry a rational point cloud: header ``p d``, then exactly
+``p`` rows of ``d`` rational coordinates followed by one non-negative
+rational mass.
 
 Reports are canonical JSON: fixed key order, every rational rendered as a
 ``"p/q"`` string, never a float, plus the tool version and an input hash.
@@ -26,21 +27,13 @@ from .polytope import Polytope, convex_hull
 TOOL_VERSION = "weylot 0.1.0"
 
 
-def _content_lines(text):
-    out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append(stripped)
-    return out
-
-
-def parse_polytope(text) -> Polytope:
-    """Parse a vertex-matrix file into a polytope (see module docstring)."""
-    lines = _content_lines(text)
+def _header_rows(text, kind):
+    """The header ``r c`` of a polytope or measure file and its ``r`` rows,
+    comment and blank lines skipped; any other row count is rejected."""
+    lines = [s for s in map(str.strip, text.splitlines())
+             if s and not s.startswith("#")]
     if not lines:
-        raise MalformedHeader("empty polytope file")
+        raise MalformedHeader(f"empty {kind} file")
     header = lines[0].split()
     if len(header) != 2:
         raise MalformedHeader(f"header needs two integers: {lines[0]!r}")
@@ -50,10 +43,16 @@ def parse_polytope(text) -> Polytope:
         raise MalformedHeader(f"header needs two integers: {lines[0]!r}") from exc
     if r <= 0 or c <= 0:
         raise MalformedHeader("header integers must be positive")
-    if len(lines) - 1 < r:
-        raise MalformedHeader(f"expected {r} matrix rows, found {len(lines) - 1}")
+    if len(lines) - 1 != r:
+        raise MalformedHeader(f"expected {r} rows, found {len(lines) - 1}")
+    return r, c, lines[1:]
+
+
+def parse_polytope(text) -> Polytope:
+    """Parse a vertex-matrix file into a polytope (see module docstring)."""
+    r, c, lines = _header_rows(text, "polytope")
     rows = []
-    for line in lines[1:1 + r]:
+    for line in lines:
         toks = line.split()
         if len(toks) != c:
             raise NonIntegerEntry(f"expected {c} entries per row: {line!r}")
@@ -90,23 +89,10 @@ def _parse_rational(tok):
 
 def parse_measure(text):
     """Parse a measure file into (points, masses)."""
-    lines = _content_lines(text)
-    if not lines:
-        raise MalformedHeader("empty measure file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedHeader(f"header needs two integers: {lines[0]!r}")
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise MalformedHeader(f"header needs two integers: {lines[0]!r}") from exc
-    if count <= 0 or dim <= 0:
-        raise MalformedHeader("header integers must be positive")
-    if len(lines) - 1 < count:
-        raise MalformedHeader(f"expected {count} rows, found {len(lines) - 1}")
+    _, dim, lines = _header_rows(text, "measure")
     points = []
     masses = []
-    for line in lines[1:1 + count]:
+    for line in lines:
         toks = line.split()
         if len(toks) != dim + 1:
             raise NonIntegerEntry(
@@ -212,4 +198,22 @@ def certification_json(report, source_hash="", type_label="", weight=()):
 
 def write_report(doc) -> str:
     """Canonical JSON text for a report document (fixed key order)."""
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return _json(doc, "\n") + "\n"
+
+
+def _json(x, newline):
+    """``json.dumps(x, indent=2)`` text, nested under ``newline``'s indent.
+
+    The encoder's indenting path is pure Python and its nested closures
+    form reference cycles; this writer passes only scalars and empty
+    containers to ``json.dumps``, whose C encoder leaves none.
+    """
+    inner = newline + "  "
+    if isinstance(x, dict) and x:
+        items = (f"{json.dumps(k)}: {_json(v, inner)}" for k, v in x.items())
+    elif isinstance(x, (list, tuple)) and x:
+        items = (_json(v, inner) for v in x)
+    else:
+        return json.dumps(x)
+    opening, closing = "{}" if isinstance(x, dict) else "[]"
+    return opening + inner + ("," + inner).join(items) + newline + closing

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InternalCheckFailed
 from . import linalg as la
-from .polytope import Polytope
+from .polytope import Polytope, tight_matrix
 
 _BOX_CAP = 200_000
 _INT64_GUARD = 1 << 60
@@ -325,8 +325,8 @@ def _int_array(points):
     int64 array when every entry fits, else as object ints; products of it
     go through :func:`_matmul_dtype`.  Returns ``(array, scale)``."""
     flat, scale = la.clear_denominators([x for p in points for x in p])
-    dtype = np.int64 if max(map(abs, flat), default=0) < (1 << 63) else object
-    return np.array(flat, dtype=dtype).reshape(len(points), -1), scale
+    return np.array(flat, dtype=_bounded_dtype(max(map(abs, flat), default=0))
+                    ).reshape(len(points), -1), scale
 
 
 def _matmul_dtype(x, y, factor=1):
@@ -380,17 +380,6 @@ def _batched_det(a):
                                 ) // np.where(prev == 0, 1, prev)[..., None, None]
         prev = pk
     return sign * a[:, -1, -1]
-
-
-def tight_matrix(pts, scale, p: Polytope):
-    """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``."""
-    normals = np.array([n for n, _ in p.facets])
-    offsets = [Fraction(c) * scale for _, c in p.facets]
-    if any(f.denominator != 1 for f in offsets):
-        raise ValueError("facet offsets did not scale to integers")
-    # object offsets: c * scale need not fit int64 when the points do
-    return _exact_matmul(pts, normals.T) == np.array(
-        [int(f) for f in offsets], dtype=object)
 
 
 def chamber_incidence(points, system, group, side):

@@ -158,25 +158,17 @@ def convex_hull(points, dim=None):
     return Polytope(tuple(vertices), tuple(facets), d)
 
 
-def h_polytope_vertices(inequalities, equalities, dim):
-    """Vertices of {x : <x,n> <= c, <x,m> = b}, given exact constraint data.
+def h_polytope_vertices(inequalities, dim):
+    """Vertices of {x : <x, n> <= c for every (n, c) in ``inequalities``}.
 
-    ``inequalities`` and ``equalities`` are iterables of (vector, scalar)
-    with integer vectors and rational scalars.  The region must be bounded
-    and the constraint normals must span.  Returns a sorted list of
-    rational points (possibly empty).
+    Integer normals n and rational offsets c; an equality is two opposite
+    inequalities.  The region must be bounded and the normals must span.
+    Returns a sorted list of rational points (possibly empty).
     """
     rows = []
-
-    def add(n, c):
-        scaled, mult = la.clear_denominators(tuple(n) + (c,))
-        rows.append(tuple(scaled[:-1]) + (-scaled[-1],))
-
     for n, c in inequalities:
-        add(n, c)
-    for n, c in equalities:
-        add(n, c)
-        add(tuple(-x for x in n), -c)
+        scaled, _ = la.clear_denominators(tuple(n) + (c,))
+        rows.append(tuple(scaled[:-1]) + (-scaled[-1],))
     rows.append((0,) * dim + (-1,))
     rays = _dd_cone(rows)
     verts = set()
@@ -188,6 +180,22 @@ def h_polytope_vertices(inequalities, equalities, dim):
             continue
         verts.add(tuple(la.norm_scalar(Fraction(x, t)) for x in y))
     return sorted(verts)
+
+
+def tight_matrix(pts, scale, p):
+    """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``.
+
+    Facet f, <x, n> = c with c = a / b, is tight at x / scale iff
+    <x, b n> = a scale: one integer product for every point and facet.
+    """
+    import numpy as np
+    from .measures import _exact_matmul
+    offsets = [Fraction(c) for _, c in p.facets]
+    normals = np.array([[x * c.denominator for x in n]
+                        for (n, _), c in zip(p.facets, offsets)], dtype=object)
+    # object offsets: a * scale need not fit int64 when the points do
+    return _exact_matmul(pts, normals.T) == np.array(
+        [c.numerator * scale for c in offsets], dtype=object)
 
 
 class Polytope:
@@ -208,20 +216,14 @@ class Polytope:
     @cached_property
     def incidence(self):
         """Per facet, the frozenset of indices of vertices lying on it."""
-        out = []
-        for n, c in self.facets:
-            out.append(frozenset(
-                i for i, v in enumerate(self.vertices) if la.vdot(v, n) == c))
-        return tuple(out)
+        tight = tight_matrix(*self.scaled_vertices, self)
+        return tuple(frozenset(col.nonzero()[0].tolist()) for col in tight.T)
 
     @cached_property
     def vertex_facets(self):
         """Per vertex, the sorted tuple of indices of facets containing it."""
-        out = [[] for _ in self.vertices]
-        for f, members in enumerate(self.incidence):
-            for i in members:
-                out[i].append(f)
-        return tuple(tuple(fs) for fs in out)
+        tight = tight_matrix(*self.scaled_vertices, self)
+        return tuple(tuple(row.nonzero()[0].tolist()) for row in tight)
 
     def vertex_index(self, v):
         t = tuple(la.norm_scalar(x) for x in v)

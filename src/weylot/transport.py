@@ -35,7 +35,8 @@ from .errors import (InternalCheckFailed, NotReflexive, PivotCapExceeded,
                      UnbalancedMasses)
 from . import linalg as la
 from .measures import (_bounded_dtype, _exact_matmul, _incidence,
-                       _matmul_dtype, dominant_cloud, tight_matrix)
+                       _matmul_dtype, dominant_cloud)
+from .polytope import tight_matrix
 
 _PIVOT_CAP = 2_000_000
 
@@ -222,8 +223,7 @@ def _tree_simplex(a, b, k):
     n, m = len(a), len(b)
     nodes = n + m
     kmax = int(np.abs(k).max(initial=0))
-    dtype = (_bounded_dtype(2 * nodes * kmax) if k.dtype == np.int64
-             else object)
+    dtype = _bounded_dtype(2 * nodes * kmax)
     k = k.astype(dtype, copy=False)
     adj = [[] for _ in range(nodes)]
     for (i, j), x in _northwest_tree(a, b).items():
@@ -473,11 +473,9 @@ def check_stability_support(plan, delta, mu, nu):
             raise ValueError(
                 f"target point {nu.points[j]} is outside the dual")
         tight = tight_matrix(pm, ms, delta)             # sources x facets
-        inc = np.zeros((len(delta.facets), len(delta.vertices)), dtype=bool)
-        for f, members in enumerate(delta.incidence):
-            inc[f, list(members)] = True
+        inc = tight_matrix(*delta.scaled_vertices, delta)  # vertices x facets
         # bool matmuls: "any" over facets and vertices, which cannot wrap
-        cand = tight @ inc                              # sources x vertices
+        cand = tight @ inc.T                            # sources x vertices
         tau = (vy == ns)                                # vertices x targets
         return ~(cand @ tau)[src, tgt]
     return _verdict(plan, mu, nu, outside)

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+
 from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
                      NotReflexive, OutOfTableRange)
 from . import linalg as la
-from .polytope import Polytope, convex_hull, h_polytope_vertices
+from .measures import _exact_matmul, _int_array
+from .polytope import Polytope, convex_hull, h_polytope_vertices, tight_matrix
 from .rootsystems import RootSystem, build_root_system
 from .symmetry import reflections, reflection_data
 
@@ -152,15 +155,18 @@ def family_is_smooth(row) -> bool:
 def vertex_condition(p: Polytope):
     """True iff no vertex of p pairs to zero with a vertex of the dual.
 
-    Returns (verdict, witness); the witness is one offending pair or None.
+    Returns (verdict, witness); the witness is one offending pair or None,
+    the first zero of the pairing matrix (vertices of p by vertices of the
+    dual) in row-major order.
     """
     if not p.is_reflexive:
         raise NotReflexive("vertex condition is defined for reflexive polytopes")
     dual = p.dual()
-    for m in p.vertices:
-        for n in dual.vertices:
-            if la.vdot(m, n) == 0:
-                return False, (m, n)
+    zeros = np.argwhere(_exact_matmul(p.scaled_vertices[0],
+                                      dual.scaled_vertices[0].T) == 0)
+    if len(zeros):
+        i, j = zeros[0].tolist()
+        return False, (p.vertices[i], dual.vertices[j])
     return True, None
 
 
@@ -327,47 +333,46 @@ def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
     """Certify the two chamber containments of a Weyl polytope.
 
     Primal side: the boundary part inside the positive chamber lies in the
-    closed star of the generating vertex.  Dual side: the dual boundary part
-    inside the positive dual chamber lies in the facet the vertex cuts out.
-    The certificate intersects each facet outside the star with the chamber
-    exactly.  That piece is convex, so it lies in the union of the star
+    closed star of the generating vertex m.  Dual side: the dual boundary
+    part inside the positive dual chamber lies in the facet tau_m on which
+    the bracket with m is 1.  Each side is cut once, P by its chamber
+    walls and P* by the dual walls.  A facet's part in the chamber is a
+    face of the cut, the hull of the cut vertices tight on that facet
+    (Ziegler, *Lectures on Polytopes*, 2.3), so every test reads one tight
+    matrix per side.  A part is convex, so it lies in the union of the star
     facets iff it lies in one of them: the star facet through one of its
-    relative-interior points holds all of it.  On failure the witness is
-    the piece's vertex average, a relative-interior point on no star facet.
+    relative-interior points holds all of it, and so all its vertices.  On
+    a primal failure the witness is the first failing part's vertex
+    average, a relative-interior point on no star facet.  A dual part lies
+    in tau_m iff all its vertices pair to 1 with m; the witness of a dual
+    failure is the first vertex of the first dual part that does not.
     """
-    p = rec.polytope
-    system = rec.system
-    m = rec.weight
+    p, system, m = rec.polytope, rec.system, rec.weight
+    star = list(p.vertex_facets[p.vertex_index(m)])
+    dual = p.dual()
+    cut = h_polytope_vertices(list(p.facets) + [
+        (tuple(-x for x in system.coroots[i]), 0)
+        for i in system.simple_indices], p.dim)
+    dual_cut = h_polytope_vertices(list(dual.facets) + [
+        (tuple(-x for x in system.roots[i]), 0)
+        for i in system.simple_indices], p.dim)
 
-    m_idx = p.vertex_index(m)
-    star_facets = [f for f, members in enumerate(p.incidence)
-                   if m_idx in members]
-    chamber = [(tuple(-x for x in system.coroots[i]), 0)
-               for i in system.simple_indices]
-    for f, (n, c) in enumerate(p.facets):
-        if f in star_facets:
-            continue
-        region = h_polytope_vertices(list(p.facets) + chamber, [(n, c)], p.dim)
-        if not region:
-            continue
-        if any(all(la.vdot(v, p.facets[g][0]) == p.facets[g][1]
-                   for v in region) for g in star_facets):
-            continue
+    tight = tight_matrix(*_int_array(cut), p)           # cut vertex x facet
+    # [f, g]: a vertex of facet f's piece is off the star facet g
+    escapes = tight.T @ ~tight[:, star]
+    failing = np.flatnonzero(tight.any(axis=0) & escapes.all(axis=1))
+    if len(failing):
+        region = [cut[i] for i in np.flatnonzero(tight[:, failing[0]])]
         x = tuple(la.norm_scalar(sum(Fraction(v[k]) for v in region)
                                  / len(region)) for k in range(p.dim))
         return StarContainmentVerdict(False, "certified", ("primal", x))
 
-    dual = p.dual()
-    dual_chamber = [(tuple(-x for x in system.roots[i]), 0)
-                    for i in system.simple_indices]
-    # Dual side the single-facet test is complete: a convex piece of the
-    # boundary lies in tau_m iff all its vertices are on <m, .> = 1.
-    for f, (n, c) in enumerate(dual.facets):
-        region = h_polytope_vertices(list(dual.facets) + dual_chamber,
-                                     [(n, c)], dual.dim)
-        bad = [y for y in region if la.vdot(m, y) != 1]
-        if bad:
-            return StarContainmentVerdict(False, "certified", ("dual", bad[0]))
+    pts, scale = _int_array(dual_cut)
+    off_tau = _exact_matmul(pts, np.array([m], dtype=object).T)[:, 0] != scale
+    bad = np.argwhere((tight_matrix(pts, scale, dual) & off_tau[:, None]).T)
+    if len(bad):
+        return StarContainmentVerdict(False, "certified",
+                                      ("dual", dual_cut[bad[0][1]]))
     return StarContainmentVerdict(True, "certified", None)
 
 

@@ -236,6 +236,22 @@ class TestInputErrors:
         path = write(tmp_path, "bad.poly", "not a header\n")
         assert main(["check", path, "--reflexive"]) == 2
 
+    def test_rows_past_the_polytope_header(self, tmp_path, capsys):
+        diamond = "4 2\n1 0\n-1 0\n0 1\n0 -1\n"
+        path = write(tmp_path, "diamond.poly", diamond)
+        assert main(["check", path, "--reflexive"]) == 0
+        path = write(tmp_path, "extra.poly", diamond + "3 3\n")
+        assert main(["check", path, "--reflexive"]) == 2
+        assert capsys.readouterr().err == "error: expected 4 rows, found 5\n"
+
+    def test_rows_past_the_measure_header(self, tmp_path, capsys):
+        nu = write(tmp_path, "nu.txt", "1 1\n1 1\n")
+        mu = write(tmp_path, "mu.txt", "1 1\n-1 1\n")
+        assert main(["ot", mu, nu]) == 0
+        mu = write(tmp_path, "extra.txt", "1 1\n-1 1\n2 1\n")
+        assert main(["ot", mu, nu]) == 2
+        assert capsys.readouterr().err == "error: expected 1 rows, found 2\n"
+
 
 class TestInProcess:
     def test_repeated_calls_free_no_parser_objects(self, capsys):

@@ -1,9 +1,13 @@
+import gc
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from weylot.errors import MalformedHeader, NonIntegerEntry
 from weylot import fileio
+from weylot.cli import main
 from weylot.polytope import convex_hull
 from weylot.weyl import classify
 
@@ -88,3 +92,39 @@ class TestReports:
         wit = doc["vertex_condition_witness"]
         assert isinstance(wit, list) and len(wit) == 2
         assert all(isinstance(x, int) for vec in wit for x in vec)
+
+
+def report_docs(capsys):
+    """The golden certify reports, a classify document and a check
+    document."""
+    golden = Path(__file__).parent / "golden"
+    docs = [json.loads(path.read_text())
+            for path in sorted(golden.glob("*.json"))]
+    fixtures = Path(__file__).parent / "fixtures"
+    for argv in (["classify", str(fixtures / "hexagon.poly")],
+                 ["check", str(fixtures / "hexagon.poly"), "--reflexive",
+                  "--delzant", "--weyl", "--vertex-condition", "--star"]):
+        main(argv)
+        docs.append(json.loads(capsys.readouterr().out))
+    return docs
+
+
+class TestWriteReport:
+    def test_bytes_match_the_indenting_encoder(self, capsys):
+        docs = report_docs(capsys)
+        assert len(docs) == 6
+        for doc in docs:
+            assert fileio.write_report(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_leaves_no_reference_cycles(self, capsys):
+        docs = report_docs(capsys)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for doc in docs:
+                fileio.write_report(doc)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -320,12 +320,14 @@ class TestRegionEnumeration:
     def test_cube_facet_chamber(self, cube):
         ineqs = list(cube.facets) + [((-1, 1, 0), 0), ((0, -1, 1), 0),
                                      ((0, 0, -1), 0)]
-        verts = h_polytope_vertices(ineqs, [((1, 0, 0), 1)], 3)
+        # the equality <x, e1> = 1 as two inequalities
+        ineqs += [((1, 0, 0), 1), ((-1, 0, 0), -1)]
+        verts = h_polytope_vertices(ineqs, 3)
         assert verts == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
 
     def test_empty_region(self, square):
-        verts = h_polytope_vertices(list(square.facets),
-                                    [((1, 0), 5)], 2)
+        verts = h_polytope_vertices(
+            list(square.facets) + [((1, 0), 5), ((-1, 0), -5)], 2)
         assert verts == []
 
 

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from weylot import linalg as la
 from weylot.errors import OriginNotInterior, NotFullDimensional
-from weylot.polytope import convex_hull
+from weylot.polytope import convex_hull, tight_matrix
 from weylot.rootsystems import (build_from_label, build_root_system,
                                 weight_to_coords)
 from weylot.transport import (TransportPlan, certify, check_reflection_sign,
                               check_stability_support, solve_ot)
-from weylot.measures import (WeightedPointCloud, chamber_incidence,
-                             discretize, tight_matrix)
+from weylot.measures import WeightedPointCloud, chamber_incidence, discretize
 from weylot.weyl import weyl_polytope
 
 from invariant_oracle import solve_invariant_ot

@@ -420,6 +420,19 @@ class TestBoundaries:
     def test_dimension_one(self, segment):
         assert automorphism_group(segment) == (((-1,),), ((1,),))
 
+    @pytest.mark.parametrize("verts, group", [
+        ([(-1 << 62,), (1 << 62,)], (((-1,),), ((1,),))),
+        ([(-1 << 62, 0), (1 << 62, 0), (0, -1), (0, 1)],
+         (((-1, 0), (0, -1)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)),
+          ((1, 0), (0, 1)))),
+    ])
+    def test_vertices_past_the_int64_guard(self, verts, group):
+        # row keys add the coordinate bound to every entry, which wraps
+        # in int64 at 2^62; vertices past the guard are object ints
+        p = convex_hull(verts)
+        assert automorphism_group(p) == group
+        assert unimodular_equivalent(p, p) == group[-1]
+
 
 class TestBatchedDet:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])

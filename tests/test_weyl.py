@@ -204,6 +204,21 @@ class TestStarContainment:
         assert not any(la.vdot(x, p.facets[f][0]) == p.facets[f][1]
                        for f in p.vertex_facets[m_idx])
 
+    def test_dual_failure_carries_an_exact_witness(self):
+        # P2 with the non-dominant vertex (-1, 1) in place of its weight:
+        # the chamber part of the dual boundary leaves that vertex's facet
+        rec = dataclasses.replace(mr_family("An-projective", 2),
+                                  weight=(-1, 1))
+        verdict = star_containment_check(rec)
+        assert not verdict.passed and verdict.mode == "certified"
+        side, y = verdict.witness
+        assert side == "dual"
+        dual = rec.polytope.dual()
+        assert dual.contains(y)
+        assert any(la.vdot(y, n) == c for n, c in dual.facets)
+        assert all(la.vdot(a, y) >= 0 for a in rec.system.simple_roots)
+        assert la.vdot((-1, 1), y) != 1
+
     def test_p3_and_v3(self):
         assert star_containment_check(
             self.fixture_record("A", 3, (4, 0, 0))).passed
