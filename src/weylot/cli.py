@@ -77,8 +77,8 @@ def cmd_check(args):
     if args.delzant:
         doc["delzant"] = p.is_delzant
         ok &= p.is_delzant
+    det = is_weyl_polytope(p) if args.weyl or args.star else None
     if args.weyl:
-        det = is_weyl_polytope(p)
         doc["weyl"] = (None if det is None else
                        {"type": det.type_label,
                         "dominant_vertex": fileio._vector_json(
@@ -92,7 +92,6 @@ def cmd_check(args):
             else [fileio._vector_json(v) for v in witness])
         ok &= verdict
     if args.star:
-        det = is_weyl_polytope(p)
         if det is None:
             doc["star_containment"] = None
             ok = False

@@ -7,6 +7,8 @@ search strategies used below:
 
 * reflections are B-orthogonal, hence determined by their (-1)-eigenvector
   alone, and that eigenvector is parallel to a difference of two vertices;
+  every such candidate is checked in one batched integer pass, which also
+  yields each reflection's root, coroot and vertex permutation;
 * automorphisms and unimodular equivalences come from one level-wise
   integer search (the form-invariant method of Bremner, Dutour Sikiric,
   Pasechnik, Rehn and Schuermann, "Computing symmetry groups of
@@ -18,55 +20,82 @@ search strategies used below:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import GroupCapExceeded
 from . import linalg as la
 from .rootsystems import orbit_cap
 
 
-def moment_adjugate(vertices):
-    """Adjugate and determinant of G = sum over vertices of v v^T (integers)."""
-    g = la.mat_mul(la.transpose(vertices), vertices)
+def moment_adjugate(verts):
+    """Adjugate and determinant of G = sum over vertex rows v of v v^T, for
+    an integer array of vertex rows."""
+    from .measures import _exact_matmul
+    g = _exact_matmul(verts.T, verts).tolist()
     return la.adjugate_int(g), la.det(g)
 
 
-def reflections(polytope):
-    """All lattice reflections preserving the vertex set.
+def _reflection_search(polytope):
+    """All lattice reflections preserving the vertex set, each with its
+    root, coroot and vertex permutation, in the order of the matrices.
 
-    A reflection in the automorphism group is the B-orthogonal reflection
-    in its (-1)-eigenvector alpha, and alpha is parallel to v - sigma(v)
-    for any moved vertex v.  Since a reflection fixing a spanning set of
-    vertices is the identity, it suffices to try directions from a linear
-    basis of vertices to every other vertex.
+    A reflection in the automorphism group is B-orthogonal, so it is
+    sigma = I - alpha (alpha^vee)^T with alpha^vee = 2 B alpha / (alpha^T B
+    alpha) for its primitive (-1)-eigenvector alpha, and alpha is parallel
+    to v - sigma(v) for any moved vertex v.  A reflection fixing a spanning
+    set of vertices is the identity, so the candidates are the primitive
+    differences from a linear basis of vertices to every vertex, first
+    nonzero entry positive.  As alpha is primitive, sigma is integral iff
+    alpha^vee is.  All candidates are checked at once: one exact matmul
+    maps every vertex through every integral sigma, and a sigma is kept iff
+    each image lies in the vertices' box and its row key is a vertex key;
+    the same lookup gives its permutation.  Returns (matrices, roots, coroots, perms): tuples of
+    matrices, roots and coroots and an (r, n) index array.
     """
+    import numpy as np
+    from .measures import _bounded_dtype, _exact_matmul
     verts = polytope.vertices
     if not all(isinstance(x, int) for v in verts for x in v):
         raise ValueError("reflection search requires a lattice polytope")
-    badj, _ = moment_adjugate(verts)
-    vset = set(verts)
-    directions = {}     # primitive, first nonzero entry positive; in order
-    for i in la.independent_rows(verts, polytope.dim):
-        for w in verts:
-            prim, g = la.primitivize(la.vsub(verts[i], w))
-            if g:
-                sign = 1 if next(x for x in prim if x != 0) > 0 else -1
-                directions.setdefault(tuple(sign * x for x in prim))
+    n, d = len(verts), polytope.dim
+    pts = polytope.scaled_vertices[0]
+    badj, _ = moment_adjugate(pts)
+    top = int(np.abs(pts).max())
+    pts = pts.astype(_bounded_dtype(2 * top))
+    basis = la.independent_rows(verts, d)
+    diffs = (pts[basis, None, :] - pts[None, :, :]).reshape(-1, d)
+    g = np.gcd.reduce(diffs, axis=1)
+    diffs, g = diffs[g != 0], g[g != 0]
+    lead = diffs[np.arange(len(diffs)), np.argmax(diffs != 0, axis=1)]
+    alpha = diffs // np.where(lead < 0, -g, g)[:, None]
+    _, first = np.unique(_row_keys(alpha, 2 * top), return_index=True)
+    alpha = alpha[first]
 
-    found = {}
-    for alpha in directions:
-        balpha = la.mat_vec(badj, alpha)
-        s = la.vdot(alpha, balpha)
-        # sigma = I - 2 alpha (B alpha)^T / (alpha^T B alpha); must be integral
-        num = [[2 * a * b for b in balpha] for a in alpha]
-        if any(x % s for row in num for x in row):
-            continue
-        mat = tuple(tuple(int(i == j) - x // s for j, x in enumerate(row))
-                    for i, row in enumerate(num))
-        if all(la.mat_vec(mat, v) in vset for v in verts):
-            found[mat] = alpha
-    return tuple(sorted(found))
+    balpha = _exact_matmul(alpha, np.array(badj, dtype=object))
+    s = _exact_matmul(alpha[:, None, :], balpha[:, :, None])[:, 0, 0]
+    ok = (2 * balpha % s[:, None] == 0).all(axis=1)
+    alpha, coroot = alpha[ok], 2 * balpha[ok] // s[ok, None]
+    sigma = (np.eye(d, dtype=int)
+             - _exact_matmul(alpha[:, :, None], coroot[:, None, :]))
+
+    images = _exact_matmul(pts, sigma.transpose(0, 2, 1))     # (r, n, d)
+    keys = _row_keys(np.clip(images, -top, top), top)
+    vkeys = _row_keys(pts, top)
+    order = np.argsort(vkeys)
+    perms = order[np.searchsorted(vkeys[order], keys).clip(max=n - 1)]
+    ok = ((np.abs(images) <= top).all(axis=2)
+          & (vkeys[perms] == keys)).all(axis=1)
+    mats = [tuple(map(tuple, m)) for m in sigma[ok].tolist()]
+    idx = sorted(range(len(mats)), key=mats.__getitem__)
+    return (tuple(mats[i] for i in idx),
+            tuple(map(tuple, alpha[ok][idx].tolist())),
+            tuple(map(tuple, coroot[ok][idx].tolist())), perms[ok][idx])
+
+
+def reflections(polytope):
+    """All lattice reflections preserving the vertex set of a lattice
+    polytope, as a sorted tuple of integer matrices.  The search, with the
+    roots, coroots and vertex permutations it also finds, is
+    :func:`_reflection_search`."""
+    return _reflection_search(polytope)[0]
 
 
 # tuples of basis images in one block of the search: large enough to pay
@@ -86,7 +115,7 @@ def _vertex_data(*polytopes):
     out = []
     for p in polytopes:
         verts, pts = pts[:len(p.vertices)], pts[len(p.vertices):]
-        adj, det = moment_adjugate(verts.tolist())
+        adj, det = moment_adjugate(verts)
         gram = _exact_matmul(_exact_matmul(verts, np.array(adj, dtype=object)),
                              verts.T)
         out.append((verts, gram, det))
@@ -198,39 +227,3 @@ def unimodular_equivalent(p, q):
         return None
     found = _basis_image_search(verts_p, gram_p, verts_q, gram_q, True, 1)
     return found[0] if found else None
-
-
-@dataclass(frozen=True)
-class ReflectionData:
-    """A reflection of the lattice: matrix, primitive root, integer coroot."""
-
-    matrix: tuple
-    root: tuple
-    coroot: tuple
-
-
-def reflection_data(matrix):
-    """Extract (alpha, alpha^vee) with sigma(m) = m - <m, alpha^vee> alpha."""
-    d = len(matrix)
-    diff = [[(1 if i == j else 0) - matrix[i][j] for j in range(d)]
-            for i in range(d)]  # id - sigma, rank 1, columns multiples of alpha
-    col = next(c for c in range(d)
-               if any(diff[r][c] != 0 for r in range(d)))
-    alpha_raw = tuple(diff[r][col] for r in range(d))
-    alpha, g = la.primitivize(alpha_raw)
-    lead = next(i for i, x in enumerate(alpha) if x != 0)
-    if alpha[lead] < 0:
-        alpha = tuple(-x for x in alpha)
-    coroot = []
-    for c in range(d):
-        column = tuple(diff[r][c] for r in range(d))
-        # column = <e_c, alpha^vee> * alpha
-        k = next((i for i, x in enumerate(alpha) if x != 0))
-        val = Fraction(column[k], alpha[k])
-        if val * alpha[k] != column[k] or any(val * alpha[i] != column[i]
-                                              for i in range(d)):
-            raise ValueError("matrix is not a reflection")
-        coroot.append(la.norm_scalar(val))
-    if la.vdot(alpha, coroot) != 2:
-        raise ValueError("matrix is not a lattice reflection")
-    return ReflectionData(tuple(map(tuple, matrix)), alpha, tuple(coroot))

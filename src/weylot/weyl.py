@@ -18,10 +18,10 @@ import numpy as np
 from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
                      NotReflexive, OutOfTableRange)
 from . import linalg as la
-from .measures import _exact_matmul, _int_array
+from .measures import _bounded_dtype, _exact_matmul, _int_array
 from .polytope import Polytope, convex_hull, h_polytope_vertices, tight_matrix
 from .rootsystems import RootSystem, build_root_system
-from .symmetry import reflections, reflection_data
+from .symmetry import _reflection_search, _row_keys
 
 
 @dataclass(frozen=True)
@@ -203,53 +203,48 @@ def _match_cartan(label_cartans, C):
     return None
 
 
-def identify_reflection_group(refs):
-    """Root system and type label of a set of lattice reflections.
+def identify_reflection_group(roots, coroots):
+    """Root system and type label of lattice reflections, given by their
+    roots and index-aligned coroots (one of each +-pair per reflection).
 
     The reflections must generate a finite lattice group whose roots span.
-    Returns (label, system): the system of the reflections' roots +-a and
-    coroots in the lattice's own coordinates, type ("detected", rank).
+    Positive means positive on the functional (1, t, t^2, ...) for the
+    least t >= 1 on which no root vanishes.  A positive root is simple iff
+    no difference of it with another positive root is a positive root;
+    all differences are tested in one pass on exact row keys.  Returns
+    (label, system): the system of the roots +-a and coroots in the
+    lattice's own coordinates, type ("detected", rank), whose Cartan
+    matrix is split along the Dynkin graph and matched to reference types.
     """
-    data = [reflection_data(m) for m in refs]
-    roots = []
-    seen = set()
-    for rd in data:
+    pairs = {}
+    for a, av in zip(roots, coroots):
         for sign in (1, -1):
-            a = tuple(sign * x for x in rd.root)
-            if a not in seen:
-                seen.add(a)
-                roots.append((a, tuple(sign * x for x in rd.coroot)))
-    d = len(data[0].root)
+            pairs[tuple(sign * x for x in a)] = tuple(sign * x for x in av)
+    arr, _ = _int_array(list(pairs))
     t = 1
     while True:
-        f = tuple(t ** i for i in range(d))
-        if all(la.vdot(a, f) != 0 for a, _ in roots):
+        f = np.array([t ** i for i in range(arr.shape[1])], dtype=object)
+        height = _exact_matmul(arr, f)
+        if (height != 0).all():
             break
         t += 1
-    positive = [(a, av) for a, av in roots if la.vdot(a, f) > 0]
-    pos_set = {a for a, _ in positive}
-    simples = []
-    for a, av in positive:
-        is_sum = False
-        for b in pos_set:
-            c = tuple(x - y for x, y in zip(a, b))
-            if any(x != 0 for x in c) and c in pos_set:
-                is_sum = True
-                break
-        if not is_sum:
-            simples.append((a, av))
-    simples.sort()
-    sreal = [a for a, _ in simples]
-    scov = [av for _, av in simples]
-    C = tuple(tuple(la.vdot(sreal[j], scov[i]) for j in range(len(simples)))
-              for i in range(len(simples)))
-    roots.sort()
-    all_roots = [a for a, _ in roots]
-    system = RootSystem([("detected", len(simples))], all_roots,
-                        [av for _, av in roots],
+    positive = [a for a, h in zip(pairs, height > 0) if h]
+    pos = arr[height > 0]
+    top = 2 * int(np.abs(pos).max())
+    pos = pos.astype(_bounded_dtype(top))
+    hit = np.isin(_row_keys(pos[:, None, :] - pos[None, :, :], top),
+                  _row_keys(pos, top))
+    sreal = sorted(a for a, sums in zip(positive, hit.any(axis=1))
+                   if not sums)
+    scov = [pairs[a] for a in sreal]
+    C = tuple(tuple(la.vdot(sreal[j], scov[i]) for j in range(len(sreal)))
+              for i in range(len(sreal)))
+    all_roots = sorted(pairs)
+    system = RootSystem([("detected", len(sreal))], all_roots,
+                        [pairs[a] for a in all_roots],
                         [all_roots.index(a) for a in sreal], C, "custom")
     # split into irreducible components along the Dynkin graph
-    n = len(simples)
+    n = len(sreal)
     comp = list(range(n))
 
     def find(i):
@@ -289,27 +284,31 @@ class WeylDetection:
 def is_weyl_polytope(p: Polytope):
     """Detect vertex transitivity under the reflection subgroup of Aut(p).
 
-    Returns a :class:`WeylDetection` when the group generated by all lattice
-    reflections preserving ``p`` acts transitively on the vertices (then
-    ``p`` is the hull of one orbit), else None.
+    One batched search (:func:`symmetry._reflection_search`) gives every
+    lattice reflection preserving ``p`` with its vertex permutation, root
+    and coroot.  The group they generate is transitive iff a frontier walk
+    over the permutations from vertex 0 reaches every vertex; then ``p``
+    is the hull of one orbit and the roots and coroots give its root
+    system.  Returns a :class:`WeylDetection`, or None if ``p`` has no
+    reflection or is not one orbit.
     """
-    refs = reflections(p)
+    refs, roots, coroots, perms = _reflection_search(p)
     if not refs:
         return None
-    start = p.vertices[0]
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for s in refs:
-            w = la.mat_vec(s, v)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != len(p.vertices):
+    seen = np.zeros(len(p.vertices), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        reached = np.unique(perms[:, frontier])
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    if not seen.all():
         return None
-    label, system = identify_reflection_group(refs)
-    vertex, _ = system.dominant_representative(p.vertices[0])
+    label, system = identify_reflection_group(roots, coroots)
+    # the one vertex of the orbit in the closed dominant chamber
+    pairing = _exact_matmul(p.scaled_vertices[0],
+                            np.array(system.simple_coroots, dtype=object).T)
+    vertex = p.vertices[np.flatnonzero((pairing >= 0).all(axis=1))[0]]
     return WeylDetection(label, refs, system, vertex)
 
 

@@ -11,9 +11,11 @@ from weylot import linalg as la
 from weylot.cli import main
 from weylot.polytope import convex_hull
 from weylot.rootsystems import RootSystem
-from weylot.symmetry import reflection_data, unimodular_equivalent
+from weylot.symmetry import unimodular_equivalent
 from weylot.weyl import (WeylPolytopeRecord, is_weyl_polytope,
                          star_containment_check)
+
+from reflection_oracle import reflection_data
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -89,6 +91,20 @@ class TestCheck:
         assert doc["weyl"]["type"] == "B3"
         assert doc["vertex_condition"] is True
         assert doc["star_containment"]["pass"] is True
+
+    def test_weyl_and_star_detect_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return is_weyl_polytope(p)
+
+        monkeypatch.setattr("weylot.cli.is_weyl_polytope", counted)
+        assert main(["check", cube_file(tmp_path), "--weyl", "--star"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["weyl"]["type"] == "B3"
+        assert doc["star_containment"]["pass"] is True
+        assert len(calls) == 1
 
     def test_vertex_condition_failure(self, tmp_path, capsys):
         hexagon = convex_hull([(1, 0), (0, 1), (1, 1),

@@ -6,6 +6,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylot import linalg as la
 from weylot import measures
@@ -14,10 +16,13 @@ from weylot.measures import _batched_det
 from weylot.polytope import convex_hull
 from weylot.rootsystems import group_closure
 from weylot.symmetry import (_basis_image_search, _vertex_data,
-                             automorphism_group, reflection_data,
-                             reflections, unimodular_equivalent)
-from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
+                             automorphism_group, reflections,
+                             unimodular_equivalent)
+from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks,
+                         is_weyl_polytope, mr_family)
 
+import reflection_oracle as oracle
+from reflection_oracle import reflection_data
 from test_fixture_files import HERE, load
 from test_linalg import fraction_det, rank_loop
 
@@ -462,3 +467,86 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# -- Weyl detection against the tuple-at-a-time oracle ----------------------
+
+def detection_summary(det):
+    """Everything a detection reports: label, reflections, dominant vertex
+    and the detected system's roots, coroots, simple indices and Cartan
+    matrix."""
+    if det is None:
+        return None
+    s = det.system
+    return (det.type_label, det.reflections, det.dominant_vertex, s.roots,
+            s.coroots, s.simple_indices, s.cartan_matrix, s.type_label)
+
+
+def with_reflexive_duals(polytopes):
+    return [q for p in polytopes
+            for q in ((p, p.dual()) if p.is_reflexive else (p,))]
+
+
+@lru_cache(maxsize=None)
+def detection_set(name):
+    """The classify-gl benchmark entries (seed 1), every family member of
+    rank <= 5 among each row's three smallest ranks, or every fixture; each
+    with its dual when reflexive."""
+    if name == "classify-gl":
+        from perfbench.inputs import classify_entries, load_members
+        base = [convex_hull(raw)
+                for _, _, raw in classify_entries(load_members(), 1)]
+    elif name == "members":
+        base = [mr_family(row, rank).polytope for row in sorted(FAMILY_ROWS)
+                for rank in family_smallest_ranks(row, 3) if rank <= 5]
+    else:
+        base = [load(n) for n in fixture_cases()]
+    return with_reflexive_duals(base)
+
+
+class TestWeylDetectionAgainstOracle:
+    @pytest.mark.parametrize("guard", [False, True])
+    @pytest.mark.parametrize("name", ["classify-gl", "members", "fixtures"])
+    def test_same_detections(self, name, guard, monkeypatch):
+        polytopes = detection_set(name)
+        expected = [detection_summary(oracle.is_weyl_polytope(p))
+                    for p in polytopes]
+        if guard:
+            monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+        for p, summary in zip(polytopes, expected):
+            assert reflections(p) == oracle.reflections(p)
+            assert detection_summary(is_weyl_polytope(p)) == summary
+
+    @pytest.mark.parametrize("verts, count, expected", [
+        ([(1 << 62,), (-1 << 62,)], 1, ("A1", (1 << 62,))),
+        ([(1 << 62, 0), (-1 << 62, 0), (0, 1), (0, -1)], 2, None),
+        ([(1 << 62, 0), (-1 << 62, 0), (0, 1 << 62), (0, -1 << 62)], 4,
+         ("B2", (0, 1 << 62))),
+    ])
+    def test_entries_past_int64(self, verts, count, expected):
+        p = convex_hull(verts)
+        det = is_weyl_polytope(p)
+        assert len(reflections(p)) == count
+        assert (det and (det.type_label, det.dominant_vertex)) == expected
+        assert detection_summary(det) == \
+            detection_summary(oracle.is_weyl_polytope(p))
+
+
+RANK4_MEMBERS = [f"{row}-{rank}" for row in sorted(FAMILY_ROWS)
+                 for rank in family_smallest_ranks(row) if rank <= 4]
+
+
+class TestDetectionEquivariance:
+    @given(st.sampled_from(RANK4_MEMBERS), st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_unimodular_image(self, name, seed):
+        """U P has the type of P, the reflections U sigma U^-1 and the
+        oracle's detection: the non-canonical coordinates of classify-gl."""
+        p = case(name)
+        u = random_unimodular(random.Random(seed), p.dim)
+        moved = image(u, p)
+        det, moved_det = is_weyl_polytope(p), is_weyl_polytope(moved)
+        assert moved_det.type_label == det.type_label
+        assert moved_det.reflections == conjugate(u, det.reflections)
+        assert detection_summary(moved_det) == \
+            detection_summary(oracle.is_weyl_polytope(moved))
