@@ -248,30 +248,6 @@ class RootSystem:
                     queue.append(w)
         return tuple(sorted(seen))
 
-    def dominant_representative(self, x, side="M"):
-        """The chamber representative of ``x`` and a group element mapping x to it.
-
-        Repeatedly reflects at a violated simple (co)root; terminates because
-        each step strictly shortens the inversion set.
-        """
-        n = self.rank
-        cur = tuple(la.norm_scalar(v) for v in x)
-        mat = la.identity(n)
-        dual = la.identity(n)
-        word = []
-        while True:
-            pairings = self.simple_pairings(cur, side)
-            j = next((k for k, t in enumerate(pairings) if t < 0), None)
-            if j is None:
-                break
-            idx = self.simple_indices[j]
-            cur = self.reflect(idx, cur, side)
-            word.append(j)
-            smat, sdual = self._simple_matrices(j)
-            mat = la.mat_mul(smat, mat)
-            dual = la.mat_mul(sdual, dual)
-        return cur, GroupElement(mat, dual, tuple(word))
-
     def _simple_matrices(self, j):
         """Matrix pair of the j-th simple reflection (M side, N side)."""
         n = self.rank

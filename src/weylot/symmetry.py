@@ -45,9 +45,10 @@ def _reflection_search(polytope):
     differences from a linear basis of vertices to every vertex, first
     nonzero entry positive.  As alpha is primitive, sigma is integral iff
     alpha^vee is.  All candidates are checked at once: one exact matmul
-    maps every vertex through every integral sigma, and a sigma is kept iff
-    each image lies in the vertices' box and its row key is a vertex key;
-    the same lookup gives its permutation.  Returns (matrices, roots, coroots, perms): tuples of
+    maps every vertex through every integral sigma, images and vertices
+    get exact row keys over one bound covering both, and a sigma is kept
+    iff every image key is a vertex key; the same lookup gives its
+    permutation.  Returns (matrices, roots, coroots, perms): tuples of
     matrices, roots and coroots and an (r, n) index array.
     """
     import numpy as np
@@ -77,12 +78,12 @@ def _reflection_search(polytope):
              - _exact_matmul(alpha[:, :, None], coroot[:, None, :]))
 
     images = _exact_matmul(pts, sigma.transpose(0, 2, 1))     # (r, n, d)
-    keys = _row_keys(np.clip(images, -top, top), top)
-    vkeys = _row_keys(pts, top)
+    bound = int(np.abs(images).max(initial=top))
+    keys = _row_keys(images, bound)
+    vkeys = _row_keys(pts, bound)
     order = np.argsort(vkeys)
     perms = order[np.searchsorted(vkeys[order], keys).clip(max=n - 1)]
-    ok = ((np.abs(images) <= top).all(axis=2)
-          & (vkeys[perms] == keys)).all(axis=1)
+    ok = (vkeys[perms] == keys).all(axis=1)
     mats = [tuple(map(tuple, m)) for m in sigma[ok].tolist()]
     idx = sorted(range(len(mats)), key=mats.__getitem__)
     return (tuple(mats[i] for i in idx),

@@ -4,11 +4,12 @@ The cost of moving unit mass from a boundary point m to a dual boundary
 point n is ``c(m, n) = -<m, n>``.  Masses, costs, and potentials are exact
 rationals; internally the solver rescales everything to integers.  The
 network simplex keeps a strongly feasible spanning tree (Cunningham 1976),
-which rules out cycling without any stall rule; a pivot re-hangs and
-re-prices only the subtree it cuts off, and entering arcs come from a block
-search over rows of the reduced-cost matrix in numpy.  It runs in int64
-when a proven bound on every potential and reduced cost fits, on exact
-Python ints otherwise, and every pivot is deterministic.
+which rules out cycling without any stall rule, from a cost-aware start
+made strongly feasible by a perturbation of the masses; a pivot re-hangs
+and re-prices only the subtree it cuts off, and entering arcs come from a
+block search over rows of the reduced-cost matrix in numpy.  It runs in
+int64 when a proven bound on every potential and reduced cost fits, on
+exact Python ints otherwise, and every pivot is deterministic.
 
 Cyclical monotonicity of a plan's support is decided exactly at every cycle
 length by one longest-path pass over the support pairs: a pass leaves a
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 
 import numpy as np
@@ -154,22 +156,33 @@ def _dual_value(mu, nu, phi, psi):
     return sum((Fraction(m) * p for m, p in pairs), Fraction(0))
 
 
-def _northwest_tree(a, b):
-    n, m = len(a), len(b)
+def _greedy_tree(a, b, k):
+    """The start of :func:`_tree_simplex` as arcs (i, j) to flows: each
+    source in index order fills its cheapest targets with mass left.
+
+    The greedy runs on masses perturbed with L = 2(n+m): L a_0 - (n+m-1) at
+    source 0, L a_i + 1 at the other sources, L b_j - 1 at the targets.  On
+    a tree rooted at source 0 the arc above a subtree of s < L/2 nodes then
+    carries L f + s if its child is a source, L f - s if a target, f its
+    flow for a, b.  That is never 0, so each step empties one row or column
+    (the last both), which leaves n+m-1 arcs; f is the rounded quotient by
+    L, and a zero-flow arc has a source child: the tree is strongly
+    feasible for a, b (Orden's perturbation).
+    """
+    big = 2 * (len(a) + len(b))
+    rb = [big * y - 1 for y in b]
+    live, top = np.ones(len(b), dtype=bool), k.max() + 1
     arcs = {}
-    ra, rb = list(a), list(b)
-    i = j = 0
-    while True:
-        x = min(ra[i], rb[j])
-        arcs[(i, j)] = x
-        ra[i] -= x
-        rb[j] -= x
-        if i == n - 1 and j == m - 1:
-            break
-        if ra[i] == 0 and i < n - 1:
-            i += 1
-        else:
-            j += 1
+    for i, mass in enumerate(a):
+        left = big * mass + 1 - (0 if i else big // 2)
+        row = np.where(live, k[i], top)
+        while left and live.any():
+            j = int(row.argmin())
+            x = min(left, rb[j])
+            arcs[(i, j)] = (x + big // 2) // big
+            left -= x
+            rb[j] -= x
+            live[j], row[j] = rb[j] > 0, top
     return arcs
 
 
@@ -185,11 +198,11 @@ def _network_simplex(a, b, k):
     pivots, and the most negative arc of the first block holding one
     enters.  Leaving arc: Cunningham's rule on a tree rooted at source 0,
     the last blocking arc met walking the cycle from its join node, which
-    keeps every zero-flow arc pointing toward the root.  The northwest-
-    corner start has that property when every mass is positive, so nodes
-    of zero mass (a zero-mass target admits no such tree) sit out the
-    pivoting and join the basis afterwards through a zero-flow arc on
-    which their c-transform potential is tight.
+    keeps every zero-flow arc pointing toward the root.  The start,
+    :func:`_greedy_tree`, reads the costs and has that property when every
+    mass is positive, so nodes of zero mass (a zero-mass target admits no
+    such tree) sit out the pivoting and join the basis afterwards through a
+    zero-flow arc on which their c-transform potential is tight.
 
     dtype: every potential is a signed sum of at most n+m-1 costs, so every
     reduced cost is below 2(n+m)max|k| in magnitude; int64 holds them when
@@ -218,7 +231,9 @@ def _tree_simplex(a, b, k):
 
     Source i is node i and target j is node n + j.  The tree is kept as
     parent, depth and children per node, with flow[x] on the arc between
-    x and its parent.
+    x and its parent.  The start must span, meet the marginals and be
+    strongly feasible; an arc that still prices out after ``_PIVOT_CAP``
+    pivots raises PivotCapExceeded.
     """
     n, m = len(a), len(b)
     nodes = n + m
@@ -226,7 +241,7 @@ def _tree_simplex(a, b, k):
     dtype = _bounded_dtype(2 * nodes * kmax)
     k = k.astype(dtype, copy=False)
     adj = [[] for _ in range(nodes)]
-    for (i, j), x in _northwest_tree(a, b).items():
+    for (i, j), x in _greedy_tree(a, b, k).items():
         adj[i].append((n + j, x))
         adj[n + j].append((i, x))
     parent, depth, flow = [-1] * nodes, [0] * nodes, [0] * nodes
@@ -242,11 +257,19 @@ def _tree_simplex(a, b, k):
                 order.append(y)
     if len(order) < nodes:
         raise InternalCheckFailed("basis does not span the bipartite graph")
+    out, into = [0] * n, [0] * m
+    for x in order[1:]:
+        out[min(x, parent[x])] += flow[x]
+        into[max(x, parent[x]) - n] += flow[x]
+    if out != list(a) or into != list(b):
+        raise InternalCheckFailed("start flows miss the marginals")
+    if any(flow[x] < 0 or (flow[x] == 0 and x >= n) for x in order[1:]):
+        raise InternalCheckFailed("start basis is not strongly feasible")
 
     u, v = pot[:n], pot[n:]
     block = max(1, 8 * isqrt(n * m) // m)
     row = 0
-    for _ in range(_PIVOT_CAP):
+    for pivots in count():
         # the cursor stays on multiples of block, so these blocks cover
         # every row once
         for _ in range(-(-n // block)):
@@ -258,6 +281,8 @@ def _tree_simplex(a, b, k):
                 break
         else:
             break                       # no arc prices out: optimal
+        if pivots == _PIVOT_CAP:
+            raise PivotCapExceeded("network simplex pivot cap exceeded")
         delta = red.flat[flat]
         ei, ej = lo + flat // m, n + flat % m
 
@@ -311,8 +336,6 @@ def _tree_simplex(a, b, k):
         same = (sub < n) == (enter < n)
         pot[sub[same]] += delta
         pot[sub[~same]] -= delta
-    else:
-        raise PivotCapExceeded("network simplex pivot cap exceeded")
     flows = {(min(x, p), max(x, p) - n): flow[x]
              for x, p in enumerate(parent) if p >= 0}
     return flows, u.tolist(), v.tolist()

@@ -14,6 +14,8 @@ from weylot import linalg as la
 from weylot.rootsystems import RootSystem
 from weylot.weyl import WeylDetection, _match_cartan, _reference_cartans
 
+from dominance_oracle import dominant_representative
+
 
 def moment_adjugate(vertices):
     """Adjugate and determinant of G = sum over vertices of v v^T (integers)."""
@@ -190,5 +192,5 @@ def is_weyl_polytope(p):
     if len(seen) != len(p.vertices):
         return None
     label, system = identify_reflection_group(refs)
-    vertex, _ = system.dominant_representative(p.vertices[0])
+    vertex, _ = dominant_representative(system, p.vertices[0])
     return WeylDetection(label, refs, system, vertex)

@@ -204,9 +204,18 @@ class TestOt:
 
 
 def crossed_pair(tmp_path):
-    """Two-point measures whose northwest-corner plan is not optimal."""
+    """Two-point measures whose optimal plan sends source 0 to target 1 and
+    source 1 to target 0."""
     mu = write(tmp_path, "mu.measure", "2 1\n1 1/2\n-1 1/2\n")
     nu = write(tmp_path, "nu.measure", "2 1\n-1 1/2\n1 1/2\n")
+    return mu, nu
+
+
+def greedy_miss(tmp_path):
+    """1-D measures one pivot from optimal at the greedy start: source 1
+    takes target 2, its cheapest, which leaves target 1 to source 3."""
+    mu = write(tmp_path, "mu.measure", "2 1\n1 1/2\n3 1/2\n")
+    nu = write(tmp_path, "nu.measure", "2 1\n2 1/2\n1 1/2\n")
     return mu, nu
 
 
@@ -216,20 +225,39 @@ class TestResourceCaps:
         assert main(["gen", "--type", "B3", "--weight", "0,0,2"]) == 3
 
     def test_pivot_cap_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(transport, "_PIVOT_CAP", 1)
-        assert main(["ot", *crossed_pair(tmp_path)]) == 3
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 0)
+        assert main(["ot", *greedy_miss(tmp_path)]) == 3
         assert "pivot cap" in capsys.readouterr().err
+
+    def test_pivot_cap_counts_pivots(self, tmp_path, monkeypatch, capsys):
+        # the solve takes p = 1 pivot: a cap of p passes, p - 1 fails
+        files = greedy_miss(tmp_path)
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 1)
+        assert main(["ot", *files]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == "-7/2"
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 0)
+        assert main(["ot", *files]) == 3
 
 
 class TestInternalCheck:
     def test_self_check_exit_code(self, tmp_path, monkeypatch, capsys):
         # a starting basis that misses nodes fails the spanning self-check
-        monkeypatch.setattr(transport, "_northwest_tree",
-                            lambda a, b: {(0, 0): a[0]})
+        monkeypatch.setattr(transport, "_greedy_tree",
+                            lambda a, b, k: {(0, 0): a[0]})
         assert main(["ot", *crossed_pair(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("internal error: basis does not span")
 
+    @pytest.mark.parametrize("start,message", [
+        # the zero-flow arc hangs target 1 below source 0, away from the root
+        ({(0, 0): 1, (0, 1): 0, (1, 1): 1}, "start basis is not strongly"),
+        ({(0, 0): 2, (1, 0): 0, (1, 1): 1}, "start flows miss the marginals"),
+    ])
+    def test_bad_start_exit_code(self, tmp_path, monkeypatch, capsys, start,
+                                 message):
+        monkeypatch.setattr(transport, "_greedy_tree", lambda a, b, k: start)
+        assert main(["ot", *crossed_pair(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("internal error: " + message)
 
     def test_centroid_on_a_wall_exit_code(self, monkeypatch, capsys):
         # a walk that keeps every flag cell leaves centroids off the open

@@ -21,6 +21,7 @@ from weylot.measures import WeightedPointCloud, chamber_incidence, discretize
 from weylot.weyl import weyl_polytope
 
 from invariant_oracle import solve_invariant_ot
+from dominance_oracle import dominant_representative
 from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 
@@ -184,8 +185,8 @@ def dominant_pairs(draw):
     system, group = lemma_system(draw(st.sampled_from(LEMMA_LABELS)))
     coords = st.lists(st.integers(-6, 6), min_size=system.rank,
                       max_size=system.rank)
-    x, _ = system.dominant_representative(draw(coords), "M")
-    y, _ = system.dominant_representative(draw(coords), "N")
+    x, _ = dominant_representative(system, draw(coords), "M")
+    y, _ = dominant_representative(system, draw(coords), "N")
     return system, group, x, y
 
 

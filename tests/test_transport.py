@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylot.errors import (InternalCheckFailed, NotReflexive,
                            UnbalancedMasses)
 from weylot import linalg as la
 from weylot import measures, transport
+from weylot.fileio import parse_measure
 from weylot.measures import WeightedPointCloud, discretize
 from weylot.polytope import convex_hull
 from weylot.rootsystems import (build_from_label, build_root_system,
@@ -300,6 +304,68 @@ class TestNetworkxOracle:
         # the simplex picks its dtype from its bound alone
         monkeypatch.setattr(measures, "_INT64_GUARD", 1)
         assert _network_simplex(a, b, k.astype(object)) == expected
+
+
+def start_parents(arcs, n, m):
+    """Parent of every node of a start tree rooted at source 0 (source i is
+    node i, target j node n + j), or None when the arcs do not span."""
+    adj = [[] for _ in range(n + m)]
+    for i, j in arcs:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    parent = {0: None}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    return parent if len(parent) == n + m else None
+
+
+OT_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+class TestGreedyStart:
+    @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(1, 30),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_strongly_feasible_start_and_optimum(self, seed, n, m, equal):
+        pts_a, pts_b, a, b = integer_instance(random.Random(seed), n, m,
+                                              equal)
+        k = -np.array(pts_a) @ np.array(pts_b).T
+        rows = [i for i in range(n) if a[i]]
+        cols = [j for j in range(m) if b[j]]
+        pa, pb = [a[i] for i in rows], [b[j] for j in cols]
+        arcs = transport._greedy_tree(pa, pb, k[np.ix_(rows, cols)])
+        p, q = len(pa), len(pb)
+        assert len(arcs) == p + q - 1
+        parent = start_parents(arcs, p, q)
+        assert parent is not None
+        out, into = [0] * p, [0] * q
+        for (i, j), x in arcs.items():
+            out[i] += x
+            into[j] += x
+            # a zero-flow arc points toward the root: its source is the child
+            assert x > 0 or parent[i] == p + j
+        assert out == pa and into == pb
+
+        flows, u, v = _network_simplex(a, b, k)
+        cost = sum(x * int(k[i, j]) for (i, j), x in flows.items())
+        assert cost == networkx_min_cost(pts_a, pts_b, a, b)
+
+    def test_pivot_guard_on_benchmark_clouds(self, monkeypatch):
+        # 1,879 pivots from the greedy start; a northwest-corner start needs
+        # 3,120, so the cap tells the two apart
+        clouds = []
+        for name, side in (("cube-k1-mu.txt", "M"), ("cube-k1-nu.txt", "N")):
+            text = (OT_DATA / name).read_text(encoding="utf-8")
+            pts, masses = parse_measure(text)
+            clouds.append(cloud(pts, masses, side=side))
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 2500)
+        plan, _ = solve_ot(*clouds)
+        assert plan.cost_value == Fraction(-187, 216)
 
 
 class TestSymmetrize:
