@@ -88,8 +88,12 @@ def _parse_rational(tok):
 
 
 def parse_measure(text):
-    """Parse a measure file into (points, masses)."""
+    """Parse a measure file into (points, masses).
+
+    Each distinct token is parsed once per call; a repeat reuses its value.
+    """
     _, dim, lines = _header_rows(text, "measure")
+    values = {}
     points = []
     masses = []
     for line in lines:
@@ -97,12 +101,14 @@ def parse_measure(text):
         if len(toks) != dim + 1:
             raise NonIntegerEntry(
                 f"expected {dim} coordinates and a mass: {line!r}")
-        points.append(tuple(la.norm_scalar(_parse_rational(t))
-                            for t in toks[:dim]))
-        mass = la.norm_scalar(_parse_rational(toks[dim]))
-        if mass < 0:
+        for tok in toks:
+            if tok not in values:
+                values[tok] = la.norm_scalar(_parse_rational(tok))
+        row = [values[tok] for tok in toks]
+        points.append(tuple(row[:dim]))
+        if row[dim] < 0:
             raise ValueError(f"negative mass {toks[dim]!r}: {line!r}")
-        masses.append(mass)
+        masses.append(row[dim])
     return tuple(points), tuple(masses)
 
 

@@ -136,19 +136,19 @@ def _leaf_maps(leaves, search):
     """The maps of complete image tuples that pass every exact check, in
     order.  Tuple r gives T = U^T adj(B)^T / det B, U its image rows; T must
     be integral, send every vertex of p to a vertex of q (matched on exact
-    row keys) and have |det T| = 1, that is |det U| = |det B|."""
+    row keys over one bound covering the images and q's vertices) and have
+    |det T| = 1, that is |det U| = |det B|."""
     import numpy as np
     from .measures import _batched_det, _exact_matmul
-    adj_t, det_b, verts_p, verts_q, q_keys = search
+    adj_t, det_b, verts_p, verts_q = search
     u = verts_q[leaves]
     num = _exact_matmul(u.transpose(0, 2, 1), adj_t)
     ok = (num % det_b == 0).all(axis=(1, 2))
     u, t = u[ok], num[ok] // det_b
     images = _exact_matmul(verts_p, t.transpose(0, 2, 1))
-    qmax = int(np.abs(verts_q).max())
-    inside = (np.abs(images) <= qmax).all(axis=2)
-    keys = _row_keys(np.clip(images, -qmax, qmax), qmax)
-    ok = (inside & np.isin(keys, q_keys)).all(axis=1)
+    bound = int(np.abs(images).max(initial=np.abs(verts_q).max()))
+    keys = _row_keys(images, bound)
+    ok = np.isin(keys, _row_keys(verts_q, bound)).all(axis=1)
     u, t = u[ok], t[ok]
     t = t[abs(_batched_det(u)) == abs(det_b)]
     return [tuple(map(tuple, m)) for m in t.tolist()]
@@ -175,8 +175,7 @@ def _basis_image_search(verts_p, gram_p, verts_q, gram_q, first_only, cap):
     # T B^T = U^T for image rows U, so det(B) T = U^T adj(B)^T
     adj_t = np.array(la.transpose(la.adjugate_int(brows)), dtype=object)
     det_b = la.det(brows)
-    search = (adj_t, det_b, verts_p, verts_q,
-              _row_keys(verts_q, int(np.abs(verts_q).max())))
+    search = (adj_t, det_b, verts_p, verts_q)
     cands = [np.flatnonzero(gram_q.diagonal() == gram_p[b, b]) for b in basis]
     stack = [np.zeros((1, 0), dtype=np.intp)]
     out = []

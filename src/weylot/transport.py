@@ -6,10 +6,12 @@ rationals; internally the solver rescales everything to integers.  The
 network simplex keeps a strongly feasible spanning tree (Cunningham 1976),
 which rules out cycling without any stall rule, from a cost-aware start
 made strongly feasible by a perturbation of the masses; a pivot re-hangs
-and re-prices only the subtree it cuts off, and entering arcs come from a
-block search over rows of the reduced-cost matrix in numpy.  It runs in
-int64 when a proven bound on every potential and reduced cost fits, on
-exact Python ints otherwise, and every pivot is deterministic.
+and re-prices only the subtree it cuts off, in one indexed add, and
+entering arcs come from a block search over rows of the reduced-cost
+matrix in numpy.  It runs in int64 when a proven bound on every potential
+and reduced cost fits, on exact Python ints otherwise, and every pivot is
+deterministic.  The plan's cost is one sum of integers made a ``Fraction``
+once, and the dual value is compared with it in integers.
 
 Cyclical monotonicity of a plan's support is decided exactly at every cycle
 length by one longest-path pass over the support pairs: a pass leaves a
@@ -79,32 +81,37 @@ def _cost_matrix(mu, nu):
 
 
 def _scaled_masses(masses_a, masses_b):
+    """Integer masses a, b over one common denominator, and that
+    denominator.  Raises UnbalancedMasses when the totals differ, then
+    ValueError when a mass is negative."""
     ints, mult = la.clear_denominators(tuple(masses_a) + tuple(masses_b))
+    a, b = list(ints[:len(masses_a)]), list(ints[len(masses_a):])
+    if sum(a) != sum(b):
+        raise UnbalancedMasses(
+            f"total masses differ: {Fraction(sum(a), mult)} "
+            f"vs {Fraction(sum(b), mult)}")
     if min(ints, default=0) < 0:
         raise ValueError("masses must not be negative")
-    return list(ints[:len(masses_a)]), list(ints[len(masses_a):]), mult
+    return a, b, mult
 
 
 def _solve(mu, nu):
     """The core of both solvers: the optimal plan, the simplex potentials
-    u, v in integer cost units, the integer cost matrix and its scale."""
-    if mu.total_mass() != nu.total_mass():
-        raise UnbalancedMasses(
-            f"total masses differ: {mu.total_mass()} vs {nu.total_mass()}")
-    k, cost_scale = _cost_matrix(mu, nu)
+    u, v in integer cost units, the integer cost matrix, its scale, and
+    the duality gap sum x k - sum a u - sum b v in integers (a, b the
+    scaled masses, x the flows)."""
     a, b, mass_scale = _scaled_masses(mu.masses, nu.masses)
+    k, cost_scale = _cost_matrix(mu, nu)
     flows, u, v = _network_simplex(a, b, k)
 
-    triples = []
-    cost = Fraction(0)
-    for (i, j), x in sorted(flows.items()):
-        if x == 0:
-            continue
-        mass = Fraction(x, mass_scale)
-        triples.append((i, j, mass))
-        cost += mass * Fraction(int(k[i, j]), cost_scale)
-    plan = TransportPlan(tuple(triples), la.norm_scalar(cost))
-    return plan, u, v, k, cost_scale
+    arcs = sorted((ij, x) for ij, x in flows.items() if x)
+    triples = tuple((i, j, Fraction(x, mass_scale)) for (i, j), x in arcs)
+    cost = sum(x * int(k[i, j]) for (i, j), x in arcs)
+    plan = TransportPlan(triples, la.norm_scalar(
+        Fraction(cost, mass_scale * cost_scale)))
+    gap = (cost - sum(x * y for x, y in zip(a, u))
+           - sum(x * y for x, y in zip(b, v)))
+    return plan, u, v, k, cost_scale, gap
 
 
 def solve_ot(mu, nu):
@@ -114,9 +121,8 @@ def solve_ot(mu, nu):
     the duality gap of the returned pair is exactly zero.  Raises
     UnbalancedMasses when the totals differ.
     """
-    plan, u, v, _, scale = _solve(mu, nu)
-    return plan, _anchored(mu, [Fraction(x, scale) for x in u],
-                           [Fraction(x, scale) for x in v])
+    plan, u, v, _, scale, _ = _solve(mu, nu)
+    return plan, _potentials(mu, u, v, scale)
 
 
 def solve_invariant_ot(mu, nu):
@@ -128,26 +134,26 @@ def solve_invariant_ot(mu, nu):
     invariant problem is the plain transport problem between the clouds.
     The plan comes from the core of :func:`solve_ot`; its potentials are
     then checked exactly feasible on every pair of representatives, and
-    the duality gap exactly zero.  Either failure raises
+    the duality gap exactly zero, both in integers.  Either failure raises
     InternalCheckFailed.
     """
-    plan, u, v, k, scale = _solve(mu, nu)
+    plan, u, v, k, scale, gap = _solve(mu, nu)
     dtype = _bounded_dtype(2 * max(map(abs, u + v)))
     phin, psin = np.array(u, dtype=dtype), np.array(v, dtype=dtype)
     if (phin[:, None] + psin > k).any():
         raise InternalCheckFailed("quotient potentials are not dual feasible")
-    phi = [Fraction(x, scale) for x in u]
-    psi = [Fraction(x, scale) for x in v]
-    if _dual_value(mu, nu, phi, psi) != plan.cost_value:
+    if gap:
         raise InternalCheckFailed("quotient solve left a duality gap")
-    return plan, _anchored(mu, phi, psi)
+    return plan, _potentials(mu, u, v, scale)
 
 
-def _anchored(mu, phi, psi):
-    """Potentials shifted so that phi is 0 at the lex-least source point."""
-    shift = phi[min(range(len(mu.points)), key=lambda i: mu.points[i])]
-    return KantorovichPotentials(tuple(la.norm_scalar(x - shift) for x in phi),
-                                 tuple(la.norm_scalar(x + shift) for x in psi))
+def _potentials(mu, u, v, scale):
+    """Integer potentials u, v over ``scale`` as Kantorovich potentials,
+    shifted so that phi is 0 at the lex-least source point."""
+    shift = u[min(range(len(mu.points)), key=lambda i: mu.points[i])]
+    return KantorovichPotentials(
+        tuple(la.norm_scalar(Fraction(x - shift, scale)) for x in u),
+        tuple(la.norm_scalar(Fraction(y + shift, scale)) for y in v))
 
 
 def _dual_value(mu, nu, phi, psi):
@@ -190,8 +196,8 @@ def _network_simplex(a, b, k):
     """Integer transportation simplex on strongly feasible spanning trees.
 
     Returns ``(flows, u, v)``: the n+m-1 basis arcs (i, j) with their
-    flows, and potentials with u[i] + v[j] == k[i, j] on every basis arc,
-    k[i, j] - u[i] - v[j] >= 0 on every arc.
+    flows, and integer potentials with u[i] + v[j] == k[i, j] on every
+    basis arc, k[i, j] - u[i] - v[j] >= 0 on every arc.
 
     Entering arc: block search.  Rows of ``k - u - v`` are scanned in
     blocks of about 8 sqrt(nm) arcs from a cursor that carries over between
@@ -231,9 +237,14 @@ def _tree_simplex(a, b, k):
 
     Source i is node i and target j is node n + j.  The tree is kept as
     parent, depth and children per node, with flow[x] on the arc between
-    x and its parent.  The start must span, meet the marginals and be
-    strongly feasible; an arc that still prices out after ``_PIVOT_CAP``
-    pivots raises PivotCapExceeded.
+    x and its parent, and the potentials as one array over the nodes.  A
+    block is priced with one temporary, ``k[lo:hi] - u[lo:hi, None]`` less
+    v in place.  A pivot with reduced cost delta moves the potentials of
+    the subtree it re-hangs by +delta on the side of the entering arc's
+    end in it and -delta on the other: one indexed add of a fixed side
+    vector (+1 at sources, -1 at targets) times +-delta.  The start must
+    span, meet the marginals and be strongly feasible; an arc that still
+    prices out after ``_PIVOT_CAP`` pivots raises PivotCapExceeded.
     """
     n, m = len(a), len(b)
     nodes = n + m
@@ -267,6 +278,7 @@ def _tree_simplex(a, b, k):
         raise InternalCheckFailed("start basis is not strongly feasible")
 
     u, v = pot[:n], pot[n:]
+    side = np.array([1] * n + [-1] * m, dtype=dtype)
     block = max(1, 8 * isqrt(n * m) // m)
     row = 0
     for pivots in count():
@@ -275,16 +287,17 @@ def _tree_simplex(a, b, k):
         for _ in range(-(-n // block)):
             lo, hi = row, min(row + block, n)
             row = hi % n
-            red = k[lo:hi] - u[lo:hi, None] - v
-            flat = int(red.argmin())
-            if red.flat[flat] < 0:
+            red = k[lo:hi] - u[lo:hi, None]
+            red -= v
+            r, c = divmod(int(red.argmin()), m)
+            delta = red[r, c]
+            if delta < 0:
                 break
         else:
             break                       # no arc prices out: optimal
         if pivots == _PIVOT_CAP:
             raise PivotCapExceeded("network simplex pivot cap exceeded")
-        delta = red.flat[flat]
-        ei, ej = lo + flat // m, n + flat % m
+        ei, ej = lo + r, n + c
 
         # the cycle: arc ei -> ej, then the tree paths ej -> join -> ei
         up_i, up_j = [], []
@@ -332,10 +345,8 @@ def _tree_simplex(a, b, k):
             for y in children[x]:
                 depth[y] = depth[x] + 1
                 sub.append(y)
-        sub = np.array(sub)
-        same = (sub < n) == (enter < n)
-        pot[sub[same]] += delta
-        pot[sub[~same]] -= delta
+        sub = np.fromiter(sub, dtype=np.intp, count=len(sub))
+        pot[sub] += side[sub] * (delta if enter < n else -delta)
     flows = {(min(x, p), max(x, p) - n): flow[x]
              for x, p in enumerate(parent) if p >= 0}
     return flows, u.tolist(), v.tolist()

@@ -14,8 +14,9 @@ import numpy as np
 from weylot import linalg as la
 from weylot.errors import InternalCheckFailed, UnbalancedMasses
 from weylot.measures import _bounded_dtype, _matmul_dtype
-from weylot.transport import (TransportPlan, _anchored, _cost_matrix,
-                              _dual_value, _network_simplex, _scaled_masses)
+from weylot.transport import (KantorovichPotentials, TransportPlan,
+                              _cost_matrix, _dual_value, _network_simplex,
+                              _scaled_masses)
 
 
 def _index_maps(cloud, matrices):
@@ -169,3 +170,10 @@ def solve_invariant_ot(mu, nu, group):
     if _dual_value(mu, nu, phi, psi) != plan.cost_value:
         raise InternalCheckFailed("quotient reduction produced a duality gap")
     return plan, _anchored(mu, phi, psi)
+
+
+def _anchored(mu, phi, psi):
+    """Potentials shifted so that phi is 0 at the lex-least source point."""
+    shift = phi[min(range(len(mu.points)), key=lambda i: mu.points[i])]
+    return KantorovichPotentials(tuple(la.norm_scalar(x - shift) for x in phi),
+                                 tuple(la.norm_scalar(x + shift) for x in psi))

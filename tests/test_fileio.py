@@ -46,6 +46,24 @@ class TestParse:
         with pytest.raises(NonIntegerEntry):
             fileio.parse_polytope("2 4\n1 1 -1\n1 -1 1 -1\n")
 
+    def test_bad_measure_token_after_repeats(self):
+        # good tokens repeat before the bad one, which still fails alone
+        text = "3 2\n1/2 0 1/3\n0 1/2 1/3\n1/2 x/2 1/3\n"
+        with pytest.raises(NonIntegerEntry,
+                           match=r"^cannot parse rational 'x/2'$"):
+            fileio.parse_measure(text)
+        with pytest.raises(ValueError,
+                           match=r"^negative mass '-1/3': '0 1/2 -1/3'$"):
+            fileio.parse_measure("2 2\n1/2 0 1/3\n0 1/2 -1/3\n")
+
+    def test_repeated_measure_tokens_parse_alike(self):
+        points, masses = fileio.parse_measure(
+            "3 2\n2/4 0 1/3\n0 2/4 1/3\n2/4 2/4 2/6\n")
+        assert points == ((Fraction(1, 2), 0), (0, Fraction(1, 2)),
+                          (Fraction(1, 2), Fraction(1, 2)))
+        assert masses == (Fraction(1, 3),) * 3
+        assert isinstance(points[0][1], int)
+
 
 class TestRoundTrip:
     def test_parse_serialize_identity(self, cube, hexagon):

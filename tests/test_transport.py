@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylot.errors import (InternalCheckFailed, NotReflexive,
-                           UnbalancedMasses)
+                           PivotCapExceeded, UnbalancedMasses)
 from weylot import linalg as la
 from weylot import measures, transport
 from weylot.fileio import parse_measure
@@ -25,6 +25,7 @@ from weylot.transport import (TransportPlan, _cost_matrix, _network_simplex,
 from weylot.weyl import mr_family, weyl_polytope
 
 from invariant_oracle import solve_invariant_ot, symmetrize_plan
+import simplex_oracle
 
 
 def cloud(points, masses, polytope=None, side="M"):
@@ -358,14 +359,80 @@ class TestGreedyStart:
     def test_pivot_guard_on_benchmark_clouds(self, monkeypatch):
         # 1,879 pivots from the greedy start; a northwest-corner start needs
         # 3,120, so the cap tells the two apart
-        clouds = []
-        for name, side in (("cube-k1-mu.txt", "M"), ("cube-k1-nu.txt", "N")):
-            text = (OT_DATA / name).read_text(encoding="utf-8")
-            pts, masses = parse_measure(text)
-            clouds.append(cloud(pts, masses, side=side))
+        clouds = benchmark_clouds()
         monkeypatch.setattr(transport, "_PIVOT_CAP", 2500)
         plan, _ = solve_ot(*clouds)
         assert plan.cost_value == Fraction(-187, 216)
+
+    def test_pivot_count_on_benchmark_clouds(self, monkeypatch):
+        # exactly 1,879 pivots: a cap of 1,879 lets the solve finish, and
+        # one fewer stops it at an arc that still prices out
+        clouds = benchmark_clouds()
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 1879)
+        plan, _ = solve_ot(*clouds)
+        assert plan.cost_value == Fraction(-187, 216)
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 1878)
+        with pytest.raises(PivotCapExceeded):
+            solve_ot(*clouds)
+
+
+def benchmark_clouds():
+    """The committed 288-point cube clouds the ot benchmark solves."""
+    clouds = []
+    for name, side in (("cube-k1-mu.txt", "M"), ("cube-k1-nu.txt", "N")):
+        pts, masses = parse_measure((OT_DATA / name).read_text(encoding="utf-8"))
+        clouds.append(cloud(pts, masses, side=side))
+    return clouds
+
+
+class TestSimplexOracle:
+    """The pivot loop against its previous version, ``simplex_oracle``:
+    the same flows and potentials, so the same pivots."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 25), st.integers(1, 25),
+           st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_same_flows_and_potentials(self, seed, n, m, equal, guard):
+        # unequal instances have zero-mass rows and columns; the guard
+        # puts every array of both solvers on object ints
+        pts_a, pts_b, a, b = integer_instance(random.Random(seed), n, m,
+                                              equal)
+        k = -np.array(pts_a) @ np.array(pts_b).T
+        with pytest.MonkeyPatch.context() as patch:
+            if guard:
+                patch.setattr(measures, "_INT64_GUARD", 1)
+                k = k.astype(object)
+            assert (_network_simplex(a, b, k)
+                    == simplex_oracle._network_simplex(a, b, k))
+
+    def test_zero_mass_rows_and_columns(self):
+        rng = random.Random(5)
+        pts_a, pts_b, a, b = integer_instance(rng, 30, 40, False)
+        a[3:9], b[10:20] = [0] * 6, [0] * 10
+        gap = sum(a) - sum(b)
+        a[-1], b[-1] = a[-1] + max(0, -gap), b[-1] + max(0, gap)
+        k = -np.array(pts_a) @ np.array(pts_b).T
+        assert (_network_simplex(a, b, k)
+                == simplex_oracle._network_simplex(a, b, k))
+
+    def test_benchmark_clouds(self):
+        mu, nu = benchmark_clouds()
+        k, _ = _cost_matrix(mu, nu)
+        a, b, _ = _scaled_masses(mu.masses, nu.masses)
+        assert (_network_simplex(a, b, k)
+                == simplex_oracle._network_simplex(a, b, k))
+
+
+class TestErrorOrder:
+    """Unbalanced totals are reported before a negative mass."""
+
+    @pytest.mark.parametrize("solve", [solve_ot, transport.solve_invariant_ot])
+    def test_unbalanced_and_negative(self, solve):
+        mu = cloud([(-1,), (1,)], [Fraction(3, 2), Fraction(-1, 2)])
+        nu = cloud([(-1,), (1,)], [Fraction(1, 2), Fraction(1, 4)])
+        with pytest.raises(UnbalancedMasses) as err:
+            solve(mu, nu)
+        assert str(err.value) == "total masses differ: 1 vs 3/4"
 
 
 class TestSymmetrize:
