@@ -164,7 +164,8 @@ def _flag_cells(p, face, walls=None):
     vertex-row sum over a positive count, so ``walls``, covectors, prune
     the walk on the sum alone: a chain enters only faces whose barycenter
     pairs nonnegatively with every wall.  Returns ``(cells, denominator)``:
-    an integer array (cell, vertex, coordinate) over one denominator.
+    an integer array (cell, vertex, coordinate) over one denominator, or
+    None, before any array is built, when the walls keep no chain.
     """
     verts, scale = p.scaled_vertices
     rows = verts.tolist()
@@ -187,6 +188,8 @@ def _flag_cells(p, face, walls=None):
             if f.dimension == 0:
                 chains.append(chain)
             stack += [(child, chain) for child in reversed(children)]
+    if not chains:
+        return None
     # over lcm(counts), a face row is its sum times lcm / count: |x| <= lcm top
     big = lcm(*(c for _, c in sums))
     faces = np.array([[x * (big // c) for x in s] for s, c in sums],
@@ -247,15 +250,17 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     centroids, volumes = [], []
     for face in p.facet_faces():
         if group is not None or walls is not None:
-            cells, denom = _flag_cells(p, face, walls)
+            kept = _flag_cells(p, face, walls)
+            if kept is None:
+                continue                # the walls prune the whole facet
+            cells, denom = kept
         else:
             cells, denom = _facet_cells(p, face)
         for _ in range(refinement):
             cells, denom = _barycentric_subdivide(cells, denom)
-        if len(cells):
-            centroid, volume = measure_cells(p, face, cells, denom)
-            centroids.append(centroid)
-            volumes.append(volume)
+        centroid, volume = measure_cells(p, face, cells, denom)
+        centroids.append(centroid)
+        volumes.append(volume)
     if not centroids:
         raise InternalCheckFailed("no boundary cell was kept")
 
@@ -272,7 +277,9 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     scaled = _int_array(points)
     tight = tight_matrix(*scaled, p)
     if (tight.sum(axis=1) != 1).any():
-        raise ValueError("cell centroid not in a unique facet interior")
+        # a full-dimensional cell's centroid is interior to its facet
+        raise InternalCheckFailed(
+            "cell centroid not in a unique facet interior")
     facet_tags = tuple(int(f) for f in tight.argmax(axis=1))
 
     chamber_tags = (None,) * len(points)

@@ -204,7 +204,12 @@ def _network_simplex(a, b, k):
     pivots, and the most negative arc of the first block holding one
     enters.  Leaving arc: Cunningham's rule on a tree rooted at source 0,
     the last blocking arc met walking the cycle from its join node, which
-    keeps every zero-flow arc pointing toward the root.  The start,
+    keeps every zero-flow arc pointing toward the root.  Degenerate rule:
+    a pivot moves no flow iff a zero-flow arc hangs below a source on the
+    entering source's side of the cycle, and the first one above that
+    source leaves.  Proof: in a strongly feasible tree, arcs with a target
+    child carry positive flow, and flow falls only on the arcs below the
+    sources of that side and below the targets of the other.  The start,
     :func:`_greedy_tree`, reads the costs and has that property when every
     mass is positive, so nodes of zero mass (a zero-mass target admits no
     such tree) sit out the pivoting and join the basis afterwards through a
@@ -242,9 +247,14 @@ def _tree_simplex(a, b, k):
     v in place.  A pivot with reduced cost delta moves the potentials of
     the subtree it re-hangs by +delta on the side of the entering arc's
     end in it and -delta on the other: one indexed add of a fixed side
-    vector (+1 at sources, -1 at targets) times +-delta.  The start must
-    span, meet the marginals and be strongly feasible; an arc that still
-    prices out after ``_PIVOT_CAP`` pivots raises PivotCapExceeded.
+    vector (+1 at sources, -1 at targets) times +-delta.  A degenerate
+    pivot builds no cycle: one walk up the entering source's sources finds
+    the leaving arc (the degenerate rule of :func:`_network_simplex`; arcs
+    with a target child carry positive flow in a strongly feasible tree),
+    climbing the entering target only to the depth it reached, and stops
+    at the join when there is none.  The start must span, meet the
+    marginals and be strongly feasible; an arc that still prices out after
+    ``_PIVOT_CAP`` pivots raises PivotCapExceeded.
     """
     n, m = len(a), len(b)
     nodes = n + m
@@ -299,33 +309,51 @@ def _tree_simplex(a, b, k):
             raise PivotCapExceeded("network simplex pivot cap exceeded")
         ei, ej = lo + r, n + c
 
-        # the cycle: arc ei -> ej, then the tree paths ej -> join -> ei
-        up_i, up_j = [], []
-        x, y = ei, ej
-        while depth[x] > depth[y]:
-            up_i.append(x)
-            x = parent[x]
-        while depth[y] > depth[x]:
-            up_j.append(y)
-            y = parent[y]
-        while x != y:
-            up_i.append(x)
-            up_j.append(y)
-            x, y = parent[x], parent[y]
-        # Flow falls on the arcs below the sources of the ei side and below
-        # the targets of the ej side: the even positions of both paths.
-        # The last blocking arc from the join on is the first minimum above
-        # ei, or the last one above ej, which wins ties.
-        drop_i = [flow[x] for x in up_i[::2]]
-        drop_j = [flow[y] for y in up_j[::2]]
-        if drop_j and (not drop_i or min(drop_j) <= min(drop_i)):
-            theta = min(drop_j)
-            t = 2 * (len(drop_j) - 1 - drop_j[::-1].index(theta))
-            path, enter, outer = up_j[:t + 1], ej, ei
+        # theta = 0 iff a zero-flow arc hangs below a source of the ei side
+        # (arcs with a target child carry flow), and Cunningham's rule then
+        # drops the first one above ei.  The walk up ei's sources stops at
+        # it or at the join; ej climbs only to the depth reached, and x is
+        # below the join while that climb does not land on it.
+        path, x, y = [ei], ei, ej
+        while True:
+            while depth[y] > depth[x]:
+                y = parent[y]
+            if x == y or not flow[x]:
+                break
+            p = parent[x]
+            x = parent[p]
+            path += (p, x)
+        if x != y:
+            theta, enter, outer = 0, ei, ej
         else:
-            theta = min(drop_i)
-            path, enter, outer = up_i[:2 * drop_i.index(theta) + 1], ei, ej
-        if theta:
+            # the cycle: arc ei -> ej, then the tree paths ej -> join -> ei
+            up_i, up_j = [], []
+            x, y = ei, ej
+            while depth[x] > depth[y]:
+                up_i.append(x)
+                x = parent[x]
+            while depth[y] > depth[x]:
+                up_j.append(y)
+                y = parent[y]
+            while x != y:
+                up_i.append(x)
+                up_j.append(y)
+                x, y = parent[x], parent[y]
+            # Flow falls on the arcs below the sources of the ei side and
+            # below the targets of the ej side: the even positions of both
+            # paths.  The last blocking arc from the join on is the first
+            # minimum above ei, or the last one above ej, which wins ties.
+            drop_i = [flow[x] for x in up_i[::2]]
+            drop_j = [flow[y] for y in up_j[::2]]
+            if drop_j and (not drop_i or min(drop_j) <= min(drop_i)):
+                theta = min(drop_j)
+                t = 2 * (len(drop_j) - 1 - drop_j[::-1].index(theta))
+                path, enter, outer = up_j[:t + 1], ej, ei
+            else:
+                theta = min(drop_i)
+                path = up_i[:2 * drop_i.index(theta) + 1]
+                enter, outer = ei, ej
+            # theta >= 1: the walk found no zero-flow arc on the cycle
             for x in up_i[::2] + up_j[::2]:
                 flow[x] -= theta
             for x in up_i[1::2] + up_j[1::2]:

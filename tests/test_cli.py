@@ -4,6 +4,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weylot import fileio, measures, transport
@@ -270,6 +271,19 @@ class TestInternalCheck:
                      "--weight", "0,0,2"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("internal error: a kept cell centroid")
+
+    def test_centroid_off_its_facet_exit_code(self, monkeypatch, capsys):
+        # every centroid lies inside one facet; a tight matrix that says
+        # otherwise is a weylot fault, not an input error
+        monkeypatch.setattr(measures, "tight_matrix",
+                            lambda pts, scale, p: np.zeros(
+                                (len(pts), len(p.facets)), dtype=bool))
+        golden = Path(__file__).parent / "golden"
+        assert main(["certify", str(golden / "cube-B3.poly"), "--type", "B3",
+                     "--weight", "0,0,2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "internal error: cell centroid not in a unique facet interior")
 
 
 class TestInputErrors:
