@@ -4,8 +4,9 @@ The cost of moving unit mass from a boundary point m to a dual boundary
 point n is ``c(m, n) = -<m, n>``.  Masses, costs, and potentials are exact
 rationals; internally the solver rescales everything to integers.  The
 network simplex keeps a strongly feasible spanning tree (Cunningham 1976),
-which rules out cycling without any stall rule, from a cost-aware start
-made strongly feasible by a perturbation of the masses; a pivot re-hangs
+which rules out cycling without any stall rule, from a greedy start on
+reduced costs with the rows in decreasing regret (Vogel's order), made
+strongly feasible by a perturbation of the masses; a pivot re-hangs
 and re-prices only the subtree it cuts off, in one indexed add, and
 entering arcs come from a block search over rows of the reduced-cost
 matrix in numpy.  It runs in int64 when a proven bound on every potential
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import isqrt
 
 import numpy as np
@@ -163,25 +164,47 @@ def _dual_value(mu, nu, phi, psi):
 
 
 def _greedy_tree(a, b, k):
-    """The start of :func:`_tree_simplex` as arcs (i, j) to flows: each
-    source in index order fills its cheapest targets with mass left.
+    """The start of :func:`_tree_simplex` as arcs (i, j) to flows: the
+    sources in decreasing regret fill their cheapest targets with mass left.
+
+    Both read the reduced costs red = k - u - v, u the row minima of k and
+    v the column minima of k - u, so 0 <= red <= 2 max|k|.  A source's
+    regret is its second-smallest red less its smallest (0 with one
+    target), and a stable sort breaks ties by index (Vogel's order,
+    Reinfeld and Vogel 1958): the rows that lose most by missing their
+    cheapest target pick first.  The order sets the pivot count of the
+    solve; it does not enter the proof below.
 
     The greedy runs on masses perturbed with L = 2(n+m): L a_0 - (n+m-1) at
     source 0, L a_i + 1 at the other sources, L b_j - 1 at the targets.  On
     a tree rooted at source 0 the arc above a subtree of s < L/2 nodes then
     carries L f + s if its child is a source, L f - s if a target, f its
-    flow for a, b.  That is never 0, so each step empties one row or column
-    (the last both), which leaves n+m-1 arcs; f is the rounded quotient by
-    L, and a zero-flow arc has a source child: the tree is strongly
-    feasible for a, b (Orden's perturbation).
+    flow for a, b.  That is never 0, and it depends on the tree alone, not
+    on the order the arcs were placed in.  So each step, in any order of
+    the rows, empties one row or column (the last both), which leaves
+    n+m-1 arcs; f is the rounded quotient by L, and a zero-flow arc has a
+    source child: the tree is strongly feasible for a, b (Orden's
+    perturbation).
     """
+    red = k - k.min(axis=1)[:, None]
+    red -= red.min(axis=0)
+    regret = np.zeros(len(a), dtype=red.dtype)
+    if len(b) > 1:
+        least = np.partition(red, 1, axis=1)
+        regret = least[:, 1] - least[:, 0]
+    return _greedy_fill(a, b, red, np.argsort(-regret, kind="stable"))
+
+
+def _greedy_fill(a, b, red, order):
+    """The perturbed greedy of :func:`_greedy_tree`, the sources taken in
+    ``order``, each filling its cheapest live targets under ``red``."""
     big = 2 * (len(a) + len(b))
     rb = [big * y - 1 for y in b]
-    live, top = np.ones(len(b), dtype=bool), k.max() + 1
+    live, top = np.ones(len(b), dtype=bool), red.max() + 1
     arcs = {}
-    for i, mass in enumerate(a):
-        left = big * mass + 1 - (0 if i else big // 2)
-        row = np.where(live, k[i], top)
+    for i in order.tolist():
+        left = big * a[i] + 1 - (0 if i else big // 2)
+        row = np.where(live, red[i], top)
         while left and live.any():
             j = int(row.argmin())
             x = min(left, rb[j])
@@ -210,8 +233,10 @@ def _network_simplex(a, b, k):
     source leaves.  Proof: in a strongly feasible tree, arcs with a target
     child carry positive flow, and flow falls only on the arcs below the
     sources of that side and below the targets of the other.  The start,
-    :func:`_greedy_tree`, reads the costs and has that property when every
-    mass is positive, so nodes of zero mass (a zero-mass target admits no
+    :func:`_greedy_tree`, fills the rows in decreasing regret of their
+    reduced costs; that order sets the pivot count but does not enter the
+    proof that the start is strongly feasible.  It is when every mass is
+    positive, so nodes of zero mass (a zero-mass target admits no
     such tree) sit out the pivoting and join the basis afterwards through a
     zero-flow arc on which their c-transform potential is tight.
 
@@ -253,8 +278,9 @@ def _tree_simplex(a, b, k):
     with a target child carry positive flow in a strongly feasible tree),
     climbing the entering target only to the depth it reached, and stops
     at the join when there is none.  The start must span, meet the
-    marginals and be strongly feasible; an arc that still prices out after
-    ``_PIVOT_CAP`` pivots raises PivotCapExceeded.
+    marginals and be strongly feasible, and a re-hung subtree must not
+    outgrow the tree (InternalCheckFailed); an arc that still prices out
+    after ``_PIVOT_CAP`` pivots raises PivotCapExceeded.
     """
     n, m = len(a), len(b)
     nodes = n + m
@@ -368,16 +394,27 @@ def _tree_simplex(a, b, k):
             parent[x], new_parent = new_parent, x
             flow[x], new_flow = new_flow, flow[x]
         depth[enter] = depth[outer] + 1
-        sub = [enter]
-        for x in sub:
-            for y in children[x]:
-                depth[y] = depth[x] + 1
-                sub.append(y)
+        sub = _subtree(children, depth, enter, nodes)
         sub = np.fromiter(sub, dtype=np.intp, count=len(sub))
         pot[sub] += side[sub] * (delta if enter < n else -delta)
     flows = {(min(x, p), max(x, p) - n): flow[x]
              for x, p in enumerate(parent) if p >= 0}
     return flows, u.tolist(), v.tolist()
+
+
+def _subtree(children, depth, top, nodes):
+    """The nodes below ``top``, ``top`` first, each given the depth one
+    below its parent's.  A tree of ``nodes`` nodes has no larger subtree,
+    so the walk stops there: more means a pivot re-hung a path off its
+    cycle and closed a loop, which raises InternalCheckFailed."""
+    sub = [top]
+    for x in islice(sub, nodes):
+        for y in children[x]:
+            depth[y] = depth[x] + 1
+            sub.append(y)
+    if len(sub) > nodes:
+        raise InternalCheckFailed("a pivot closed a loop in the basis tree")
+    return sub
 
 
 # -- support checks -----------------------------------------------------------

@@ -213,10 +213,12 @@ def crossed_pair(tmp_path):
 
 
 def greedy_miss(tmp_path):
-    """1-D measures one pivot from optimal at the greedy start: source 1
-    takes target 2, its cheapest, which leaves target 1 to source 3."""
-    mu = write(tmp_path, "mu.measure", "2 1\n1 1/2\n3 1/2\n")
-    nu = write(tmp_path, "nu.measure", "2 1\n2 1/2\n1 1/2\n")
+    """1-D measures one pivot from optimal at the greedy start.  Both
+    sources have regret 0, so source -2 fills first; its reduced costs tie
+    at 0 on targets -1 and -2, it takes target -1, the first, and that
+    leaves target -2 to source 1."""
+    mu = write(tmp_path, "mu.measure", "2 1\n-2 1/3\n1 2/3\n")
+    nu = write(tmp_path, "nu.measure", "3 1\n-1 1/3\n-2 1/3\n1 1/3\n")
     return mu, nu
 
 
@@ -235,7 +237,7 @@ class TestResourceCaps:
         files = greedy_miss(tmp_path)
         monkeypatch.setattr(transport, "_PIVOT_CAP", 1)
         assert main(["ot", *files]) == 0
-        assert json.loads(capsys.readouterr().out)["cost"] == "-7/2"
+        assert json.loads(capsys.readouterr().out)["cost"] == "-4/3"
         monkeypatch.setattr(transport, "_PIVOT_CAP", 0)
         assert main(["ot", *files]) == 3
 

@@ -357,23 +357,113 @@ class TestGreedyStart:
         assert cost == networkx_min_cost(pts_a, pts_b, a, b)
 
     def test_pivot_guard_on_benchmark_clouds(self, monkeypatch):
-        # 1,879 pivots from the greedy start; a northwest-corner start needs
-        # 3,120, so the cap tells the two apart
+        # 900 pivots from the regret-ordered start; the same greedy with
+        # the rows in index order needs 1,879, so the cap tells the two
+        # apart
         clouds = benchmark_clouds()
-        monkeypatch.setattr(transport, "_PIVOT_CAP", 2500)
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 1200)
         plan, _ = solve_ot(*clouds)
         assert plan.cost_value == Fraction(-187, 216)
 
     def test_pivot_count_on_benchmark_clouds(self, monkeypatch):
-        # exactly 1,879 pivots: a cap of 1,879 lets the solve finish, and
+        # exactly 900 pivots: a cap of 900 lets the solve finish, and
         # one fewer stops it at an arc that still prices out
         clouds = benchmark_clouds()
-        monkeypatch.setattr(transport, "_PIVOT_CAP", 1879)
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 900)
         plan, _ = solve_ot(*clouds)
         assert plan.cost_value == Fraction(-187, 216)
-        monkeypatch.setattr(transport, "_PIVOT_CAP", 1878)
+        monkeypatch.setattr(transport, "_PIVOT_CAP", 899)
         with pytest.raises(PivotCapExceeded):
             solve_ot(*clouds)
+
+    @pytest.mark.parametrize("a,b,k,arcs", [
+        # one source: every reduced cost is 0, so it fills in index order
+        ([3], [1, 2], [[5, -1]], {(0, 0): 1, (0, 1): 2}),
+        # one target: no second minimum, every regret is 0
+        ([1, 2], [3], [[4], [-2]], {(0, 0): 1, (1, 0): 2}),
+        # source 1 has regret 8 against 0 and takes target 0 first
+        ([1, 1], [1, 1], [[0, 1], [0, 9]],
+         {(1, 0): 1, (1, 1): 0, (0, 1): 1}),
+        # sources 1 and 2 tie at regret 6 for the one unit of target 0, and
+        # the lower index gets it
+        ([1, 1, 1], [1, 2], [[0, 1], [0, 7], [0, 7]],
+         {(1, 0): 1, (1, 1): 0, (2, 1): 1, (0, 1): 1}),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_regret_order(self, a, b, k, arcs, dtype):
+        start = transport._greedy_tree(a, b, np.array(k, dtype=dtype))
+        assert start == arcs
+        assert_strongly_feasible(start, a, b)
+
+    @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(1, 30),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_object_costs_give_the_same_start(self, seed, n, m, equal):
+        # the guard puts the costs on object ints before the start reads
+        # them; the start it builds must not change
+        pts_a, pts_b, a, b = integer_instance(random.Random(seed), n, m,
+                                              equal)
+        k = -np.array(pts_a) @ np.array(pts_b).T
+        greedy, starts = transport._greedy_tree, []
+
+        def recorded(a, b, k):
+            starts.append((k.dtype, greedy(a, b, k)))
+            return starts[-1][1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_greedy_tree", recorded)
+            _network_simplex(a, b, k)
+            patch.setattr(measures, "_INT64_GUARD", 1)
+            _network_simplex(a, b, k)
+        (int_dtype, int_start), (obj_dtype, obj_start) = starts
+        assert int_dtype == np.int64 and obj_dtype == object
+        assert obj_start == int_start
+
+    @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(1, 30),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_any_row_order_is_strongly_feasible(self, seed, n, m, equal):
+        # the proof of the start reads only the tree, never the order in
+        # which the greedy visits the rows
+        rng = random.Random(seed)
+        pts_a, pts_b, a, b = integer_instance(rng, n, m, equal)
+        k = -np.array(pts_a) @ np.array(pts_b).T
+        rows = [i for i in range(n) if a[i]]
+        cols = [j for j in range(m) if b[j]]
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        pa, pb = [a[i] for i in rows], [b[j] for j in cols]
+        arcs = transport._greedy_fill(pa, pb, k[np.ix_(rows, cols)],
+                                      np.array(order))
+        assert_strongly_feasible(arcs, pa, pb)
+
+
+def assert_strongly_feasible(arcs, a, b):
+    """n+m-1 arcs that span, meet the marginals and hang every zero-flow
+    arc below its source, the root being source 0."""
+    n, m = len(a), len(b)
+    assert len(arcs) == n + m - 1
+    parent = start_parents(arcs, n, m)
+    assert parent is not None
+    out, into = [0] * n, [0] * m
+    for (i, j), x in arcs.items():
+        out[i] += x
+        into[j] += x
+        assert x > 0 or parent[i] == n + j
+    assert out == a and into == b
+
+
+class TestSubtreeWalk:
+    def test_depths_below_the_top(self):
+        children = [{1, 2}, {3}, set(), set()]
+        depth = [5, 0, 0, 0]
+        assert sorted(transport._subtree(children, depth, 0, 4)) == [0, 1, 2, 3]
+        assert depth == [5, 6, 6, 7]
+
+    def test_a_loop_raises(self):
+        # 1 -> 2 -> 3 -> 1 below node 0: a path re-hung off its cycle
+        children = [{1}, {2}, {3}, {1}]
+        with pytest.raises(InternalCheckFailed, match="closed a loop"):
+            transport._subtree(children, [0] * 4, 0, 4)
 
 
 def benchmark_clouds():
