@@ -140,10 +140,9 @@ def cmd_ot(args):
     nu_text = _read(args.nu)
     mp, mm = fileio.parse_measure(mu_text)
     np_, nm = fileio.parse_measure(nu_text)
-    mu = WeightedPointCloud(mp, mm, (None,) * len(mp), (None,) * len(mp),
-                            None, "M")
+    mu = WeightedPointCloud(mp, mm, (None,) * len(mp), (None,) * len(mp), "M")
     nu = WeightedPointCloud(np_, nm, (None,) * len(np_), (None,) * len(np_),
-                            None, "N")
+                            "N")
     plan, pots = solve_ot(mu, nu)
     doc = {
         "tool": fileio.TOOL_VERSION,

@@ -33,11 +33,6 @@ def mat_vec(m, v) -> Vector:
     return tuple(vdot(row, v) for row in m)
 
 
-def mat_mul(a, b) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
-
-
 def transpose(m) -> Matrix:
     return tuple(zip(*m))
 

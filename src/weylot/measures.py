@@ -2,22 +2,24 @@
 
 The integral surface measure gives each facet its lattice-normalized volume
 (a unimodular d-simplex weighs 1/d!).  ``discretize`` turns the measure into
-a weighted rational point cloud: facets are cut into lattice simplices by a
-deterministic triangulation through all their lattice points, optionally
-refined by barycentric subdivision, and every cell contributes its centroid
-weighted by the cell's exact volume.  Masses are normalized to total 1, so
-two boundary measures can enter a transport problem directly.
+a weighted rational point cloud: facets are cut into their flag simplices
+(one barycentric subdivision), optionally refined by further subdivision
+rounds, and every cell contributes its centroid weighted by the cell's
+exact volume.  Flag cells are built from face barycenters, so every lattice
+automorphism, and every unimodular change of coordinates, carries the cloud
+of P to the cloud of its image.  Masses are normalized to total 1, so two
+boundary measures can enter a transport problem directly.
 
 A facet's cells are one integer array of vertex rows over one common
-denominator, from the face walk or the stellar split through refinement to
-the measurement; the cloud's points and masses become Fractions once, at
-the end.  A cell of the facet <x, n> = c, n primitive, is the base of a
-cone from 0 of lattice height c, so its volume is |det| of its vertex rows
-over (d - 1)! c: one batched integer determinant per facet
-(:func:`measure_cells`), with no lattice frame.
+denominator, from the face walk through refinement to the measurement; the
+cloud's points and masses become Fractions once, at the end.  A cell of the
+facet <x, n> = c, n primitive, is the base of a cone from 0 of lattice
+height c, so its volume is |det| of its vertex rows over (d - 1)! c: one
+batched integer determinant per facet (:func:`measure_cells`), with no
+lattice frame.
 
-``dominant_cloud`` measures only the facet flag cells inside the closed
-dominant Weyl chamber: a fundamental domain of the invariant cloud, one
+``dominant_cloud`` measures only the flag cells inside the closed dominant
+Weyl chamber: a fundamental domain of the invariant cloud, one
 representative per orbit, carrying the orbit masses.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product as iproduct
+from itertools import permutations
 from math import factorial, lcm
 
 import numpy as np
@@ -35,7 +37,6 @@ from .errors import InternalCheckFailed
 from . import linalg as la
 from .polytope import Polytope, tight_matrix
 
-_BOX_CAP = 200_000
 _INT64_GUARD = 1 << 60
 
 
@@ -66,7 +67,6 @@ class WeightedPointCloud:
     masses: tuple
     facet_tags: tuple
     chamber_tags: tuple
-    polytope: Polytope
     side: str
 
     def __len__(self):
@@ -79,50 +79,6 @@ class WeightedPointCloud:
     def scaled(self):
         """``(array, scale)``: integer coordinates, points = array / scale."""
         return _int_array(self.points)
-
-
-def _facet_lattice_points(p, face):
-    """All lattice points of a facet, by box enumeration plus exact filters."""
-    verts = [p.vertices[i] for i in face.vertex_indices]
-    d = p.dim
-    lo = [min(v[c] for v in verts) for c in range(d)]
-    hi = [max(v[c] for v in verts) for c in range(d)]
-    size = 1
-    for a, b in zip(lo, hi):
-        size *= (b - a + 1)
-        if size > _BOX_CAP:
-            raise ValueError("facet bounding box too large to enumerate")
-    normals = [p.facets[f] for f in face.facet_indices]
-    pts = []
-    for q in iproduct(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if any(la.vdot(q, n) != c for n, c in normals):
-            continue
-        if p.contains(q):
-            pts.append(q)
-    return sorted(pts)
-
-
-def _stellar_triangulation(cells, extra_points):
-    """Insert lattice points, in lex order, into integer cells of one facet
-    by stellar splits.
-
-    A cell's vertex rows are independent, since the facet misses 0, so by
-    Cramer's rule the point's i-th barycentric coordinate has the sign of
-    the determinant with row i replaced by the point, against the cell's
-    own: one batched determinant per point.
-    """
-    d = cells.shape[1]
-    for q in sorted(extra_points):
-        swapped = np.repeat(cells[:, None], d + 1, axis=1)
-        swapped[:, np.arange(1, d + 1), np.arange(d)] = q
-        dets = _batched_det(swapped.reshape(-1, d, d)).reshape(-1, d + 1)
-        signed = dets[:, 1:] != 0
-        pos = signed & ((dets[:, 1:] > 0) == (dets[:, :1] > 0))
-        # a cell holding q at two or more positive coordinates splits there
-        whole = (signed & ~pos).any(axis=1) | (pos.sum(axis=1) < 2)
-        cells = np.concatenate(
-            [cells[whole], swapped[:, 1:][pos & ~whole[:, None]]])
-    return cells
 
 
 def _barycentric_subdivide(cells, denom):
@@ -138,21 +94,6 @@ def _barycentric_subdivide(cells, denom):
     perms = np.array(list(permutations(range(d))))
     subs = weights @ cells.astype(dtype)[:, perms]
     return subs.reshape(-1, d, cells.shape[2]), denom * big
-
-
-def _facet_cells(p, face):
-    """Lattice-simplex cells of one facet through all its lattice points.
-
-    The facet's pulling triangulation (:meth:`Polytope._triangulate_face`)
-    is split at every other lattice point of the facet by
-    :func:`_stellar_triangulation`; returns ``(cells, 1)`` as
-    :func:`_flag_cells` does.
-    """
-    verts, _ = p.scaled_vertices
-    cells = verts[np.array(p._triangulate_face(face))]
-    corners = {p.vertices[i] for i in face.vertex_indices}
-    extra = [q for q in _facet_lattice_points(p, face) if q not in corners]
-    return _stellar_triangulation(cells, extra), 1
 
 
 def _flag_cells(p, face, walls=None):
@@ -227,20 +168,16 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
                system=None, walls=None) -> WeightedPointCloud:
     """Weighted point cloud approximating the boundary surface measure.
 
-    ``refinement`` counts barycentric subdivision rounds applied to every
-    cell.  Without a group, facets are cut into lattice simplices through
-    all their lattice points: the pulling triangulation is split at the
-    other lattice points in lex order of their global coordinates
-    (deterministic stellar triangulation).  With a
-    group, cells are the facet flag simplices (barycentric subdivision),
-    which are canonical under every automorphism, so the cloud is exactly
-    invariant; ``side`` selects the action ("M" for the polytope, "N" for
-    its dual).  ``system`` is only for chamber tags: each point's first
-    incident chamber (see :func:`chamber_incidence`), else None.
-    ``walls``, covectors, measure only the flag cells of the faces whose
-    barycenters pair nonnegatively with every wall (see
-    :func:`_flag_cells`), with or without a group; the kept masses are
-    normalized to total 1.
+    Every facet is cut into its flag cells (:func:`_flag_cells`), and
+    ``refinement`` counts further barycentric subdivision rounds.  The
+    cells are canonical, so a lattice automorphism, or a unimodular map,
+    carries the cloud of ``p`` to the cloud of its image; under a Weyl
+    group the cloud is exactly invariant.  ``group``, ``side`` ("M" for the
+    polytope, "N" for its dual) and ``system`` only set the chamber tags:
+    each point's first incident chamber (see :func:`chamber_incidence`),
+    else None.  ``walls``, covectors, measure only the flag cells of the
+    faces whose barycenters pair nonnegatively with every wall; the kept
+    masses are normalized to total 1.
     """
     if not p.is_lattice:
         raise ValueError("discretization needs a lattice polytope")
@@ -249,13 +186,10 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
 
     centroids, volumes = [], []
     for face in p.facet_faces():
-        if group is not None or walls is not None:
-            kept = _flag_cells(p, face, walls)
-            if kept is None:
-                continue                # the walls prune the whole facet
-            cells, denom = kept
-        else:
-            cells, denom = _facet_cells(p, face)
+        kept = _flag_cells(p, face, walls)
+        if kept is None:
+            continue                    # the walls prune the whole facet
+        cells, denom = kept
         for _ in range(refinement):
             cells, denom = _barycentric_subdivide(cells, denom)
         centroid, volume = measure_cells(p, face, cells, denom)
@@ -286,8 +220,7 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     if system is not None and group is not None:
         inc = _incidence(scaled[0], system, group, side)
         chamber_tags = tuple(int(w) for w in inc.argmax(axis=0))
-    cloud = WeightedPointCloud(points, masses, facet_tags, chamber_tags, p,
-                               side)
+    cloud = WeightedPointCloud(points, masses, facet_tags, chamber_tags, side)
     cloud.__dict__["scaled"] = scaled       # fills the cached property
     return cloud
 
@@ -296,19 +229,18 @@ def dominant_cloud(p: Polytope, refinement: int, system,
                    side: str) -> WeightedPointCloud:
     """One representative per Weyl orbit of the invariant cloud.
 
-    ``discretize(p, refinement, group=W, side=side)`` is the W-orbit of
-    this cloud, each point carrying 1/|W| of its representative's mass.
-    W acts freely on the facet flag cells: an element fixing a cell fixes
-    its vertices, which span M linearly, since the facet misses 0.  Each
-    cell lies in one closed chamber, and barycentric subdivision keeps
-    that true.  So the cells inside the closed dominant chamber form a
-    fundamental domain, and the walk keeps exactly them: it enters only
-    faces whose barycenter is dominant (against the simple coroots on the
-    M side, the simple roots on the N side).  They are refined and measured
-    by :func:`discretize` with those ``walls``, and their masses,
-    normalized to total 1, are the orbit masses.  Every centroid must be
-    strictly dominant, so every orbit has exactly |W| points; a centroid on
-    a wall raises InternalCheckFailed.
+    ``discretize(p, refinement)`` is the W-orbit of this cloud, each
+    point carrying 1/|W| of its representative's mass.  W acts freely on
+    the flag cells: an element fixing a cell fixes its vertices, which span
+    M linearly, since the facet misses 0.  Each cell lies in one closed
+    chamber, and barycentric subdivision keeps that true.  So the cells
+    inside the closed dominant chamber form a fundamental domain, and the
+    walk keeps exactly them: it enters only faces whose barycenter is
+    dominant (against the simple coroots on the M side, the simple roots on
+    the N side).  They are refined and measured by :func:`discretize` with
+    those ``walls``, and their masses, normalized to total 1, are the orbit
+    masses.  Every centroid must be strictly dominant, so every orbit has
+    exactly |W| points; a centroid on a wall raises InternalCheckFailed.
     """
     walls = _walls(system, side)
     cloud = discretize(p, refinement, side=side, walls=walls)

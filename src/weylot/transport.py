@@ -76,15 +76,19 @@ class CycleVerdict:
 
 
 def _cost_matrix(mu, nu):
-    """Integer cost matrix K with c = K / scale, via numpy when safe."""
+    """Integer cost matrix K with c = K / scale, via numpy when safe.
+    Raises ValueError when the two clouds live in different dimensions."""
     (pm, sm), (pn, sn) = mu.scaled, nu.scaled
+    if pm.shape[1] != pn.shape[1]:
+        raise ValueError(f"point dimensions differ: {pm.shape[1]} "
+                         f"vs {pn.shape[1]}")
     return -_exact_matmul(pm, pn.T), sm * sn
 
 
 def _scaled_masses(masses_a, masses_b):
     """Integer masses a, b over one common denominator, and that
     denominator.  Raises UnbalancedMasses when the totals differ, then
-    ValueError when a mass is negative."""
+    ValueError when a mass is negative or the total is 0."""
     ints, mult = la.clear_denominators(tuple(masses_a) + tuple(masses_b))
     a, b = list(ints[:len(masses_a)]), list(ints[len(masses_a):])
     if sum(a) != sum(b):
@@ -93,6 +97,8 @@ def _scaled_masses(masses_a, masses_b):
             f"vs {Fraction(sum(b), mult)}")
     if min(ints, default=0) < 0:
         raise ValueError("masses must not be negative")
+    if not sum(a):
+        raise ValueError("total mass must be positive")
     return a, b, mult
 
 
@@ -170,7 +176,8 @@ def _greedy_tree(a, b, k):
     Both read the reduced costs red = k - u - v, u the row minima of k and
     v the column minima of k - u, so 0 <= red <= 2 max|k|.  A source's
     regret is its second-smallest red less its smallest (0 with one
-    target), and a stable sort breaks ties by index (Vogel's order,
+    target), partitioned one row block at a time, so no second n x m array
+    is held; a stable sort breaks ties by index (Vogel's order,
     Reinfeld and Vogel 1958): the rows that lose most by missing their
     cheapest target pick first.  The order sets the pivot count of the
     solve; it does not enter the proof below.
@@ -190,9 +197,16 @@ def _greedy_tree(a, b, k):
     red -= red.min(axis=0)
     regret = np.zeros(len(a), dtype=red.dtype)
     if len(b) > 1:
-        least = np.partition(red, 1, axis=1)
-        regret = least[:, 1] - least[:, 0]
+        step = _block_rows(len(a), len(b))
+        for lo in range(0, len(a), step):
+            least = np.partition(red[lo:lo + step], 1, axis=1)
+            regret[lo:lo + step] = least[:, 1] - least[:, 0]
     return _greedy_fill(a, b, red, np.argsort(-regret, kind="stable"))
+
+
+def _block_rows(n, m):
+    """Rows per block of an n x m scan: about 8 sqrt(nm) entries."""
+    return max(1, 8 * isqrt(n * m) // m)
 
 
 def _greedy_fill(a, b, red, order):
@@ -315,7 +329,7 @@ def _tree_simplex(a, b, k):
 
     u, v = pot[:n], pot[n:]
     side = np.array([1] * n + [-1] * m, dtype=dtype)
-    block = max(1, 8 * isqrt(n * m) // m)
+    block = _block_rows(n, m)
     row = 0
     for pivots in count():
         # the cursor stays on multiples of block, so these blocks cover

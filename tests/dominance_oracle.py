@@ -2,11 +2,18 @@
 
 The tests draw dominant points with it and pick the dominant vertex of the
 tuple-at-a-time Weyl detection in ``reflection_oracle``; the group element
-it returns is multiplied out with Python matrix products.
+it returns is multiplied out with Python matrix products (:func:`mat_mul`,
+which other tests import too).
 """
 
 from weylot import linalg as la
 from weylot.rootsystems import GroupElement
+
+
+def mat_mul(a, b):
+    """Exact product of two matrices of tuples."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(la.vdot(row, col) for col in bt) for row in a)
 
 
 def dominant_representative(system, x, side="M"):
@@ -29,6 +36,6 @@ def dominant_representative(system, x, side="M"):
         cur = system.reflect(idx, cur, side)
         word.append(j)
         smat, sdual = system._simple_matrices(j)
-        mat = la.mat_mul(smat, mat)
-        dual = la.mat_mul(sdual, dual)
+        mat = mat_mul(smat, mat)
+        dual = mat_mul(sdual, dual)
     return cur, GroupElement(mat, dual, tuple(word))

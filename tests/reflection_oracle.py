@@ -14,12 +14,12 @@ from weylot import linalg as la
 from weylot.rootsystems import RootSystem
 from weylot.weyl import WeylDetection, _match_cartan, _reference_cartans
 
-from dominance_oracle import dominant_representative
+from dominance_oracle import dominant_representative, mat_mul
 
 
 def moment_adjugate(vertices):
     """Adjugate and determinant of G = sum over vertices of v v^T (integers)."""
-    g = la.mat_mul(la.transpose(vertices), vertices)
+    g = mat_mul(la.transpose(vertices), vertices)
     return la.adjugate_int(g), la.det(g)
 
 

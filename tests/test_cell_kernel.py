@@ -23,8 +23,8 @@ from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
 from test_fixture_files import HERE, load
-from test_integer_cells import (barycentric_subdivide, facet_cells,
-                                flag_cells, scaled_points)
+from test_integer_cells import (barycentric_subdivide, flag_cells,
+                                scaled_points)
 from test_linalg import fraction_det
 from test_properties import random_polytope
 
@@ -190,15 +190,13 @@ def fresh(name):
 @lru_cache(maxsize=None)
 def oracle(name):
     """The frame path's facet volumes, volume and barycenter, and per facet
-    its flag cells and (on lattice polytopes) stellar cells, built by the
-    Fraction path of ``test_integer_cells`` and refined k times for k <= 1
-    (k = 0 in dimension 4), each with its measures."""
+    its flag cells, built by the Fraction path of ``test_integer_cells`` and
+    refined k times for k <= 1 (k = 0 in dimension 4), each with its
+    measures."""
     p = fresh(name)
     cells = []
     for face in p.facet_faces():
         kinds = [flag_cells(p, face)]
-        if p.is_lattice:
-            kinds.append(facet_cells(p, face))
         if p.dim <= 3:
             kinds += [[sub for cell in kind
                        for sub in barycentric_subdivide(cell)]

@@ -189,6 +189,19 @@ class TestOt:
         assert main(["ot", mu, nu]) == 2
         assert capsys.readouterr().err.startswith("error: negative mass")
 
+    def test_zero_total_mass_is_an_input_error(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.measure", "1 1\n0 0\n")
+        assert main(["ot", mu, mu]) == 2
+        assert capsys.readouterr().err == \
+            "error: total mass must be positive\n"
+
+    def test_mixed_dimensions_are_an_input_error(self, tmp_path, capsys):
+        mu = write(tmp_path, "mu.measure", "1 1\n1 1\n")
+        nu = write(tmp_path, "nu.measure", "1 2\n1 0 1\n")
+        assert main(["ot", mu, nu]) == 2
+        assert capsys.readouterr().err == \
+            "error: point dimensions differ: 1 vs 2\n"
+
     def test_zero_masses(self, tmp_path, capsys):
         mu = write(tmp_path, "mu.measure", "3 1\n0 0\n-1 1/2\n1 1/2\n")
         nu = write(tmp_path, "nu.measure", "3 1\n-1 1/2\n2 0\n1 1/2\n")

@@ -1,13 +1,12 @@
 """Integer cells in ``discretize`` against the Fraction cell path.
 
 ``discretize`` keeps every facet's cells as integer vertex rows over one
-denominator, from the face walk or the stellar split through refinement to
-the measurement.  The oracle below is the Fraction path it replaced: face
-barycenters summed in Fractions, barycentric subdivision by Fraction
-averages, the stellar split by an exact ``la.solve`` per cell and point,
-cone volumes by a Fraction determinant, and common-denominator coordinates
-by an lcm loop.  Clouds must agree in points, masses, facet tags and
-``scaled`` on every path: stellar, ``group=`` and ``walls``.
+denominator, from the face walk through refinement to the measurement.
+The oracle below is the Fraction path it replaced: face barycenters summed
+in Fractions, barycentric subdivision by Fraction averages, cone volumes by
+a Fraction determinant, and common-denominator coordinates by an lcm loop.
+Clouds must agree in points, masses, facet tags and ``scaled`` on both
+paths: ``group=`` and ``walls``.
 """
 
 import os
@@ -20,8 +19,7 @@ import pytest
 
 from weylot import linalg as la
 from weylot import measures
-from weylot.measures import (_barycentric_subdivide, _facet_cells,
-                             _facet_lattice_points, _flag_cells,
+from weylot.measures import (_barycentric_subdivide, _flag_cells,
                              discretize, dominant_cloud)
 from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks, is_weyl_polytope,
                          mr_family)
@@ -71,34 +69,6 @@ def barycentric_subdivide(cell):
             pts.append(tuple(la.norm_scalar(a / step) for a in acc))
         out.append(tuple(pts))
     return out
-
-
-def stellar_triangulation(cells, extra_points):
-    cells = [tuple(c) for c in cells]
-    for q in sorted(extra_points):
-        new_cells = []
-        for cell in cells:
-            lam = la.solve(la.transpose(cell), q)
-            if any(x < 0 for x in lam):
-                new_cells.append(cell)
-                continue
-            split = [i for i, x in enumerate(lam) if x > 0]
-            if len(split) <= 1:
-                new_cells.append(cell)
-                continue
-            for i in split:
-                new_cells.append(tuple(v for j, v in enumerate(cell) if j != i)
-                                 + (tuple(q),))
-        cells = new_cells
-    return cells
-
-
-def facet_cells(p, face):
-    verts = set(p.vertices[i] for i in face.vertex_indices)
-    base_cells = [tuple(p.vertices[i] for i in cell)
-                  for cell in p._triangulate_face(face)]
-    extra = [q for q in _facet_lattice_points(p, face) if q not in verts]
-    return stellar_triangulation(base_cells, extra)
 
 
 def scaled_points(points):
@@ -179,8 +149,6 @@ def oracle_cells(name, kind, k):
                       for sub in barycentric_subdivide(cell)]
                      for cells in oracle_cells(name, kind, k - 1))
     p, system, side = polytopes()[name]
-    if kind == "stellar":
-        return tuple(facet_cells(p, face) for face in p.facet_faces())
     keep = None
     if kind == "walls":
         keep = lambda x: system.is_dominant(x, side)      # noqa: E731
@@ -206,14 +174,12 @@ def test_the_polytopes():
     assert {p.dim for p, _, _ in polys} == {1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("kind", ["stellar", "group", "walls"])
+@pytest.mark.parametrize("kind", ["group", "walls"])
 @pytest.mark.parametrize("name", sorted(polytopes()))
 def test_clouds_match_the_fraction_path(name, kind, path):
     p, system, side = polytopes()[name]
     for k in refinements(name, kind):
-        if kind == "stellar":
-            cloud = discretize(p, k)
-        elif kind == "group":
+        if kind == "group":
             cloud = discretize(p, k, group=group(name), side=side)
         else:
             cloud = dominant_cloud(p, k, system, side)
@@ -230,26 +196,16 @@ def fractions(cells, denom):
                   for v in cell) for cell in cells.tolist()]
 
 
-def same_cells(new, old, ordered):
-    """Equal lists of cells up to their order, and up to vertex order
-    unless ``ordered``."""
-    key = tuple if ordered else sorted
-    return sorted(map(key, new)) == sorted(map(key, old))
-
-
 @pytest.mark.parametrize("name", sorted(polytopes()))
 def test_cells_match_the_fraction_path(name, path):
-    """Per facet, the flag and stellar cells, and up to dimension 3 one
-    subdivision of each, as lists of vertex tuples."""
+    """Per facet, the flag cells, and up to dimension 3 one subdivision of
+    them, as lists of vertex tuples, each running from a vertex up to the
+    facet barycenter."""
     p = polytopes()[name][0]
-    for kind, build in (("group", _flag_cells), ("stellar", _facet_cells)):
-        # a flag cell runs from a vertex up to the facet barycenter; a
-        # stellar split may order a cell's vertices either way
-        ordered = kind == "group"
-        for f, face in enumerate(p.facet_faces()):
-            cells = build(p, face)
-            assert same_cells(fractions(*cells),
-                              oracle_cells(name, kind, 0)[f], ordered)
-            if p.dim <= 3:
-                assert same_cells(fractions(*_barycentric_subdivide(*cells)),
-                                  oracle_cells(name, kind, 1)[f], ordered)
+    for f, face in enumerate(p.facet_faces()):
+        cells = _flag_cells(p, face)
+        assert sorted(fractions(*cells)) == sorted(
+            oracle_cells(name, "group", 0)[f])
+        if p.dim <= 3:
+            assert sorted(fractions(*_barycentric_subdivide(*cells))) == \
+                sorted(oracle_cells(name, "group", 1)[f])

@@ -1,4 +1,6 @@
+import os
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from weylot.polytope import convex_hull
 from weylot.rootsystems import build_root_system, weight_to_coords
 from weylot.transport import TransportPlan, check_chamber_support
 from weylot.weyl import weyl_polytope
+
+from test_fixture_files import HERE, load
 
 
 def incident_chambers_oracle(system, group, x, side):
@@ -66,12 +70,16 @@ class TestDiscretize:
         assert set(cl.masses) == {Fraction(1, 8)}
 
     def test_octahedron_k0_centroids(self, octahedron):
+        # a flag cell of the facet conv(e1, e2, e3) runs from e1 through
+        # (e1 + e2) / 2 to (e1 + e2 + e3) / 3
         cl = discretize(octahedron, 0)
-        t = Fraction(1, 3)
-        assert set(cl.points) == {(sx * t, sy * t, sz * t)
-                                  for sx in (1, -1) for sy in (1, -1)
-                                  for sz in (1, -1)}
-        assert set(cl.masses) == {Fraction(1, 8)}
+        corner = (Fraction(11, 18), Fraction(5, 18), Fraction(1, 9))
+        assert len(cl) == 48
+        assert set(cl.points) == {
+            tuple(s * corner[i] for s, i in zip(signs, perm))
+            for perm in permutations(range(3))
+            for signs in product((1, -1), repeat=3)}
+        assert set(cl.masses) == {Fraction(1, 48)}
 
     def test_masses_sum_to_one_exactly(self, cube, hexagon):
         for p in (cube, hexagon):
@@ -93,6 +101,31 @@ class TestDiscretize:
             n, c = cube.facets[tag]
             assert la.vdot(pt, n) == c
             assert cube.contains(pt)
+
+
+# Unimodular maps per dimension; the first 3-d one is (x, y, z) -> (y, x, -z).
+UNIMODULAR_MAPS = {
+    2: [((0, 1), (1, 0)), ((0, -1), (1, 0)), ((1, 1), (0, 1))],
+    3: [((0, 1, 0), (1, 0, 0), (0, 0, -1)), ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1))],
+}
+
+
+class TestEquivariance:
+    """A discretization that does not depend on coordinates: the cloud of
+    T P is T applied to the cloud of P, for unimodular T."""
+
+    @pytest.mark.parametrize("name", sorted(
+        name[:-5] for name in os.listdir(HERE)))
+    def test_cloud_of_the_image_is_the_image_of_the_cloud(self, name):
+        p = load(name)
+        for t in UNIMODULAR_MAPS[p.dim]:
+            image = convex_hull([la.mat_vec(t, v) for v in p.vertices])
+            for k in (0, 1):
+                cl, moved = discretize(p, k), discretize(image, k)
+                assert dict(zip(moved.points, moved.masses)) == {
+                    la.mat_vec(t, x): mass
+                    for x, mass in zip(cl.points, cl.masses)}
 
 
 class TestGroupInvariance:
@@ -155,10 +188,9 @@ class TestChamberMass:
         # orbit of a wall point: every point sits on one chamber wall
         wall_orbit = b2.orbit((1, 2))
         assert len(wall_orbit) == 4
-        square = weyl_polytope(b2, (1, 2)).polytope
         cloud = WeightedPointCloud(
             tuple(wall_orbit), (Fraction(1, 4),) * 4,
-            (0, 0, 0, 0), (None,) * 4, square, "M")
+            (0, 0, 0, 0), (None,) * 4, "M")
         cm = chamber_mass(cloud, b2, b2.weyl_group())
         assert set(cm.values()) == {Fraction(1, 8)}
 

@@ -21,7 +21,7 @@ from weylot.measures import WeightedPointCloud, chamber_incidence, discretize
 from weylot.weyl import weyl_polytope
 
 from invariant_oracle import solve_invariant_ot
-from dominance_oracle import dominant_representative
+from dominance_oracle import dominant_representative, mat_mul
 from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 
@@ -155,8 +155,8 @@ class TestWeylGroupWords:
                 mat = la.identity(n)
                 dual = la.identity(n)
                 for j in e.word:
-                    mat = la.mat_mul(gens[j][0], mat)
-                    dual = la.mat_mul(gens[j][1], dual)
+                    mat = mat_mul(gens[j][0], mat)
+                    dual = mat_mul(gens[j][1], dual)
                 assert mat == e.matrix
                 assert dual == e.dual_matrix
 
@@ -282,11 +282,9 @@ class TestIntegerBounds:
         delta = B2_SQUARE
         W = B2.weyl_group()
         mu = WeightedPointCloud(tuple(xs), (Fraction(1, len(xs)),) * len(xs),
-                                (None,) * len(xs), (None,) * len(xs), delta,
-                                "M")
+                                (None,) * len(xs), (None,) * len(xs), "M")
         nu = WeightedPointCloud(tuple(ys), (Fraction(1, len(ys)),) * len(ys),
-                                (None,) * len(ys), (None,) * len(ys),
-                                delta.dual(), "N")
+                                (None,) * len(ys), (None,) * len(ys), "N")
         assert tight_matrix(*mu.scaled, delta).tolist() == [
             [la.vdot(x, n) == c for n, c in delta.facets] for x in xs]
         for side, pts in (("M", xs), ("N", ys)):

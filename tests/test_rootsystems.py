@@ -14,7 +14,7 @@ from weylot.rootsystems import (GroupElement, build_from_label,
                                 parse_type_label, product, weight_to_coords)
 from weylot.symmetry import automorphism_group, reflections
 
-from dominance_oracle import dominant_representative
+from dominance_oracle import dominant_representative, mat_mul
 
 CLASSICAL = {
     ("A", 1): (2, 2), ("A", 2): (6, 6), ("A", 3): (12, 24),
@@ -49,10 +49,10 @@ def weyl_group_by_python(system):
     while queue:
         g = queue.pop()
         for j, (smat, sdual) in enumerate(gens):
-            mat = la.mat_mul(smat, g.matrix)
+            mat = mat_mul(smat, g.matrix)
             if mat in seen:
                 continue
-            elem = GroupElement(mat, la.mat_mul(sdual, g.dual_matrix),
+            elem = GroupElement(mat, mat_mul(sdual, g.dual_matrix),
                                 g.word + (j,))
             seen[mat] = elem
             queue.append(elem)

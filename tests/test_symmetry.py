@@ -22,6 +22,7 @@ from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks,
                          is_weyl_polytope, mr_family)
 
 import reflection_oracle as oracle
+from dominance_oracle import mat_mul
 from reflection_oracle import reflection_data
 from test_fixture_files import HERE, load
 from test_linalg import fraction_det, rank_loop
@@ -44,7 +45,7 @@ def automorphisms_by_permutation(p):
     vset = set(verts)
     for perm in permutations(range(len(verts))):
         u = tuple(verts[perm[i]] for i in basis_idx)
-        t = la.mat_mul(la.transpose(u), la.transpose(binv))
+        t = mat_mul(la.transpose(u), la.transpose(binv))
         if not all(isinstance(la.norm_scalar(x), int) for r in t for x in r):
             continue
         t = tuple(tuple(la.norm_scalar(x) for x in r) for r in t)
@@ -78,7 +79,7 @@ class TestAutomorphismGroup:
                         for row in la.inverse(a))
             assert inv in aut
             for b in aut:
-                assert la.mat_mul(a, b) in aut
+                assert mat_mul(a, b) in aut
 
     def test_asymmetric(self):
         p = convex_hull([(1, 0), (-1, 0), (0, 1), (0, -2)])
@@ -91,7 +92,7 @@ class TestReflections:
         refs = reflections(square)
         assert len(refs) == 4
         for m in refs:
-            assert la.mat_mul(m, m) == la.identity(2)
+            assert mat_mul(m, m) == la.identity(2)
             rd = reflection_data(m)
             assert la.vdot(rd.root, rd.coroot) == 2
             # sigma(x) = x - <x, coroot> root on a sample point
@@ -221,7 +222,7 @@ def oracle_search(p, gram_p, q, gram_q, first_only, cap):
         level = len(images)
         if level == d:
             u = tuple(verts_q[c] for c in images)
-            t = la.mat_mul(la.transpose(u), binv_t)
+            t = mat_mul(la.transpose(u), binv_t)
             if not all(isinstance(la.norm_scalar(x), int)
                        for row in t for x in row):
                 return
@@ -273,7 +274,7 @@ def conjugate(u, maps):
     """u A u^-1 for each map A, sorted: the automorphisms of u(P)."""
     uinv = la.inverse(u)
     return tuple(sorted(tuple(tuple(la.norm_scalar(x) for x in row)
-                              for row in la.mat_mul(la.mat_mul(u, a), uinv))
+                              for row in mat_mul(mat_mul(u, a), uinv))
                         for a in maps))
 
 

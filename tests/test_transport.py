@@ -14,7 +14,6 @@ from weylot import linalg as la
 from weylot import measures, transport
 from weylot.fileio import parse_measure
 from weylot.measures import WeightedPointCloud, discretize
-from weylot.polytope import convex_hull
 from weylot.rootsystems import (build_from_label, build_root_system,
                                 weight_to_coords)
 from weylot.transport import (TransportPlan, _cost_matrix, _network_simplex,
@@ -28,10 +27,10 @@ from invariant_oracle import solve_invariant_ot, symmetrize_plan
 import simplex_oracle
 
 
-def cloud(points, masses, polytope=None, side="M"):
+def cloud(points, masses, side="M"):
     n = len(points)
     return WeightedPointCloud(tuple(points), tuple(masses), (None,) * n,
-                              (None,) * n, polytope, side)
+                              (None,) * n, side)
 
 
 # -- spanning-tree enumeration oracle -----------------------------------------
@@ -145,9 +144,12 @@ class TestSolver:
         assert plan.triples == ((0, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2)))
         assert plan.cost_value == -1
 
-    def test_square_to_diamond_cost(self, square):
-        mu = discretize(square, 0)
-        nu = discretize(square.dual(), 0)
+    def test_square_to_diamond_cost(self):
+        # the square's edge-half centroids and the diamond's edge midpoints
+        h = Fraction(1, 2)
+        mu = cloud([(-1, -h), (-1, h), (-h, -1), (-h, 1), (h, -1), (h, 1),
+                    (1, -h), (1, h)], [Fraction(1, 8)] * 8)
+        nu = cloud([(-h, -h), (-h, h), (h, -h), (h, h)], [Fraction(1, 4)] * 4)
         plan, _ = solve_ot(mu, nu)
         assert plan.cost_value == Fraction(-3, 4)
         # every diamond edge centroid receives its two same-quadrant midpoints
@@ -165,6 +167,18 @@ class TestSolver:
         mu = cloud([(-1,), (1,)], [Fraction(3, 2), Fraction(-1, 2)])
         nu = cloud([(-1,), (1,)], [Fraction(1, 2), Fraction(1, 2)])
         with pytest.raises(ValueError, match="negative"):
+            solve_ot(mu, nu)
+
+    def test_zero_total_mass(self):
+        mu = cloud([(0,)], [Fraction(0)])
+        with pytest.raises(ValueError, match="total mass must be positive"):
+            solve_ot(mu, mu)
+
+    def test_mixed_dimensions(self):
+        mu = cloud([(1,)], [Fraction(1)])
+        nu = cloud([(1, 0)], [Fraction(1)])
+        with pytest.raises(ValueError,
+                           match="point dimensions differ: 1 vs 2"):
             solve_ot(mu, nu)
 
     def test_marginals_exact(self, hexagon):
@@ -415,7 +429,9 @@ class TestGreedyStart:
             patch.setattr(measures, "_INT64_GUARD", 1)
             _network_simplex(a, b, k)
         (int_dtype, int_start), (obj_dtype, obj_start) = starts
-        assert int_dtype == np.int64 and obj_dtype == object
+        # an all-zero cost matrix has bound 0, which fits any guard
+        assert int_dtype == np.int64
+        assert obj_dtype == (object if k.any() else np.int64)
         assert obj_start == int_start
 
     @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(1, 30),
@@ -731,10 +747,13 @@ class TestCyclicalMonotonicity:
         assert self.cycle_gain(list(witness), mu, nu) == s
 
     def hexagon_case(self):
-        hexagon = convex_hull([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1),
-                               (1, -1)])
-        mu = discretize(hexagon, 0)
-        nu = discretize(hexagon.dual(), 0)
+        # edge midpoints of conv((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1),
+        # (1, -1)) and of its dual
+        h = Fraction(1, 2)
+        mu = cloud([(-1, h), (-h, -h), (-h, 1), (h, -1), (h, h), (1, -h)],
+                   [Fraction(1, 6)] * 6)
+        nu = cloud([(-1, -h), (-h, -1), (-h, h), (h, -h), (h, 1), (1, h)],
+                   [Fraction(1, 6)] * 6)
         plan = TransportPlan(tuple((i, j, Fraction(1, 4)) for i, j in
                                    ((0, 0), (3, 5), (5, 4), (1, 1))),
                              Fraction(0))
