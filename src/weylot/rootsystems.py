@@ -1,4 +1,4 @@
-"""Crystallographic root systems, Weyl groups, chambers, and orbits.
+"""Crystallographic root systems, Weyl groups and orbits.
 
 Coordinates: a root system of rank r lives in an r-dimensional lattice M.
 Internally everything is generated in the simple-root basis, where the
@@ -8,6 +8,11 @@ may be given by an integer basis matrix (columns are lattice generators in
 simple-root coordinates).  Dual-side data (coroots, chamber normals) is
 stored in the basis dual to the chosen one, so the duality bracket is the
 plain dot product throughout.
+
+The roots, an orbit and the Weyl group are all one reflection closure
+(:func:`group_closure`) under the simple reflections, as block-diagonal
+pairs acting on M and on N (:func:`block_reflections`): of the simple
+columns (alpha_i; alpha_i^vee), of the column (m; 0), and of the identity.
 
 Conventions follow Bourbaki: simple root numbering, Cartan matrices
 (stored here as ``C[i][j] = <alpha_j, alpha_i^vee>``, so row ``i`` is the
@@ -19,12 +24,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, inf
 
-from .errors import (GroupCapExceeded, NotDominant, NotLatticePoint,
-                     OrbitCapExceeded, UnsupportedType)
+from .errors import (GroupCapExceeded, NotLatticePoint, UnsupportedType)
 from . import linalg as la
 
 DEFAULT_ORBIT_CAP = 100_000
@@ -38,16 +41,19 @@ def orbit_cap():
     return int(value)
 
 
-def group_closure(generators, cap=None):
-    """The group that square integer matrices generate, with a word for each.
+def group_closure(generators, seeds=None, rank=None, cap=None):
+    """Close integer seed arrays under left multiplication by the generators.
 
-    Breadth first: each round multiplies the whole frontier by one
-    generator in a single matmul and keeps the products not seen before,
-    keyed on their bytes.  The element of word ``(j1, ..., jk)`` is
-    ``s_jk ... s_j1``.  Returns an int64 array of the elements, sorted
-    lexicographically on their entries, and their words in the same order.
-    Raises GroupCapExceeded before the group grows past ``cap`` (default
-    from ``orbit_cap()``), or when a product could leave int64.
+    ``generators`` is a stack of d x d integer matrices and ``seeds`` a
+    stack of d x c integer arrays (default: the d x d identity, whose
+    closure is the group itself).  Each element is keyed on its first
+    ``rank`` rows and columns (default d), which must determine it.
+    Breadth first: each round multiplies the whole frontier by every
+    generator in one matmul and keeps the products whose keys are new.
+    Returns an int64 array of the elements, sorted lexicographically on
+    their keys.  Raises GroupCapExceeded before the closure grows past
+    ``cap`` elements (default from ``orbit_cap()``), or when an entry could
+    leave int64.
     """
     # numpy loads on first use: loading it while the package imports raises
     # a fresh process's peak memory (see the note in weylot/__init__)
@@ -56,37 +62,52 @@ def group_closure(generators, cap=None):
     cap = orbit_cap() if cap is None else cap
     gens = np.array(generators, dtype=np.int64)
     d = gens.shape[-1]
-    frontier = np.eye(d, dtype=np.int64)[None]
-    found = [frontier]
-    words = [()]
-    frontier_words = [()]
-    seen = {frontier.tobytes()}
-    size = d * d * frontier.itemsize
-    while len(frontier):
-        if _matmul_dtype(gens, frontier) is object:
-            raise GroupCapExceeded("group matrix entries outgrow int64")
-        fresh, fresh_words = [], []
-        for j, s in enumerate(gens):
-            products = s @ frontier
-            buf = products.tobytes()
-            keep = []
-            for i, word in enumerate(frontier_words):
-                key = buf[i * size:(i + 1) * size]
-                if key in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise GroupCapExceeded(f"group size exceeds cap {cap}")
-                seen.add(key)
-                keep.append(i)
-                fresh_words.append(word + (j,))
-            fresh.append(products[keep])
-        frontier = np.concatenate(fresh)
-        frontier_words = fresh_words
+    rank = d if rank is None else rank
+    # object entries: a seed of any size reaches the int64 check
+    batch = np.array(np.eye(d, dtype=np.int64)[None] if seeds is None
+                     else seeds, dtype=object)
+    found, seen = [], set()
+    while len(batch):
+        if _matmul_dtype(gens, batch) is object:
+            raise GroupCapExceeded("closure entries outgrow int64")
+        batch = batch.astype(np.int64, copy=False)
+        keys = np.ascontiguousarray(batch[:, :rank, :rank])
+        size = keys[0].nbytes
+        buf = keys.tobytes()
+        keep = []
+        for i in range(len(batch)):
+            key = buf[i * size:(i + 1) * size]
+            if key in seen:
+                continue
+            if len(seen) >= cap:
+                raise GroupCapExceeded(f"closure size exceeds cap {cap}")
+            seen.add(key)
+            keep.append(i)
+        frontier = batch[keep]
         found.append(frontier)
-        words += fresh_words
+        batch = (gens[:, None] @ frontier).reshape(-1, *frontier.shape[1:])
     elements = np.concatenate(found)
-    order = np.lexsort(elements.reshape(len(elements), -1).T[::-1])
-    return elements[order], [words[i] for i in order]
+    found.clear()
+    keys = elements[:, :rank, :rank].reshape(len(elements), -1)
+    return elements[np.lexsort(keys.T[::-1])]
+
+
+def block_reflections(roots, coroots):
+    """The reflections at the given roots and index-aligned coroots, as one
+    int64 stack of block-diagonal pairs (s on M, s^vee on N).
+
+    ``s m = m - <m, a^vee> a`` and ``s^vee n = n - <a, n> a^vee``; the N
+    block is the transpose of the M block, so ``<s m, s^vee n> = <m, n>``.
+    """
+    import numpy as np
+    a = np.array(roots, dtype=np.int64)
+    r = a.shape[1]
+    s = np.eye(r, dtype=np.int64) - (a[:, :, None] *
+                                     np.array(coroots, dtype=np.int64)[:, None])
+    out = np.zeros((len(a), 2 * r, 2 * r), dtype=np.int64)
+    out[:, :r, :r] = s
+    out[:, r:, r:] = s.transpose(0, 2, 1)
+    return out
 
 
 def _cartan_matrix(family, rank):
@@ -118,9 +139,11 @@ def _cartan_matrix(family, rank):
             chain(i, i + 1)
         chain(n - 3, n - 1)
     elif family == "E":
-        # nodes 1-3-4-5-6 in a chain, node 2 attached to node 4
+        # nodes 1-3-4-5-6-...-n in a chain, node 2 attached to node 4
         for a, b in ((1, 3), (3, 4), (4, 5), (5, 6), (2, 4)):
             chain(a - 1, b - 1)
+        for k in range(6, n):
+            chain(k - 1, k)
     elif family == "F":
         chain(0, 1)
         chain(2, 3)
@@ -141,7 +164,7 @@ _EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A Weyl group element: matrix on M, inverse-transpose on N, and a word.
+    """A Weyl group element: its matrix on M and inverse-transpose on N.
 
     ``<matrix @ m, dual_matrix @ n> == <m, n>`` for all m, n; for a simple
     reflection the dual matrix is the plain transpose.
@@ -149,7 +172,6 @@ class GroupElement:
 
     matrix: tuple
     dual_matrix: tuple
-    word: tuple
 
     def apply(self, m):
         return la.mat_vec(self.matrix, m)
@@ -204,19 +226,12 @@ class RootSystem:
         return (f"RootSystem({self.label()}, {len(self.roots)} roots, "
                 f"lattice={self.lattice_choice!r})")
 
-    # -- reflections and orbits --------------------------------------------
+    # -- reflections, orbits and the group ---------------------------------
 
-    def reflect(self, root_index, x, side="M"):
-        """sigma(m) = m - <m, a^vee> a, or its dual form on the N side."""
-        alpha = self.roots[root_index]
-        covec = self.coroots[root_index]
-        if side == "M":
-            t = la.vdot(x, covec)
-            return tuple(la.norm_scalar(xi - t * ai) for xi, ai in zip(x, alpha))
-        if side == "N":
-            t = la.vdot(alpha, x)
-            return tuple(la.norm_scalar(xi - t * ci) for xi, ci in zip(x, covec))
-        raise ValueError("side must be 'M' or 'N'")
+    @cached_property
+    def simple_reflections(self):
+        """The simple reflections as :func:`block_reflections`, built once."""
+        return block_reflections(self.simple_roots, self.simple_coroots)
 
     def simple_pairings(self, x, side="M"):
         if side == "M":
@@ -227,110 +242,46 @@ class RootSystem:
         return all(t >= 0 for t in self.simple_pairings(x, side))
 
     def orbit(self, m, cap=None):
-        """Weyl orbit of ``m``: breadth-first closure under simple reflections.
+        """Weyl orbit of the lattice point ``m``, sorted lexicographically:
+        the closure of the column (m; 0) under the simple reflections.
 
-        Output is lexicographically sorted.  Raises OrbitCapExceeded if the
-        orbit grows past the cap (default from ``orbit_cap()``).
+        Raises GroupCapExceeded (an OrbitCapExceeded) if the orbit grows
+        past the cap (default from ``orbit_cap()``), or if its entries
+        could leave int64, which takes entries of about 2^55.
         """
-        cap = orbit_cap() if cap is None else cap
-        start = tuple(la.norm_scalar(x) for x in m)
-        seen = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for i in self.simple_indices:
-                w = self.reflect(i, v)
-                if w not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded(
-                            f"orbit size exceeds cap {cap}")
-                    seen.add(w)
-                    queue.append(w)
-        return tuple(sorted(seen))
-
-    def _simple_matrices(self, j):
-        """Matrix pair of the j-th simple reflection (M side, N side)."""
+        if not la.is_integer_vector(m):
+            raise NotLatticePoint(f"{tuple(m)} is not a lattice point")
         n = self.rank
-        idx = self.simple_indices[j]
-        alpha = self.roots[idx]
-        covec = self.coroots[idx]
-        smat = tuple(tuple(la.norm_scalar((1 if r == c else 0) - alpha[r] * covec[c])
-                           for c in range(n)) for r in range(n))
-        sdual = tuple(tuple(la.norm_scalar((1 if r == c else 0) - covec[r] * alpha[c])
-                            for c in range(n)) for r in range(n))
-        return smat, sdual
+        column = [[x] for x in m] + [[0]] * n
+        points = group_closure(self.simple_reflections, [column], n, cap)
+        return tuple(map(tuple, points[:, :n, 0].tolist()))
 
     def weyl_group(self, cap=None):
-        """Materialize the whole Weyl group (matrices, dual matrices, words).
-
-        The closure runs on block-diagonal (matrix, dual matrix) generators,
-        so both blocks of every element come from one product.
-        """
+        """The whole Weyl group: the closure of the identity under the
+        simple reflections, keyed on the M block, which fixes the N block
+        (its inverse transpose)."""
         n = self.rank
-        gens = [self._simple_matrices(j) for j in range(len(self.simple_indices))]
-        blocks = [[row + (0,) * n for row in smat] +
-                  [(0,) * n + row for row in sdual] for smat, sdual in gens]
-        elements, words = group_closure(blocks, cap)
+        elements = group_closure(self.simple_reflections, None, n, cap)
         return WeylGroup(elements[:, :n, :n].copy(),
-                         elements[:, n:, n:].copy(), tuple(words),
-                         tuple(gens))
-
-    def parabolic_chamber_union(self, m):
-        """Membership test for C_L, the W_L-orbit of the positive dual chamber.
-
-        ``L`` collects the simple indices whose coroot pairs to zero with the
-        dominant weight ``m``; a point of N lies in C_L iff its L-dominant
-        representative (reflecting only at simple roots in L) is dominant for
-        the whole system.
-        """
-        if not self.is_dominant(m):
-            raise NotDominant(f"{m} is not dominant")
-        L = tuple(j for j, t in enumerate(self.simple_pairings(m)) if t == 0)
-        return ParabolicChamberUnion(self, L)
-
-
-class ParabolicChamberUnion:
-    """The cone C_L in N, represented by an exact membership predicate."""
-
-    def __init__(self, system, L):
-        self.system = system
-        self.L = L
-
-    def contains(self, n_point):
-        cur = tuple(la.norm_scalar(x) for x in n_point)
-        moved = True
-        while moved:
-            moved = False
-            for j in self.L:
-                idx = self.system.simple_indices[j]
-                if la.vdot(self.system.roots[idx], cur) < 0:
-                    cur = self.system.reflect(idx, cur, side="N")
-                    moved = True
-        return self.system.is_dominant(cur, side="N")
-
-    __contains__ = contains
+                         elements[:, n:, n:].copy())
 
 
 class WeylGroup:
     """A materialized Weyl group: int64 arrays of its matrices on M and on
-    N, their words, and on first use one :class:`GroupElement` each."""
+    N, and on first use one :class:`GroupElement` each."""
 
-    def __init__(self, matrices, dual_matrices, words, generators):
+    def __init__(self, matrices, dual_matrices):
         self.matrices = matrices
         self.dual_matrices = dual_matrices
-        self.words = words
-        self.generators = generators
 
     @cached_property
     def elements(self):
-        return tuple(GroupElement(tuple(map(tuple, m)), tuple(map(tuple, d)),
-                                  w)
-                     for m, d, w in zip(self.matrices.tolist(),
-                                        self.dual_matrices.tolist(),
-                                        self.words))
+        return tuple(GroupElement(tuple(map(tuple, m)), tuple(map(tuple, d)))
+                     for m, d in zip(self.matrices.tolist(),
+                                     self.dual_matrices.tolist()))
 
     def __len__(self):
-        return len(self.words)
+        return len(self.matrices)
 
     def __iter__(self):
         return iter(self.elements)
@@ -349,28 +300,16 @@ def build_root_system(family, rank, lattice="root"):
     C = _cartan_matrix(family, rank)
     n = rank
 
-    # generate (root, coroot) pairs from the simple ones by reflection closure
-    simple_pairs = []
-    for i in range(n):
-        alpha = tuple(1 if k == i else 0 for k in range(n))
-        simple_pairs.append((alpha, C[i]))
-    seen = dict(simple_pairs)
-    queue = list(simple_pairs)
-    while queue:
-        alpha, covec = queue.pop()
-        for i in range(n):
-            t = la.vdot(alpha, C[i])  # <alpha, alpha_i^vee>
-            beta = tuple(alpha[k] - t * (1 if k == i else 0) for k in range(n))
-            if beta in seen:
-                continue
-            u = covec[i]
-            new_covec = tuple(covec[k] - u * C[i][k] for k in range(n))
-            seen[beta] = new_covec
-            queue.append((beta, new_covec))
-    roots = sorted(seen)
-    coroots = [seen[r] for r in roots]
-    simple_indices = [roots.index(tuple(1 if k == i else 0 for k in range(n)))
-                      for i in range(n)]
+    # the (root, coroot) columns: the closure of the simple ones (e_i; C[i]),
+    # keyed on the root; a supported system has at most 3 rank^2 roots, so
+    # the orbit cap does not apply
+    eye = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    columns = group_closure(block_reflections(eye, C),
+                            [[[x] for x in e + c] for e, c in zip(eye, C)],
+                            n, inf)
+    roots = list(map(tuple, columns[:, :n, 0].tolist()))
+    coroots = list(map(tuple, columns[:, n:, 0].tolist()))
+    simple_indices = [roots.index(e) for e in eye]
 
     system = RootSystem([(family, rank)], roots, coroots, simple_indices,
                         C, "root")

@@ -1,9 +1,10 @@
 """Dominant representatives by a walk of simple reflections, for the tests.
 
 The tests draw dominant points with it and pick the dominant vertex of the
-tuple-at-a-time Weyl detection in ``reflection_oracle``; the group element
-it returns is multiplied out with Python matrix products (:func:`mat_mul`,
-which other tests import too).
+tuple-at-a-time Weyl detection in ``reflection_oracle``; it reflects with
+the system's simple reflection matrices (:func:`simple_matrices`) and
+multiplies the group element out with Python matrix products
+(:func:`mat_mul`, which other tests import too).
 """
 
 from weylot import linalg as la
@@ -16,6 +17,15 @@ def mat_mul(a, b):
     return tuple(tuple(la.vdot(row, col) for col in bt) for row in a)
 
 
+def simple_matrices(system, j):
+    """The j-th simple reflection of ``system`` as tuple matrices on M and
+    on N, read off its block-diagonal generator."""
+    n = system.rank
+    block = system.simple_reflections[j].tolist()
+    return (tuple(tuple(row[:n]) for row in block[:n]),
+            tuple(tuple(row[n:]) for row in block[n:]))
+
+
 def dominant_representative(system, x, side="M"):
     """The chamber representative of ``x`` and a group element mapping x to it.
 
@@ -26,16 +36,13 @@ def dominant_representative(system, x, side="M"):
     cur = tuple(la.norm_scalar(v) for v in x)
     mat = la.identity(n)
     dual = la.identity(n)
-    word = []
     while True:
         pairings = system.simple_pairings(cur, side)
         j = next((k for k, t in enumerate(pairings) if t < 0), None)
         if j is None:
             break
-        idx = system.simple_indices[j]
-        cur = system.reflect(idx, cur, side)
-        word.append(j)
-        smat, sdual = system._simple_matrices(j)
+        smat, sdual = simple_matrices(system, j)
+        cur = la.mat_vec(smat if side == "M" else sdual, cur)
         mat = mat_mul(smat, mat)
         dual = mat_mul(sdual, dual)
-    return cur, GroupElement(mat, dual, tuple(word))
+    return cur, GroupElement(mat, dual)

@@ -240,6 +240,12 @@ class TestResourceCaps:
         monkeypatch.setenv("WEYLOT_ORBIT_CAP", "4")
         assert main(["gen", "--type", "B3", "--weight", "0,0,2"]) == 3
 
+    @pytest.mark.parametrize("weight", [2 ** 62, 2 ** 70])
+    def test_orbit_past_int64_exit_code(self, weight, capsys):
+        # the A1 orbit of weight w is +-w/2: past the closure's int64 bound
+        assert main(["gen", "--type", "A1", "--weight", str(weight)]) == 3
+        assert "int64" in capsys.readouterr().err
+
     def test_pivot_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(transport, "_PIVOT_CAP", 0)
         assert main(["ot", *greedy_miss(tmp_path)]) == 3

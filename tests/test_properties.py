@@ -21,7 +21,7 @@ from weylot.measures import WeightedPointCloud, chamber_incidence, discretize
 from weylot.weyl import weyl_polytope
 
 from invariant_oracle import solve_invariant_ot
-from dominance_oracle import dominant_representative, mat_mul
+from dominance_oracle import dominant_representative
 from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 
@@ -147,19 +147,6 @@ class TestEulerAndDuality3d:
 
 
 class TestWeylGroupWords:
-    def test_words_reproduce_matrices(self):
-        for system in map(closure_system, CLOSURE_LABELS):
-            n = system.rank
-            gens = [system._simple_matrices(j) for j in range(n)]
-            for e in system.weyl_group():
-                mat = la.identity(n)
-                dual = la.identity(n)
-                for j in e.word:
-                    mat = mat_mul(gens[j][0], mat)
-                    dual = mat_mul(gens[j][1], dual)
-                assert mat == e.matrix
-                assert dual == e.dual_matrix
-
     def test_dual_matrix_is_inverse_transpose(self):
         g2 = build_root_system("G", 2)
         for e in g2.weyl_group():

@@ -1,4 +1,4 @@
-from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from weylot.errors import (NotLatticePoint, OrbitCapExceeded, UnsupportedType)
 from weylot import linalg as la
 from weylot.polytope import convex_hull
-from weylot.rootsystems import (GroupElement, build_from_label,
-                                build_root_system, dual_system,
-                                group_closure,
-                                parse_type_label, product, weight_to_coords)
+from weylot.rootsystems import (GroupElement, RootSystem, _cartan_matrix,
+                                _change_lattice, block_reflections,
+                                build_from_label, build_root_system,
+                                dual_system, group_closure, parse_type_label,
+                                product, weight_to_coords)
 from weylot.symmetry import automorphism_group, reflections
+from weylot.weyl import identify_reflection_group
 
-from dominance_oracle import dominant_representative, mat_mul
+from dominance_oracle import dominant_representative, mat_mul, simple_matrices
 
 CLASSICAL = {
     ("A", 1): (2, 2), ("A", 2): (6, 6), ("A", 3): (12, 24),
@@ -41,9 +43,9 @@ def closure_system(label):
 def weyl_group_by_python(system):
     """Oracle: breadth-first closure in pure Python over tuple matrices."""
     n = system.rank
-    gens = [system._simple_matrices(j)
+    gens = [simple_matrices(system, j)
             for j in range(len(system.simple_indices))]
-    ident = GroupElement(la.identity(n), la.identity(n), ())
+    ident = GroupElement(la.identity(n), la.identity(n))
     seen = {ident.matrix: ident}
     queue = [ident]
     while queue:
@@ -52,11 +54,96 @@ def weyl_group_by_python(system):
             mat = mat_mul(smat, g.matrix)
             if mat in seen:
                 continue
-            elem = GroupElement(mat, mat_mul(sdual, g.dual_matrix),
-                                g.word + (j,))
+            elem = GroupElement(mat, mat_mul(sdual, g.dual_matrix))
             seen[mat] = elem
             queue.append(elem)
     return sorted(seen.values(), key=lambda e: e.matrix)
+
+
+def reflect_by_python(system, root_index, x, side="M"):
+    """sigma(m) = m - <m, a^vee> a, or its dual form on the N side."""
+    alpha = system.roots[root_index]
+    covec = system.coroots[root_index]
+    if side == "M":
+        t = la.vdot(x, covec)
+        return tuple(xi - t * ai for xi, ai in zip(x, alpha))
+    t = la.vdot(alpha, x)
+    return tuple(xi - t * ci for xi, ci in zip(x, covec))
+
+
+def orbit_by_python(system, m):
+    """Oracle: the Weyl orbit of m by a search over tuples, sorted."""
+    seen = {tuple(m)}
+    queue = [tuple(m)]
+    while queue:
+        v = queue.pop()
+        for i in system.simple_indices:
+            w = reflect_by_python(system, i, v)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return tuple(sorted(seen))
+
+
+def roots_by_python(C):
+    """Oracle: the roots and index-aligned coroots of the Cartan matrix C
+    (row i the coroot alpha_i^vee) in simple-root coordinates, sorted on
+    the roots, by reflecting (root, coroot) pairs from the simple ones."""
+    n = len(C)
+    simple = [(tuple(int(k == i) for k in range(n)), tuple(C[i]))
+              for i in range(n)]
+    seen = dict(simple)
+    queue = list(simple)
+    while queue:
+        alpha, covec = queue.pop()
+        for i in range(n):
+            t = la.vdot(alpha, C[i])  # <alpha, alpha_i^vee>
+            beta = tuple(alpha[k] - t * (k == i) for k in range(n))
+            if beta in seen:
+                continue
+            u = covec[i]
+            seen[beta] = tuple(covec[k] - u * C[i][k] for k in range(n))
+            queue.append((beta, seen[beta]))
+    roots = sorted(seen)
+    return roots, [seen[r] for r in roots]
+
+
+def system_by_python(label):
+    """Oracle: ``closure_system(label)`` with the roots of each factor
+    from :func:`roots_by_python`."""
+    factors = []
+    for fam, rk in parse_type_label(label.removesuffix("-weight")):
+        C = _cartan_matrix(fam, rk)
+        roots, coroots = roots_by_python(C)
+        simple = [roots.index(tuple(int(k == i) for k in range(rk)))
+                  for i in range(rk)]
+        system = RootSystem([(fam, rk)], roots, coroots, simple, C, "root")
+        if label.endswith("-weight"):
+            basis = tuple(map(tuple, la.inverse(C)))
+            system = _change_lattice(system, basis, "weight")
+        factors.append(system)
+    return reduce(product, factors)
+
+
+def reflection_matrices(system):
+    """Every reflection of ``system`` as tuple matrices (on M, on N), read
+    off :func:`block_reflections` over all its roots."""
+    n = system.rank
+    return [(tuple(map(tuple, b[:n, :n].tolist())),
+             tuple(map(tuple, b[n:, n:].tolist())))
+            for b in block_reflections(system.roots, system.coroots)]
+
+
+# Bourbaki's E8 Cartan matrix, written out: nodes 1-3-4-5-6-7-8 in a chain,
+# node 2 attached to node 4; E7 is its leading 7x7 block.
+E8_CARTAN = ((2, 0, -1, 0, 0, 0, 0, 0),
+             (0, 2, 0, -1, 0, 0, 0, 0),
+             (-1, 0, 2, -1, 0, 0, 0, 0),
+             (0, -1, -1, 2, -1, 0, 0, 0),
+             (0, 0, 0, -1, 2, -1, 0, 0),
+             (0, 0, 0, 0, -1, 2, -1, 0),
+             (0, 0, 0, 0, 0, -1, 2, -1),
+             (0, 0, 0, 0, 0, 0, -1, 2))
 
 
 class TestConstruction:
@@ -92,6 +179,22 @@ class TestConstruction:
             for alpha in r.roots:
                 assert all(x >= 0 for x in alpha) or all(x <= 0 for x in alpha)
 
+    @pytest.mark.parametrize("label", CLOSURE_LABELS)
+    def test_roots_match_python_closure(self, label):
+        system, oracle = closure_system(label), system_by_python(label)
+        assert system.roots == oracle.roots
+        assert system.coroots == oracle.coroots
+        assert system.simple_indices == oracle.simple_indices
+
+    @pytest.mark.parametrize("rank,count", [(7, 126), (8, 240)])
+    def test_e7_e8_are_recognized(self, rank, count):
+        C = tuple(row[:rank] for row in E8_CARTAN[:rank])
+        roots, coroots = roots_by_python(C)
+        assert len(roots) == count
+        label, _ = identify_reflection_group(roots, coroots)
+        assert label == f"E{rank}"
+        assert _cartan_matrix("E", rank) == C
+
     def test_unsupported(self):
         with pytest.raises(UnsupportedType):
             build_root_system("C", 2)
@@ -105,35 +208,38 @@ class TestReflections:
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
     def test_involution_b2(self, x):
         r = build_root_system("B", 2)
-        for i in range(len(r.roots)):
-            assert r.reflect(i, r.reflect(i, x)) == x
+        for i, (smat, sdual) in enumerate(reflection_matrices(r)):
+            assert la.mat_vec(smat, x) == reflect_by_python(r, i, x)
+            assert la.mat_vec(smat, la.mat_vec(smat, x)) == x
+            assert la.mat_vec(sdual, la.mat_vec(sdual, x)) == x
 
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
            st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
     @settings(max_examples=40)
     def test_bracket_duality(self, m, n):
         r = build_root_system("G", 2)
-        for i in range(len(r.roots)):
-            left = la.vdot(r.reflect(i, m, "M"), n)
-            right = la.vdot(m, r.reflect(i, n, "N"))
+        for i, (smat, sdual) in enumerate(reflection_matrices(r)):
+            assert la.mat_vec(sdual, n) == reflect_by_python(r, i, n, "N")
+            left = la.vdot(la.mat_vec(smat, m), n)
+            right = la.vdot(m, la.mat_vec(sdual, n))
             assert left == right
 
     def test_root_to_minus_root(self):
         a1 = build_root_system("A", 1)
-        assert a1.reflect(a1.simple_indices[0], a1.roots[a1.simple_indices[0]]) \
-            == tuple(-x for x in a1.roots[a1.simple_indices[0]])
+        smat, _ = simple_matrices(a1, 0)
+        alpha = a1.simple_roots[0]
+        assert la.mat_vec(smat, alpha) == tuple(-x for x in alpha)
 
     def test_fixed_hyperplane(self):
         b2 = build_root_system("B", 2)
-        i = b2.simple_indices[0]
         x = (1, 2)  # <x, alpha_1^vee> = 2*1 - 2 = 0
-        assert la.vdot(x, b2.coroots[i]) == 0
-        assert b2.reflect(i, x) == x
+        assert la.vdot(x, b2.simple_coroots[0]) == 0
+        assert la.mat_vec(simple_matrices(b2, 0)[0], x) == x
 
     def test_b2_e_coordinate_example(self):
         # e-coords (2,1) = alpha-coords (2,3); reflecting at e1-e2 gives (1,2)
         b2 = build_root_system("B", 2)
-        assert b2.reflect(b2.simple_indices[0], (2, 3)) == (1, 3)
+        assert la.mat_vec(simple_matrices(b2, 0)[0], (2, 3)) == (1, 3)
         # alpha-coords (1,3) = 1*(e1-e2) + 3*e2 = (1,2) in e-coords
 
 
@@ -164,8 +270,18 @@ class TestOrbits:
     def test_orbit_invariant_under_simple_reflections(self):
         g2 = build_root_system("G", 2)
         orb = set(g2.orbit((2, 1)))
-        for i in g2.simple_indices:
-            assert {g2.reflect(i, v) for v in orb} == orb
+        for j in range(g2.rank):
+            smat, _ = simple_matrices(g2, j)
+            assert {la.mat_vec(smat, v) for v in orb} == orb
+
+    @pytest.mark.parametrize("label", CLOSURE_LABELS)
+    def test_matches_python_search(self, label):
+        system = closure_system(label)
+        n = system.rank
+        for x in [(1,) * n, (2, -1) + (0,) * n, (0,) * (n - 1) + (-3,)]:
+            x = x[:n]
+            for m in (x, dominant_representative(system, x)[0]):
+                assert system.orbit(m) == orbit_by_python(system, m)
 
     def test_orbit_cap(self, monkeypatch):
         monkeypatch.setenv("WEYLOT_ORBIT_CAP", "3")
@@ -186,13 +302,13 @@ class TestDominance:
         a3 = build_root_system("A", 3)
         x = (3, 4, 3)
         dom, w = dominant_representative(a3, x)
-        assert dom == x and w.word == ()
+        assert dom == x and w.matrix == la.identity(3)
 
     def test_a2_simple_root_to_highest(self):
         a2 = build_root_system("A", 2)
         dom, w = dominant_representative(a2, (1, 0))
         assert dom == (1, 1)
-        assert w.word == (1,)
+        assert w.matrix == simple_matrices(a2, 1)[0]
 
     def test_dual_side(self):
         b2 = build_root_system("B", 2)
@@ -259,7 +375,7 @@ class TestWeylGroup:
         with pytest.raises(OrbitCapExceeded):
             group_closure(refs, cap=47)
         # the reflections generate all 48 automorphisms, in sorted order
-        elements, _ = group_closure(refs, cap=48)
+        elements = group_closure(refs, cap=48)
         assert elements.tolist() == [list(map(list, g))
                                      for g in automorphism_group(cube)]
 
@@ -268,9 +384,9 @@ class TestWeylGroup:
         W = closure_system(label).weyl_group()
         M, D = W.matrices, W.dual_matrices
         assert M.dtype == D.dtype == np.int64 and len(M) == len(D) == len(W)
-        assert [(e.matrix, e.dual_matrix, e.word) for e in W] == [
-            (tuple(map(tuple, m)), tuple(map(tuple, d)), w)
-            for m, d, w in zip(M.tolist(), D.tolist(), W.words)]
+        assert [(e.matrix, e.dual_matrix) for e in W] == [
+            (tuple(map(tuple, m)), tuple(map(tuple, d)))
+            for m, d in zip(M.tolist(), D.tolist())]
         # <M m, D n> = <m, n> for all m, n: M^T D = 1
         eye = np.eye(M.shape[-1], dtype=np.int64)
         assert (np.transpose(M, (0, 2, 1)) @ D == eye).all()
@@ -323,34 +439,6 @@ class TestProductsAndDuality:
         assert parse_type_label("A1xA2") == (("A", 1), ("A", 2))
         with pytest.raises(UnsupportedType):
             parse_type_label("X")
-
-
-class TestParabolic:
-    def test_strictly_dominant_gives_positive_chamber(self):
-        b2 = build_root_system("B", 2)
-        cl = b2.parabolic_chamber_union((2, 3))
-        assert cl.L == ()
-        assert cl.contains((1, 1))
-        assert not cl.contains((-1, 2))
-
-    def test_b2_wall_weight(self):
-        b2 = build_root_system("B", 2)
-        m = weight_to_coords(b2, (0, 2))
-        cl = b2.parabolic_chamber_union(m)
-        assert cl.L == (0,)
-        # C_L is the union of the two chambers adjacent across wall alpha_1
-        assert cl.contains((1, 1))
-        i1 = b2.simple_indices[0]
-        flipped = b2.reflect(i1, (1, 1), side="N")
-        assert cl.contains(flipped)
-        i2 = b2.simple_indices[1]
-        assert not cl.contains(b2.reflect(i2, (1, 1), side="N"))
-
-    def test_zero_weight_gives_everything(self):
-        a2 = build_root_system("A", 2)
-        cl = a2.parabolic_chamber_union((0, 0))
-        for n in [(5, -3), (-2, -2), (0, 7)]:
-            assert cl.contains(n)
 
 
 class TestWeightCoordinates:

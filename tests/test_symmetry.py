@@ -104,7 +104,7 @@ class TestReflections:
     def test_triangle_reflections_generate_s3(self, p2_dual_triangle):
         refs = reflections(p2_dual_triangle)
         assert len(refs) == 3
-        assert len(group_closure(refs)[0]) == 6
+        assert len(group_closure(refs)) == 6
 
     def test_asymmetric_polytope_single_reflection(self):
         p = convex_hull([(1, 0), (-1, 0), (0, 1), (0, -2)])
