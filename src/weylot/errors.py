@@ -53,8 +53,8 @@ class OutOfTableRange(WeylotError):
     """Family row does not admit the requested rank."""
 
 
-class InternalTableViolation(WeylotError):
-    """A built-in family produced a non-reflexive polytope (a bug)."""
+class InternalTableViolation(InternalCheckFailed):
+    """A built-in family or orbit hull failed its self-check (a bug)."""
 
 
 class UnbalancedMasses(WeylotError):

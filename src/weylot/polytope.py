@@ -158,30 +158,6 @@ def convex_hull(points, dim=None):
     return Polytope(tuple(vertices), tuple(facets), d)
 
 
-def h_polytope_vertices(inequalities, dim):
-    """Vertices of {x : <x, n> <= c for every (n, c) in ``inequalities``}.
-
-    Integer normals n and rational offsets c; an equality is two opposite
-    inequalities.  The region must be bounded and the normals must span.
-    Returns a sorted list of rational points (possibly empty).
-    """
-    rows = []
-    for n, c in inequalities:
-        scaled, _ = la.clear_denominators(tuple(n) + (c,))
-        rows.append(tuple(scaled[:-1]) + (-scaled[-1],))
-    rows.append((0,) * dim + (-1,))
-    rays = _dd_cone(rows)
-    verts = set()
-    for ray in rays:
-        y, t = ray[:-1], ray[-1]
-        if t == 0:
-            if any(x != 0 for x in y):
-                raise ValueError("region is unbounded")
-            continue
-        verts.add(tuple(la.norm_scalar(Fraction(x, t)) for x in y))
-    return sorted(verts)
-
-
 def tight_matrix(pts, scale, p):
     """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``.
 
@@ -214,16 +190,20 @@ class Polytope:
         return all(isinstance(x, int) for v in self.vertices for x in v)
 
     @cached_property
+    def tight(self):
+        """The vertex x facet incidence matrix, from :func:`tight_matrix`."""
+        return tight_matrix(*self.scaled_vertices, self)
+
+    @cached_property
     def incidence(self):
         """Per facet, the frozenset of indices of vertices lying on it."""
-        tight = tight_matrix(*self.scaled_vertices, self)
-        return tuple(frozenset(col.nonzero()[0].tolist()) for col in tight.T)
+        return tuple(frozenset(col.nonzero()[0].tolist())
+                     for col in self.tight.T)
 
     @cached_property
     def vertex_facets(self):
         """Per vertex, the sorted tuple of indices of facets containing it."""
-        tight = tight_matrix(*self.scaled_vertices, self)
-        return tuple(tuple(row.nonzero()[0].tolist()) for row in tight)
+        return tuple(tuple(row.nonzero()[0].tolist()) for row in self.tight)
 
     def vertex_index(self, v):
         t = tuple(la.norm_scalar(x) for x in v)
@@ -338,10 +318,7 @@ class Polytope:
         dual = self.dual()
         members = frozenset(
             j for j, n in enumerate(dual.vertices) if la.vdot(m, n) == 1)
-        for face, incident in zip(dual.facet_faces(), dual.incidence):
-            if incident == members:
-                return dual, face
-        raise VertexNotFound(f"no dual facet found for {m}")
+        return dual, dual.facet_faces()[dual.incidence.index(members)]
 
     # -- triangulation and volume -------------------------------------------
 
@@ -433,23 +410,6 @@ class Polytope:
             / self.facets[f][1])
 
     # -- local smoothness ----------------------------------------------------
-
-    def vertex_edge_directions(self, i):
-        """Primitive directions of the edges leaving vertex ``i``.
-
-        Vertices i and j span an edge iff the normals of the facets through
-        both of them have rank ``dim - 1``.
-        """
-        v = self.vertices[i]
-        mine = set(self.vertex_facets[i])
-        dirs = []
-        for j, fs in enumerate(self.vertex_facets):
-            common = [self.facets[f][0] for f in fs if f in mine]
-            if j != i and len(common) >= self.dim - 1 \
-                    and la.rank(common) == self.dim - 1:
-                cleared, _ = la.clear_denominators(la.vsub(self.vertices[j], v))
-                dirs.append(la.primitivize(cleared)[0])
-        return tuple(sorted(dirs))
 
     @cached_property
     def is_delzant(self):

@@ -44,12 +44,13 @@ def orbit_cap():
 def group_closure(generators, seeds=None, rank=None, cap=None):
     """Close integer seed arrays under left multiplication by the generators.
 
-    ``generators`` is a stack of d x d integer matrices and ``seeds`` a
-    stack of d x c integer arrays (default: the d x d identity, whose
-    closure is the group itself).  Each element is keyed on its first
-    ``rank`` rows and columns (default d), which must determine it.
-    Breadth first: each round multiplies the whole frontier by every
-    generator in one matmul and keeps the products whose keys are new.
+    ``generators`` is a stack of d x d integer matrices, block diagonal
+    with a leading ``rank`` x ``rank`` block (default d, one block), and
+    ``seeds`` a stack of d x c integer arrays (default: the d x d identity,
+    whose closure is the group itself).  Each element is keyed on its first
+    ``rank`` rows and columns, which must determine it.  Breadth first:
+    each round multiplies the whole frontier by every generator, one
+    matmul per diagonal block, and keeps the products whose keys are new.
     Returns an int64 array of the elements, sorted lexicographically on
     their keys.  Raises GroupCapExceeded before the closure grows past
     ``cap`` elements (default from ``orbit_cap()``), or when an entry could
@@ -63,6 +64,9 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
     gens = np.array(generators, dtype=np.int64)
     d = gens.shape[-1]
     rank = d if rank is None else rank
+    if gens[:, :rank, rank:].any() or gens[:, rank:, :rank].any():
+        raise ValueError("generators are not block diagonal at the rank")
+    top, bottom = gens[:, None, :rank, :rank], gens[:, None, rank:, rank:]
     # object entries: a seed of any size reaches the int64 check
     batch = np.array(np.eye(d, dtype=np.int64)[None] if seeds is None
                      else seeds, dtype=object)
@@ -85,7 +89,10 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
             keep.append(i)
         frontier = batch[keep]
         found.append(frontier)
-        batch = (gens[:, None] @ frontier).reshape(-1, *frontier.shape[1:])
+        batch = np.empty((len(gens), *frontier.shape), dtype=np.int64)
+        np.matmul(top, frontier[:, :rank], out=batch[:, :, :rank])
+        np.matmul(bottom, frontier[:, rank:], out=batch[:, :, rank:])
+        batch = batch.reshape(-1, *frontier.shape[1:])
     elements = np.concatenate(found)
     found.clear()
     keys = elements[:, :rank, :rank].reshape(len(elements), -1)

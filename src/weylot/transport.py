@@ -586,9 +586,8 @@ def check_stability_support(plan, delta, mu, nu):
             raise ValueError(
                 f"target point {nu.points[j]} is outside the dual")
         tight = tight_matrix(pm, ms, delta)             # sources x facets
-        inc = tight_matrix(*delta.scaled_vertices, delta)  # vertices x facets
         # bool matmuls: "any" over facets and vertices, which cannot wrap
-        cand = tight @ inc.T                            # sources x vertices
+        cand = tight @ delta.tight.T                    # sources x vertices
         tau = (vy == ns)                                # vertices x targets
         return ~(cand @ tau)[src, tgt]
     return _verdict(plan, mu, nu, outside)

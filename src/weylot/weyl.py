@@ -19,7 +19,7 @@ from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
                      NotReflexive, OutOfTableRange)
 from . import linalg as la
 from .measures import _bounded_dtype, _exact_matmul, _int_array
-from .polytope import Polytope, convex_hull, h_polytope_vertices, tight_matrix
+from .polytope import Polytope, convex_hull
 from .rootsystems import RootSystem, build_root_system
 from .symmetry import _reflection_search, _row_keys
 
@@ -329,49 +329,44 @@ class StarContainmentVerdict:
 
 
 def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
-    """Certify the two chamber containments of a Weyl polytope.
+    """Certify the two chamber containments of a Weyl polytope P.
 
-    Primal side: the boundary part inside the positive chamber lies in the
-    closed star of the generating vertex m.  Dual side: the dual boundary
-    part inside the positive dual chamber lies in the facet tau_m on which
-    the bracket with m is 1.  Each side is cut once, P by its chamber
-    walls and P* by the dual walls.  A facet's part in the chamber is a
-    face of the cut, the hull of the cut vertices tight on that facet
-    (Ziegler, *Lectures on Polytopes*, 2.3), so every test reads one tight
-    matrix per side.  A part is convex, so it lies in the union of the star
-    facets iff it lies in one of them: the star facet through one of its
-    relative-interior points holds all of it, and so all its vertices.  On
-    a primal failure the witness is the first failing part's vertex
-    average, a relative-interior point on no star facet.  A dual part lies
-    in tau_m iff all its vertices pair to 1 with m; the witness of a dual
-    failure is the first vertex of the first dual part that does not.
+    Primal: the boundary of P in the positive chamber C+ lies in the star
+    of m (the facets through m).  Dual: the boundary of P* in the dual
+    chamber lies in the facet tau_m of P* on which the bracket with m is 1.
+    Precondition: P is invariant under the Weyl group of ``rec.system``,
+    as an orbit hull is, and a polytope under its detected system.
+
+    A facet F's vertex average b_F lies on F alone, and F & C+ has interior
+    in F iff b_F is dominant: F's flag cells share the vertex b_F and each
+    lies in one closed chamber; conversely the stabilizer of b_F is a
+    parabolic W_J (Humphreys, *Reflection Groups and Coxeter Groups*,
+    1.12), which fixes F (wF has barycenter w b_F = b_F), and the sets
+    w(F & C+), w in W_J, cover F near b_F.  A boundary point x in C+ lies
+    in a flag cell in some chamber w C+; w^-1 fixes x (an orbit meets C+
+    once), so the cell moved by w^-1 lies in C+ on a facet with dominant
+    barycenter.  So a side holds iff every facet with a dominant
+    barycenter is a star facet, or is tau_m: per side, one integer product
+    of the transposed tight matrix, the scaled vertex rows and the walls.
+    A failure's witness is the first failing facet's barycenter: exact,
+    dominant, and on that facet only, so off the star or off tau_m.
     """
     p, system, m = rec.polytope, rec.system, rec.weight
-    star = list(p.vertex_facets[p.vertex_index(m)])
-    dual = p.dual()
-    cut = h_polytope_vertices(list(p.facets) + [
-        (tuple(-x for x in system.coroots[i]), 0)
-        for i in system.simple_indices], p.dim)
-    dual_cut = h_polytope_vertices(list(dual.facets) + [
-        (tuple(-x for x in system.roots[i]), 0)
-        for i in system.simple_indices], p.dim)
-
-    tight = tight_matrix(*_int_array(cut), p)           # cut vertex x facet
-    # [f, g]: a vertex of facet f's piece is off the star facet g
-    escapes = tight.T @ ~tight[:, star]
-    failing = np.flatnonzero(tight.any(axis=0) & escapes.all(axis=1))
-    if len(failing):
-        region = [cut[i] for i in np.flatnonzero(tight[:, failing[0]])]
-        x = tuple(la.norm_scalar(sum(Fraction(v[k]) for v in region)
-                                 / len(region)) for k in range(p.dim))
-        return StarContainmentVerdict(False, "certified", ("primal", x))
-
-    pts, scale = _int_array(dual_cut)
-    off_tau = _exact_matmul(pts, np.array([m], dtype=object).T)[:, 0] != scale
-    bad = np.argwhere((tight_matrix(pts, scale, dual) & off_tau[:, None]).T)
-    if len(bad):
-        return StarContainmentVerdict(False, "certified",
-                                      ("dual", dual_cut[bad[0][1]]))
+    dual, tau = p.dual_facet(m)
+    sides = (("primal", p, system.simple_coroots,
+              p.vertex_facets[p.vertex_index(m)]),
+             ("dual", dual, system.simple_roots, tau.facet_indices))
+    for side, poly, walls, allowed in sides:
+        verts, scale = poly.scaled_vertices
+        tight = poly.tight.T.astype(np.int64)
+        sums = _exact_matmul(tight, verts)           # facet x coordinate
+        dominant = (_exact_matmul(sums, _int_array(walls)[0].T) >= 0).all(1)
+        dominant[list(allowed)] = False
+        if dominant.any():
+            f = int(np.argmax(dominant))
+            count = int(tight[f].sum()) * scale
+            x = tuple(la.norm_scalar(Fraction(int(s), count)) for s in sums[f])
+            return StarContainmentVerdict(False, "certified", (side, x))
     return StarContainmentVerdict(True, "certified", None)
 
 

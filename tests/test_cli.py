@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylot import fileio, measures, transport
+from weylot import fileio, measures, transport, weyl
 from weylot import linalg as la
 from weylot.cli import main
-from weylot.polytope import convex_hull
+from weylot.polytope import Polytope, convex_hull
 from weylot.rootsystems import RootSystem
 from weylot.symmetry import unimodular_equivalent
 from weylot.weyl import (WeylPolytopeRecord, is_weyl_polytope,
@@ -305,6 +305,24 @@ class TestInternalCheck:
         err = capsys.readouterr().err
         assert err.startswith(
             "internal error: cell centroid not in a unique facet interior")
+
+
+    @pytest.mark.parametrize("argv, patch, message", [
+        # a hull with a vertex off the orbit
+        (["gen", "--type", "B2", "--weight", "0,2"],
+         (weyl, "convex_hull", lambda points: convex_hull(
+             list(points) + [tuple(2 * x for x in points[0])])),
+         "orbit points failed to all be vertices"),
+        # a family member the reflexivity test rejects
+        (["family", "--row", "Bn-cube", "--rank", "2"],
+         (Polytope, "is_reflexive", False),
+         "family member Bn-cube rank 2 is not reflexive"),
+    ])
+    def test_table_self_check_exit_code(self, monkeypatch, capsys, argv,
+                                        patch, message):
+        monkeypatch.setattr(*patch)
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 class TestInputErrors:

@@ -1,10 +1,13 @@
-"""The tight-set kernel against the loops it replaced.
+"""The tight-set kernel and the star check against the loops they replaced.
 
-``Polytope.incidence``, ``vertex_condition`` and ``star_containment_check``
-read their tight sets from one exact integer product, ``tight_matrix``, and
-the star check cuts each side once.  The oracles here are the per-point
-``vdot`` loops and the per-facet region solves they replaced, unchanged but
-for the region solve, which passes each equality as two inequalities.
+``Polytope.incidence`` and ``vertex_condition`` read their tight sets from
+one exact integer product, ``tight_matrix``; ``star_containment_check``
+reads facet barycenters.  The oracles here are the per-point ``vdot``
+loops and the per-facet region solves, which enumerate each facet's part
+in the chamber by double description, passing each equality as two
+inequalities.  The star oracle fixes the verdict and the failing side; its
+witness differs by design, so each witness of the check is validated on
+its own.
 """
 
 import dataclasses
@@ -15,11 +18,10 @@ from pathlib import Path
 import pytest
 
 from weylot import linalg as la
-from weylot import weyl
+from weylot import polytope
 from weylot.cli import _build_record
 from weylot.errors import NotReflexive
 from weylot.fileio import parse_polytope
-from weylot.polytope import h_polytope_vertices
 from weylot.rootsystems import build_root_system
 from weylot.weyl import (FAMILY_ROWS, StarContainmentVerdict,
                          family_smallest_ranks, mr_family,
@@ -43,6 +45,45 @@ def oracle_vertex_condition(p):
             if la.vdot(m, n) == 0:
                 return False, (m, n)
     return True, None
+
+
+def h_polytope_vertices(inequalities, dim):
+    """Vertices of {x : <x, n> <= c for every (n, c) in ``inequalities``}.
+
+    Integer normals n and rational offsets c; an equality is two opposite
+    inequalities.  The region must be bounded and the normals must span.
+    Returns a sorted list of rational points (possibly empty).
+    """
+    rows = []
+    for n, c in inequalities:
+        scaled, _ = la.clear_denominators(tuple(n) + (c,))
+        rows.append(tuple(scaled[:-1]) + (-scaled[-1],))
+    rows.append((0,) * dim + (-1,))
+    rays = polytope._dd_cone(rows)
+    verts = set()
+    for ray in rays:
+        y, t = ray[:-1], ray[-1]
+        if t == 0:
+            if any(x != 0 for x in y):
+                raise ValueError("region is unbounded")
+            continue
+        verts.add(tuple(la.norm_scalar(Fraction(x, t)) for x in y))
+    return sorted(verts)
+
+
+class TestRegionEnumeration:
+    def test_cube_facet_chamber(self, cube):
+        ineqs = list(cube.facets) + [((-1, 1, 0), 0), ((0, -1, 1), 0),
+                                     ((0, 0, -1), 0)]
+        # the equality <x, e1> = 1 as two inequalities
+        ineqs += [((1, 0, 0), 1), ((-1, 0, 0), -1)]
+        verts = h_polytope_vertices(ineqs, 3)
+        assert verts == [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
+
+    def test_empty_region(self, square):
+        verts = h_polytope_vertices(
+            list(square.facets) + [((1, 0), 5), ((-1, 0), -5)], 2)
+        assert verts == []
 
 
 def oracle_region(inequalities, equalities, dim):
@@ -148,42 +189,67 @@ def test_rational_dual_is_covered():
     assert sum(not p.is_reflexive for p in SMALL.values()) >= 2
 
 
+def failing_side(verdict):
+    return None if verdict.passed else verdict.witness[0]
+
+
+def check_witness(rec, verdict):
+    """A failure's witness is a dominant point of P (or P*) on exactly one
+    facet, and that facet misses m (or has <m, y> < 1)."""
+    if verdict.passed:
+        assert verdict.witness is None
+        return
+    p, system, m = rec.polytope, rec.system, rec.weight
+    side, x = verdict.witness
+    poly, walls = ((p, system.simple_coroots) if side == "primal"
+                   else (p.dual(), system.simple_roots))
+    assert all(la.vdot(x, a) >= 0 for a in walls)
+    assert poly.contains(x)
+    on = [f for f, (n, c) in enumerate(poly.facets) if la.vdot(x, n) == c]
+    assert len(on) == 1
+    if side == "primal":
+        assert p.vertex_index(m) not in oracle_incidence(p)[on[0]]
+    else:
+        assert la.vdot(m, x) != 1
+
+
+def check_against_the_oracle(rec):
+    """The check's verdict and failing side are the oracle's, and its
+    witness is valid; returns the failing side."""
+    verdict = star_containment_check(rec)
+    assert verdict.mode == "certified"
+    assert failing_side(verdict) == failing_side(oracle_star_check(rec))
+    check_witness(rec, verdict)
+    return failing_side(verdict)
+
+
 def test_star_check_matches_the_region_solves_on_every_vertex():
-    verdicts = [(star_containment_check(rec), oracle_star_check(rec))
-                for rec in every_vertex_records()]
-    assert all(new == old for new, old in verdicts)
-    sides = [None if v.passed else v.witness[0] for v, _ in verdicts]
+    sides = [check_against_the_oracle(rec) for rec in every_vertex_records()]
     assert (len(sides), sides.count(None), sides.count("primal"),
             sides.count("dual")) == (193, 18, 144, 31)
 
 
 def test_star_check_matches_the_region_solves_on_golden_inputs():
     for rec in golden_records():
-        assert star_containment_check(rec) == oracle_star_check(rec)
+        check_against_the_oracle(rec)
 
 
 @pytest.mark.parametrize("row, rank", [("E6-w2", 6), ("Dn-w2", 6),
-                                       ("Bn-cube", 6)])
+                                       ("Bn-cube", 6), ("An-roots", 6),
+                                       ("Cn-w2", 6)])
 def test_star_check_matches_the_region_solves_at_rank_6(row, rank):
-    rec = mr_family(row, rank)
-    assert star_containment_check(rec) == oracle_star_check(rec)
+    check_against_the_oracle(mr_family(row, rank))
 
 
-def test_one_cut_per_side(monkeypatch):
-    calls = []
-
-    def counted(inequalities, dim):
-        calls.append(dim)
-        return h_polytope_vertices(inequalities, dim)
-
-    monkeypatch.setattr(weyl, "h_polytope_vertices", counted)
+def test_star_check_runs_no_double_description(monkeypatch):
     square = mr_family("Bn-cube", 2)
     triangle = mr_family("An-projective", 2)
-    sides = []
-    for rec in (square, dataclasses.replace(square, weight=(-1, -2)),
-                dataclasses.replace(triangle, weight=(-1, 1))):
-        calls.clear()
-        verdict = star_containment_check(rec)
-        sides.append(verdict.witness and verdict.witness[0])
-        assert calls == [2, 2]
+    records = (square, dataclasses.replace(square, weight=(-1, -2)),
+               dataclasses.replace(triangle, weight=(-1, 1)))
+
+    def refused(rows):
+        raise AssertionError("the star check ran a double description")
+
+    monkeypatch.setattr(polytope, "_dd_cone", refused)
+    sides = [failing_side(star_containment_check(rec)) for rec in records]
     assert sides == [None, "primal", "dual"]
