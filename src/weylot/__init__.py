@@ -14,7 +14,6 @@ from .symmetry import automorphism_group, reflections, unimodular_equivalent
 from .weyl import (ClassificationRecord, WeylPolytopeRecord, classify,
                    is_dual_weyl_polytope, is_weyl_polytope, mr_family,
                    star_containment_check, vertex_condition, weyl_polytope)
-# transport first: compiling it before numpy loads lowers peak memory ~1 MiB
 from .transport import (CertificationReport, KantorovichPotentials,
                         TransportPlan, certify, check_chamber_support,
                         check_cyclical_monotonicity, check_reflection_sign,

@@ -15,7 +15,9 @@ import sys
 from .errors import (InternalCheckFailed, OrbitCapExceeded, PivotCapExceeded,
                      WeylotError)
 from . import fileio
+from .measures import WeightedPointCloud
 from .rootsystems import build_from_label, weight_to_coords
+from .transport import certify, solve_ot
 from .weyl import (FAMILY_ROWS, classify, is_weyl_polytope, mr_family,
                    star_containment_check, vertex_condition, weyl_polytope,
                    WeylPolytopeRecord)
@@ -81,7 +83,7 @@ def cmd_check(args):
     if args.weyl:
         doc["weyl"] = (None if det is None else
                        {"type": det.type_label,
-                        "dominant_vertex": fileio._vector_json(
+                        "dominant_vertex": fileio.vector_json(
                             det.dominant_vertex)})
         ok &= det is not None
     if args.vertex_condition:
@@ -89,7 +91,7 @@ def cmd_check(args):
         doc["vertex_condition"] = verdict
         doc["vertex_condition_witness"] = (
             None if witness is None
-            else [fileio._vector_json(v) for v in witness])
+            else [fileio.vector_json(v) for v in witness])
         ok &= verdict
     if args.star:
         if det is None:
@@ -106,21 +108,20 @@ def cmd_check(args):
 
 
 def cmd_classify(args):
-    code = 0
     for path in args.files:
         text = _read(path)
         record = classify(fileio.parse_polytope(text))
         doc = fileio.classification_json(record, fileio.input_hash(text))
         doc["input"] = path
         sys.stdout.write(fileio.write_report(doc))
-    return code
+    return 0
 
 
 def cmd_certify(args):
-    from .transport import certify
     text = _read(args.file)
     p = fileio.parse_polytope(text)
-    rec = _build_record(args.type, _parse_weight(args.weight), args.lattice)
+    weight = _parse_weight(args.weight)
+    rec = _build_record(args.type, weight, args.lattice)
     if set(rec.polytope.vertices) != set(p.vertices):
         sys.stderr.write(
             "input polytope differs from the orbit hull of the given "
@@ -128,14 +129,12 @@ def cmd_certify(args):
         return 2
     report = certify(rec, args.refine, args.cycles)
     doc = fileio.certification_json(report, fileio.input_hash(text),
-                                    args.type, _parse_weight(args.weight))
+                                    args.type, weight)
     sys.stdout.write(fileio.write_report(doc))
     return 0 if report.passed else 1
 
 
 def cmd_ot(args):
-    from .measures import WeightedPointCloud
-    from .transport import solve_ot
     mu_text = _read(args.mu)
     nu_text = _read(args.nu)
     mp, mm = fileio.parse_measure(mu_text)

@@ -129,7 +129,7 @@ def rational_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _vector_json(v):
+def vector_json(v):
     out = []
     for x in v:
         x = la.norm_scalar(x)
@@ -142,7 +142,7 @@ def classification_json(record, source_hash=""):
         if d is None:
             return None
         label, vertex = d
-        return {"type": label, "dominant_vertex": _vector_json(vertex)}
+        return {"type": label, "dominant_vertex": vector_json(vertex)}
 
     doc = {
         "tool": TOOL_VERSION,
@@ -155,7 +155,7 @@ def classification_json(record, source_hash=""):
         "vertex_condition": record.vertex_condition,
         "vertex_condition_witness": (
             None if record.vertex_condition_witness is None
-            else [_vector_json(v) for v in record.vertex_condition_witness]),
+            else [vector_json(v) for v in record.vertex_condition_witness]),
         "delzant": record.delzant,
     }
     return doc
@@ -165,10 +165,10 @@ def _witness_json(w):
     """A witness is (x, y) or ((x, y), root); both become flat JSON."""
     if len(w) == 2 and w and isinstance(w[0][0], tuple):
         (x, y), root = w
-        return {"pair": [_vector_json(x), _vector_json(y)],
-                "root": _vector_json(root)}
+        return {"pair": [vector_json(x), vector_json(y)],
+                "root": vector_json(root)}
     x, y = w
-    return {"pair": [_vector_json(x), _vector_json(y)]}
+    return {"pair": [vector_json(x), vector_json(y)]}
 
 
 def certification_json(report, source_hash="", type_label="", weight=()):
@@ -183,7 +183,7 @@ def certification_json(report, source_hash="", type_label="", weight=()):
         "tool": TOOL_VERSION,
         "input_hash": source_hash,
         "type": type_label,
-        "weight": _vector_json(weight),
+        "weight": vector_json(weight),
         "refinement": report.refinement,
         "source_points": report.source_size,
         "target_points": report.target_size,

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here works on tuples of ``int`` / ``fractions.Fraction`` and is
-deliberately dependency-free: the geometry modules need exact answers, and
-the matrices involved are tiny (dimension at most 8 or so).
+The list functions (:func:`det`, :func:`solve`, ...) work on tuples of
+ints and Fractions: on one matrix of dimension at most 8 or so they beat
+numpy's call overhead.  The array functions (:func:`exact_matmul`,
+:func:`batched_det`, :func:`row_index`, ...) work on integer numpy arrays,
+and they alone choose between int64 and object ints (:func:`bounded_dtype`).
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Vector = tuple
-Matrix = tuple
+import numpy as np
+
+_INT64_GUARD = 1 << 60
 
 
 def norm_scalar(q):
@@ -25,19 +28,19 @@ def vdot(a, b):
     return norm_scalar(sum(x * y for x, y in zip(a, b)))
 
 
-def vsub(a, b) -> Vector:
+def vsub(a, b) -> tuple:
     return tuple(norm_scalar(x - y) for x, y in zip(a, b))
 
 
-def mat_vec(m, v) -> Vector:
+def mat_vec(m, v) -> tuple:
     return tuple(vdot(row, v) for row in m)
 
 
-def transpose(m) -> Matrix:
+def transpose(m) -> tuple:
     return tuple(zip(*m))
 
 
-def identity(n) -> Matrix:
+def identity(n) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -155,3 +158,94 @@ def adjugate_int(m):
             minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
             cof[i][j] = (-1) ** (i + j) * det(minor)
     return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+
+
+# -- integer arrays -----------------------------------------------------------
+
+def bounded_dtype(bound):
+    """int64 if ``bound`` provably caps every magnitude computed, else object.
+
+    The one place the int64 guard is read: every integer array whose
+    values are proven below a bound states that bound here.
+    """
+    return np.int64 if bound < _INT64_GUARD else object
+
+
+def _as_array(x):
+    """An int sequence as object ints, which cannot overflow; arrays as is."""
+    return x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+
+
+def matmul_dtype(x, y, factor=1):
+    """int64 if each entry of ``factor * (x @ y)`` provably fits, else object.
+
+    An entry of x @ y is a sum of ``x.shape[-1]`` products of an entry of x
+    and an entry of y.  ``x`` and ``y`` are integer arrays or int sequences.
+    """
+    x, y = _as_array(x), _as_array(y)
+    return bounded_dtype(int(np.abs(x).max(initial=0))
+                         * int(np.abs(y).max(initial=0))
+                         * x.shape[-1] * factor)
+
+
+def exact_matmul(x, y):
+    """x @ y of integer arrays or int sequences, in the dtype
+    :func:`matmul_dtype` picks."""
+    x, y = _as_array(x), _as_array(y)
+    dtype = matmul_dtype(x, y)
+    return x.astype(dtype) @ y.astype(dtype)
+
+
+def int_array(points):
+    """Least-common-denominator integer coordinates of rational points, as an
+    int64 array when every entry fits, else as object ints; products of it
+    go through :func:`matmul_dtype`.  Returns ``(array, scale)``."""
+    flat, scale = clear_denominators([x for p in points for x in p])
+    return np.array(flat, dtype=bounded_dtype(max(map(abs, flat), default=0))
+                    ).reshape(len(points), -1), scale
+
+
+def batched_det(a):
+    """Exact determinants of a stack of integer matrices: fraction-free
+    Bareiss elimination with row pivoting, on every matrix at once.
+
+    Every entry Bareiss computes is a minor, below H = max(1, |row|)^d by
+    Hadamard's inequality, and every product it forms is below H^2; the
+    dtype is picked from 2 H^2.
+    """
+    d = a.shape[-1]
+    top = int(np.abs(a).max(initial=0))
+    rows = a.astype(bounded_dtype(d * top * top))
+    norm2 = max(1, int((rows * rows).sum(axis=-1).max(initial=0)))
+    a, at = a.astype(bounded_dtype(2 * norm2 ** d)), np.arange(len(a))
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        piv = k + np.argmax(a[:, k:, k] != 0, axis=1)
+        a[at, k], a[at, piv] = a[at, piv], a[at, k]
+        sign = np.where(piv == k, sign, -sign)
+        pk = a[:, k, k]
+        # a zero pivot column leaves zeros below and right of it
+        a[:, k + 1:, k + 1:] = (a[:, k + 1:, k + 1:] * pk[:, None, None]
+                                - a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+                                ) // np.where(prev == 0, 1, prev)[..., None, None]
+        prev = pk
+    return sign * a[:, -1, -1]
+
+
+def row_keys(rows, bound):
+    """Exact ids of integer rows with entries in [-bound, bound]: their
+    digits in base 2 bound + 1."""
+    return exact_matmul(rows + bound,
+                        [(2 * bound + 1) ** i for i in range(rows.shape[-1])])
+
+
+def row_index(rows, table):
+    """Per row of ``rows``, its index in the rows of ``table``, or -1 if it
+    is none of them: one sorted lookup of exact row keys over one bound
+    covering both integer arrays."""
+    bound = max(int(np.abs(rows).max(initial=0)),
+                int(np.abs(table).max(initial=0)))
+    keys, table = row_keys(rows, bound), row_keys(table, bound)
+    order = np.argsort(table)
+    at = order[np.searchsorted(table[order], keys).clip(max=len(table) - 1)]
+    return np.where(table[at] == keys, at, -1)

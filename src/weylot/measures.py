@@ -37,8 +37,6 @@ from .errors import InternalCheckFailed
 from . import linalg as la
 from .polytope import Polytope, tight_matrix
 
-_INT64_GUARD = 1 << 60
-
 
 @dataclass(frozen=True)
 class SurfaceMeasure:
@@ -78,7 +76,7 @@ class WeightedPointCloud:
     @cached_property
     def scaled(self):
         """``(array, scale)``: integer coordinates, points = array / scale."""
-        return _int_array(self.points)
+        return la.int_array(self.points)
 
 
 def _barycentric_subdivide(cells, denom):
@@ -88,7 +86,7 @@ def _barycentric_subdivide(cells, denom):
     permuted rows times lcm / j, so entries grow by at most the lcm."""
     d = cells.shape[1]
     big = lcm(*range(1, d + 1))
-    dtype = _bounded_dtype(big * int(np.abs(cells).max(initial=0)))
+    dtype = la.bounded_dtype(big * int(np.abs(cells).max(initial=0)))
     weights = np.tril(np.ones((d, d), dtype=dtype)) * np.array(
         [[big // j] for j in range(1, d + 1)], dtype=dtype)
     perms = np.array(list(permutations(range(d))))
@@ -134,7 +132,7 @@ def _flag_cells(p, face, walls=None):
     # over lcm(counts), a face row is its sum times lcm / count: |x| <= lcm top
     big = lcm(*(c for _, c in sums))
     faces = np.array([[x * (big // c) for x in s] for s, c in sums],
-                     dtype=_bounded_dtype(big * int(np.abs(verts).max())))
+                     dtype=la.bounded_dtype(big * int(np.abs(verts).max())))
     return faces.reshape(-1, p.dim)[np.array(chains, dtype=np.intp).reshape(
         -1, face.dimension + 1)], big * scale
 
@@ -149,17 +147,17 @@ def measure_cells(p, face, cells, denom):
     vertex-row sums and |det|s, each as ``(array, denominator)``.
     """
     d = p.dim
-    sums = cells.astype(_bounded_dtype(d * int(np.abs(cells).max()))).sum(1)
+    sums = cells.astype(la.bounded_dtype(d * int(np.abs(cells).max()))).sum(1)
     c = p.facets[face.facet_indices[0]][1]
     return ((sums, d * denom),
-            (abs(_batched_det(cells)), factorial(d - 1) * c * denom ** d))
+            (abs(la.batched_det(cells)), factorial(d - 1) * c * denom ** d))
 
 
 def _common_denominator(blocks):
     """``(array, denominator)`` blocks as one integer list over the lcm."""
     scale = lcm(*(s for _, s in blocks))
-    dtype = _bounded_dtype(max(int(np.abs(a).max()) * (scale // s)
-                               for a, s in blocks))
+    dtype = la.bounded_dtype(max(int(np.abs(a).max()) * (scale // s)
+                                 for a, s in blocks))
     return np.concatenate([a.astype(dtype) * (scale // s)
                            for a, s in blocks]).tolist(), scale
 
@@ -208,7 +206,7 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     points = tuple(tuple(la.norm_scalar(Fraction(x, scale)) for x in key)
                    for key in keys)
     masses = tuple(la.norm_scalar(Fraction(accum[key], total)) for key in keys)
-    scaled = _int_array(points)
+    scaled = la.int_array(points)
     tight = tight_matrix(*scaled, p)
     if (tight.sum(axis=1) != 1).any():
         # a full-dimensional cell's centroid is interior to its facet
@@ -218,7 +216,7 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
 
     chamber_tags = (None,) * len(points)
     if system is not None and group is not None:
-        inc = _incidence(scaled[0], system, group, side)
+        inc = chamber_incidence(scaled[0], system, group, side)
         chamber_tags = tuple(int(w) for w in inc.argmax(axis=0))
     cloud = WeightedPointCloud(points, masses, facet_tags, chamber_tags, side)
     cloud.__dict__["scaled"] = scaled       # fills the cached property
@@ -244,7 +242,7 @@ def dominant_cloud(p: Polytope, refinement: int, system,
     """
     walls = _walls(system, side)
     cloud = discretize(p, refinement, side=side, walls=walls)
-    if not (_exact_matmul(cloud.scaled[0], np.array(walls).T) > 0).all():
+    if not (la.exact_matmul(cloud.scaled[0], la.transpose(walls)) > 0).all():
         raise InternalCheckFailed(
             "a kept cell centroid is not strictly dominant")
     return cloud
@@ -259,84 +257,18 @@ def _walls(system, side):
     raise ValueError("side must be 'M' or 'N'")
 
 
-def _int_array(points):
-    """Least-common-denominator integer coordinates of rational points, as an
-    int64 array when every entry fits, else as object ints; products of it
-    go through :func:`_matmul_dtype`.  Returns ``(array, scale)``."""
-    flat, scale = la.clear_denominators([x for p in points for x in p])
-    return np.array(flat, dtype=_bounded_dtype(max(map(abs, flat), default=0))
-                    ).reshape(len(points), -1), scale
+def chamber_incidence(pts, system, group, side):
+    """Boolean |W| x n matrix: entry [w, i] says point i lies in w(C+).
 
-
-def _matmul_dtype(x, y, factor=1):
-    """int64 if each entry of ``factor * (x @ y)`` provably fits, else object.
-
-    An entry of x @ y is a sum of ``x.shape[-1]`` products of an entry of x
-    and an entry of y.
-    """
-    return _bounded_dtype(int(np.abs(x).max(initial=0))
-                          * int(np.abs(y).max(initial=0))
-                          * x.shape[-1] * factor)
-
-
-def _bounded_dtype(bound):
-    """int64 if ``bound`` provably caps every magnitude computed, else object.
-
-    The one place the int64 guard is read: every integer array whose
-    values are proven below a bound states that bound here.
-    """
-    return np.int64 if bound < _INT64_GUARD else object
-
-
-def _exact_matmul(x, y):
-    """x @ y of integer arrays, in the dtype :func:`_matmul_dtype` picks."""
-    dtype = _matmul_dtype(x, y)
-    return x.astype(dtype) @ y.astype(dtype)
-
-
-def _batched_det(a):
-    """Exact determinants of a stack of integer matrices: fraction-free
-    Bareiss elimination with row pivoting, on every matrix at once.
-
-    Every entry Bareiss computes is a minor, below H = max(1, |row|)^d by
-    Hadamard's inequality, and every product it forms is below H^2; the
-    dtype is picked from 2 H^2.
-    """
-    d = a.shape[-1]
-    top = int(np.abs(a).max(initial=0))
-    rows = a.astype(_bounded_dtype(d * top * top))
-    norm2 = max(1, int((rows * rows).sum(axis=-1).max(initial=0)))
-    a, at = a.astype(_bounded_dtype(2 * norm2 ** d)), np.arange(len(a))
-    sign, prev = 1, 1
-    for k in range(d - 1):
-        piv = k + np.argmax(a[:, k:, k] != 0, axis=1)
-        a[at, k], a[at, piv] = a[at, piv], a[at, k]
-        sign = np.where(piv == k, sign, -sign)
-        pk = a[:, k, k]
-        # a zero pivot column leaves zeros below and right of it
-        a[:, k + 1:, k + 1:] = (a[:, k + 1:, k + 1:] * pk[:, None, None]
-                                - a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
-                                ) // np.where(prev == 0, 1, prev)[..., None, None]
-        prev = pk
-    return sign * a[:, -1, -1]
-
-
-def chamber_incidence(points, system, group, side):
-    """Boolean |W| x n matrix: entry [w, i] says points[i] lies in w(C+).
-
+    ``pts`` are integer rows, the points times one positive common
+    denominator (``WeightedPointCloud.scaled``, :func:`linalg.int_array`).
     x is in w(C+) iff w^-1 x is dominant (Humphreys, *Reflection Groups
-    and Coxeter Groups*, 1.12); wall points lie in several chambers.  The
-    test runs on common-denominator integer points, so it is exact.
+    and Coxeter Groups*, 1.12); wall points lie in several chambers.
     """
-    return _incidence(_int_array(points)[0], system, group, side)
-
-
-def _incidence(pts, system, group, side):
-    """:func:`chamber_incidence` of common-denominator integer points."""
     mats = group.dual_matrices if side == "M" else group.matrices
     # w^-1 is the transposed dual matrix on M and transposed matrix on N
-    proj = _exact_matmul(mats, np.array(_walls(system, side)).T)
-    dtype = _matmul_dtype(pts, proj)
+    proj = la.exact_matmul(mats, la.transpose(_walls(system, side)))
+    dtype = la.matmul_dtype(pts, proj)
     pts, proj = pts.astype(dtype), proj.astype(dtype)
     out = np.empty((len(proj), len(pts)), dtype=bool)
     step = max(1, (1 << 22) // max(1, pts.size))    # products per block
@@ -352,7 +284,7 @@ def chamber_mass(cloud: WeightedPointCloud, system, group, side=None):
     1/|W| of the total.
     """
     side = cloud.side if side is None else side
-    inc = _incidence(cloud.scaled[0], system, group, side)
+    inc = chamber_incidence(cloud.scaled[0], system, group, side)
     out = {i: Fraction(0) for i in range(len(inc))}
     for mass, column in zip(cloud.masses, inc.T):
         share = Fraction(mass) / int(column.sum())

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
+import numpy as np
+
 from .errors import NotFullDimensional, OriginNotInterior, VertexNotFound
 from . import linalg as la
 
@@ -164,14 +166,12 @@ def tight_matrix(pts, scale, p):
     Facet f, <x, n> = c with c = a / b, is tight at x / scale iff
     <x, b n> = a scale: one integer product for every point and facet.
     """
-    import numpy as np
-    from .measures import _exact_matmul
     offsets = [Fraction(c) for _, c in p.facets]
-    normals = np.array([[x * c.denominator for x in n]
-                        for (n, _), c in zip(p.facets, offsets)], dtype=object)
-    # object offsets: a * scale need not fit int64 when the points do
-    return _exact_matmul(pts, normals.T) == np.array(
-        [c.numerator * scale for c in offsets], dtype=object)
+    normals = [[x * c.denominator for x in n]
+               for (n, _), c in zip(p.facets, offsets)]
+    # a scale need not fit int64 when the points do
+    return la.exact_matmul(pts, la.transpose(normals)) == la.int_array(
+        [[c.numerator * scale for c in offsets]])[0]
 
 
 class Polytope:
@@ -230,12 +230,17 @@ class Polytope:
     # -- duality -----------------------------------------------------------
 
     def dual(self):
-        """Polar dual {n : <m,n> <= 1 for all vertices m}.
+        """Polar dual {n : <m,n> <= 1 for all vertices m}, built once.
 
         Vertices of the dual are facet normals divided by offsets; facets of
         the dual come from the vertices with offset 1 (scaled primitive).
         The construction is combinatorial, so dual(dual(p)) == p exactly.
+        The dual keeps no reference back to p, so no reference cycle forms.
         """
+        return self._polar
+
+    @cached_property
+    def _polar(self):
         dverts = sorted(
             tuple(la.norm_scalar(Fraction(x, 1) / c) for x in n)
             for n, c in self.facets)
@@ -346,19 +351,16 @@ class Polytope:
     @cached_property
     def scaled_vertices(self):
         """``(array, scale)``: integer vertex rows, vertices = array / scale."""
-        from .measures import _int_array
-        return _int_array(self.vertices)
+        return la.int_array(self.vertices)
 
     @cached_property
     def _cones(self):
         """The cones from 0 over the cells of ``boundary_triangulation``:
         per facet its cells and |det| of each cell's vertex rows, all
         vertices scaled by one common denominator; and that denominator."""
-        import numpy as np
-        from .measures import _batched_det
         tri = self.boundary_triangulation()
         verts, scale = self.scaled_vertices
-        flat = abs(_batched_det(verts[np.array(
+        flat = abs(la.batched_det(verts[np.array(
             [cell for cells in tri for cell in cells])])).tolist()
         dets, at = [], 0
         for cells in tri:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, inf
 
+import numpy as np
+
 from .errors import (GroupCapExceeded, NotLatticePoint, UnsupportedType)
 from . import linalg as la
 
@@ -56,10 +58,6 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
     ``cap`` elements (default from ``orbit_cap()``), or when an entry could
     leave int64.
     """
-    # numpy loads on first use: loading it while the package imports raises
-    # a fresh process's peak memory (see the note in weylot/__init__)
-    import numpy as np
-    from .measures import _matmul_dtype
     cap = orbit_cap() if cap is None else cap
     gens = np.array(generators, dtype=np.int64)
     d = gens.shape[-1]
@@ -67,14 +65,12 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
     if gens[:, :rank, rank:].any() or gens[:, rank:, :rank].any():
         raise ValueError("generators are not block diagonal at the rank")
     top, bottom = gens[:, None, :rank, :rank], gens[:, None, rank:, rank:]
-    # object entries: a seed of any size reaches the int64 check
-    batch = np.array(np.eye(d, dtype=np.int64)[None] if seeds is None
-                     else seeds, dtype=object)
+    batch = np.eye(d, dtype=np.int64)[None] if seeds is None else seeds
     found, seen = [], set()
     while len(batch):
-        if _matmul_dtype(gens, batch) is object:
+        if la.matmul_dtype(gens, batch) is object:
             raise GroupCapExceeded("closure entries outgrow int64")
-        batch = batch.astype(np.int64, copy=False)
+        batch = np.asarray(batch, dtype=np.int64)
         keys = np.ascontiguousarray(batch[:, :rank, :rank])
         size = keys[0].nbytes
         buf = keys.tobytes()
@@ -106,7 +102,6 @@ def block_reflections(roots, coroots):
     ``s m = m - <m, a^vee> a`` and ``s^vee n = n - <a, n> a^vee``; the N
     block is the transpose of the M block, so ``<s m, s^vee n> = <m, n>``.
     """
-    import numpy as np
     a = np.array(roots, dtype=np.int64)
     r = a.shape[1]
     s = np.eye(r, dtype=np.int64) - (a[:, :, None] *
@@ -117,7 +112,7 @@ def block_reflections(roots, coroots):
     return out
 
 
-def _cartan_matrix(family, rank):
+def cartan_matrix(family, rank):
     """C[i][j] = <alpha_j, alpha_i^vee> for the Bourbaki simple roots."""
     n = rank
     C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -304,7 +299,7 @@ def build_root_system(family, rank, lattice="root"):
     if (family, rank) not in _EXCEPTIONAL:
         if family not in _ADMISSIBLE or rank < _ADMISSIBLE[family]:
             raise UnsupportedType(f"unsupported root system {family}{rank}")
-    C = _cartan_matrix(family, rank)
+    C = cartan_matrix(family, rank)
     n = rank
 
     # the (root, coroot) columns: the closure of the simple ones (e_i; C[i]),

@@ -20,6 +20,8 @@ search strategies used below:
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import GroupCapExceeded
 from . import linalg as la
 from .rootsystems import orbit_cap
@@ -28,12 +30,11 @@ from .rootsystems import orbit_cap
 def moment_adjugate(verts):
     """Adjugate and determinant of G = sum over vertex rows v of v v^T, for
     an integer array of vertex rows."""
-    from .measures import _exact_matmul
-    g = _exact_matmul(verts.T, verts).tolist()
+    g = la.exact_matmul(verts.T, verts).tolist()
     return la.adjugate_int(g), la.det(g)
 
 
-def _reflection_search(polytope):
+def reflection_search(polytope):
     """All lattice reflections preserving the vertex set, each with its
     root, coroot and vertex permutation, in the order of the matrices.
 
@@ -45,45 +46,38 @@ def _reflection_search(polytope):
     differences from a linear basis of vertices to every vertex, first
     nonzero entry positive.  As alpha is primitive, sigma is integral iff
     alpha^vee is.  All candidates are checked at once: one exact matmul
-    maps every vertex through every integral sigma, images and vertices
-    get exact row keys over one bound covering both, and a sigma is kept
-    iff every image key is a vertex key; the same lookup gives its
+    maps every vertex through every integral sigma, one exact row lookup
+    (:func:`linalg.row_index`) finds each image among the vertices, and a
+    sigma is kept iff every image is found; the lookup is its
     permutation.  Returns (matrices, roots, coroots, perms): tuples of
     matrices, roots and coroots and an (r, n) index array.
     """
-    import numpy as np
-    from .measures import _bounded_dtype, _exact_matmul
     verts = polytope.vertices
     if not all(isinstance(x, int) for v in verts for x in v):
         raise ValueError("reflection search requires a lattice polytope")
-    n, d = len(verts), polytope.dim
+    d = polytope.dim
     pts = polytope.scaled_vertices[0]
     badj, _ = moment_adjugate(pts)
     top = int(np.abs(pts).max())
-    pts = pts.astype(_bounded_dtype(2 * top))
+    pts = pts.astype(la.bounded_dtype(2 * top))
     basis = la.independent_rows(verts, d)
     diffs = (pts[basis, None, :] - pts[None, :, :]).reshape(-1, d)
     g = np.gcd.reduce(diffs, axis=1)
     diffs, g = diffs[g != 0], g[g != 0]
     lead = diffs[np.arange(len(diffs)), np.argmax(diffs != 0, axis=1)]
     alpha = diffs // np.where(lead < 0, -g, g)[:, None]
-    _, first = np.unique(_row_keys(alpha, 2 * top), return_index=True)
+    _, first = np.unique(la.row_keys(alpha, 2 * top), return_index=True)
     alpha = alpha[first]
 
-    balpha = _exact_matmul(alpha, np.array(badj, dtype=object))
-    s = _exact_matmul(alpha[:, None, :], balpha[:, :, None])[:, 0, 0]
+    balpha = la.exact_matmul(alpha, badj)
+    s = la.exact_matmul(alpha[:, None, :], balpha[:, :, None])[:, 0, 0]
     ok = (2 * balpha % s[:, None] == 0).all(axis=1)
     alpha, coroot = alpha[ok], 2 * balpha[ok] // s[ok, None]
     sigma = (np.eye(d, dtype=int)
-             - _exact_matmul(alpha[:, :, None], coroot[:, None, :]))
+             - la.exact_matmul(alpha[:, :, None], coroot[:, None, :]))
 
-    images = _exact_matmul(pts, sigma.transpose(0, 2, 1))     # (r, n, d)
-    bound = int(np.abs(images).max(initial=top))
-    keys = _row_keys(images, bound)
-    vkeys = _row_keys(pts, bound)
-    order = np.argsort(vkeys)
-    perms = order[np.searchsorted(vkeys[order], keys).clip(max=n - 1)]
-    ok = (vkeys[perms] == keys).all(axis=1)
+    perms = la.row_index(la.exact_matmul(pts, sigma.transpose(0, 2, 1)), pts)
+    ok = (perms >= 0).all(axis=1)
     mats = [tuple(map(tuple, m)) for m in sigma[ok].tolist()]
     idx = sorted(range(len(mats)), key=mats.__getitem__)
     return (tuple(mats[i] for i in idx),
@@ -95,8 +89,8 @@ def reflections(polytope):
     """All lattice reflections preserving the vertex set of a lattice
     polytope, as a sorted tuple of integer matrices.  The search, with the
     roots, coroots and vertex permutations it also finds, is
-    :func:`_reflection_search`."""
-    return _reflection_search(polytope)[0]
+    :func:`reflection_search`."""
+    return reflection_search(polytope)[0]
 
 
 # tuples of basis images in one block of the search: large enough to pay
@@ -110,47 +104,31 @@ def _vertex_data(*polytopes):
     """For each polytope: its vertices as integers, all scaled by one
     common denominator; their pairwise products in the form adj(G) of
     those rows; and det G."""
-    import numpy as np
-    from .measures import _exact_matmul, _int_array
-    pts, _ = _int_array([v for p in polytopes for v in p.vertices])
+    pts, _ = la.int_array([v for p in polytopes for v in p.vertices])
     out = []
     for p in polytopes:
         verts, pts = pts[:len(p.vertices)], pts[len(p.vertices):]
         adj, det = moment_adjugate(verts)
-        gram = _exact_matmul(_exact_matmul(verts, np.array(adj, dtype=object)),
-                             verts.T)
+        gram = la.exact_matmul(la.exact_matmul(verts, adj), verts.T)
         out.append((verts, gram, det))
     return out
-
-
-def _row_keys(rows, bound):
-    """Exact ids of integer rows with entries in [-bound, bound]: their
-    digits in base 2 bound + 1."""
-    import numpy as np
-    from .measures import _exact_matmul
-    weights = [(2 * bound + 1) ** i for i in range(rows.shape[-1])]
-    return _exact_matmul(rows + bound, np.array(weights, dtype=object))
 
 
 def _leaf_maps(leaves, search):
     """The maps of complete image tuples that pass every exact check, in
     order.  Tuple r gives T = U^T adj(B)^T / det B, U its image rows; T must
-    be integral, send every vertex of p to a vertex of q (matched on exact
-    row keys over one bound covering the images and q's vertices) and have
-    |det T| = 1, that is |det U| = |det B|."""
-    import numpy as np
-    from .measures import _batched_det, _exact_matmul
+    be integral, send every vertex of p to a vertex of q (an exact row
+    lookup, :func:`linalg.row_index`) and have |det T| = 1, that is
+    |det U| = |det B|."""
     adj_t, det_b, verts_p, verts_q = search
     u = verts_q[leaves]
-    num = _exact_matmul(u.transpose(0, 2, 1), adj_t)
+    num = la.exact_matmul(u.transpose(0, 2, 1), adj_t)
     ok = (num % det_b == 0).all(axis=(1, 2))
     u, t = u[ok], num[ok] // det_b
-    images = _exact_matmul(verts_p, t.transpose(0, 2, 1))
-    bound = int(np.abs(images).max(initial=np.abs(verts_q).max()))
-    keys = _row_keys(images, bound)
-    ok = np.isin(keys, _row_keys(verts_q, bound)).all(axis=1)
+    images = la.exact_matmul(verts_p, t.transpose(0, 2, 1))
+    ok = (la.row_index(images, verts_q) >= 0).all(axis=1)
     u, t = u[ok], t[ok]
-    t = t[abs(_batched_det(u)) == abs(det_b)]
+    t = t[abs(la.batched_det(u)) == abs(det_b)]
     return [tuple(map(tuple, m)) for m in t.tolist()]
 
 
@@ -168,12 +146,11 @@ def _basis_image_search(verts_p, gram_p, verts_q, gram_q, first_only, cap):
     the first map when ``first_only``; raises GroupCapExceeded once more
     than ``cap`` maps are found.
     """
-    import numpy as np
     d = verts_q.shape[1]
     basis = la.independent_rows(verts_p.tolist(), d)
     brows = verts_p[basis].tolist()
     # T B^T = U^T for image rows U, so det(B) T = U^T adj(B)^T
-    adj_t = np.array(la.transpose(la.adjugate_int(brows)), dtype=object)
+    adj_t = la.transpose(la.adjugate_int(brows))
     det_b = la.det(brows)
     search = (adj_t, det_b, verts_p, verts_q)
     cands = [np.flatnonzero(gram_q.diagonal() == gram_p[b, b]) for b in basis]

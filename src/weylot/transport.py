@@ -39,8 +39,7 @@ import numpy as np
 from .errors import (InternalCheckFailed, NotReflexive, PivotCapExceeded,
                      UnbalancedMasses)
 from . import linalg as la
-from .measures import (_bounded_dtype, _exact_matmul, _incidence,
-                       _matmul_dtype, dominant_cloud)
+from .measures import chamber_incidence, dominant_cloud
 from .polytope import tight_matrix
 
 _PIVOT_CAP = 2_000_000
@@ -82,7 +81,7 @@ def _cost_matrix(mu, nu):
     if pm.shape[1] != pn.shape[1]:
         raise ValueError(f"point dimensions differ: {pm.shape[1]} "
                          f"vs {pn.shape[1]}")
-    return -_exact_matmul(pm, pn.T), sm * sn
+    return -la.exact_matmul(pm, pn.T), sm * sn
 
 
 def _scaled_masses(masses_a, masses_b):
@@ -145,7 +144,7 @@ def solve_invariant_ot(mu, nu):
     InternalCheckFailed.
     """
     plan, u, v, k, scale, gap = _solve(mu, nu)
-    dtype = _bounded_dtype(2 * max(map(abs, u + v)))
+    dtype = la.bounded_dtype(2 * max(map(abs, u + v)))
     phin, psin = np.array(u, dtype=dtype), np.array(v, dtype=dtype)
     if (phin[:, None] + psin > k).any():
         raise InternalCheckFailed("quotient potentials are not dual feasible")
@@ -299,7 +298,7 @@ def _tree_simplex(a, b, k):
     n, m = len(a), len(b)
     nodes = n + m
     kmax = int(np.abs(k).max(initial=0))
-    dtype = _bounded_dtype(2 * nodes * kmax)
+    dtype = la.bounded_dtype(2 * nodes * kmax)
     k = k.astype(dtype, copy=False)
     adj = [[] for _ in range(nodes)]
     for (i, j), x in _greedy_tree(a, b, k).items():
@@ -462,7 +461,7 @@ def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3):
     (pm, _), (pn, _) = mu.scaled, nu.scaled
     # |g| <= 2 max|cross| and 0 <= d <= s max|g| over s rounds, so every
     # value below is at most 2(s+1) max|cross| in magnitude
-    dtype = _matmul_dtype(pm, pn, 2 * (s + 1))
+    dtype = la.matmul_dtype(pm, pn, 2 * (s + 1))
     src = pm[[i for i, _ in support]].astype(dtype)
     tgt = pn[[j for _, j in support]].astype(dtype)
     # cost(p, q) = -<m_p, n_q> in scaled units; g[p, q] = c(p,p) - c(p,q)
@@ -561,8 +560,8 @@ def check_reflection_sign(plan, system, mu, nu):
     def opposed(src, tgt):
         (pm, _), (pn, _) = mu.scaled, nu.scaled
         # <x, alpha^vee> per source point and root, <alpha, y> per target
-        aa = _exact_matmul(pm, np.array(system.coroots).T)[src]
-        bb = _exact_matmul(pn, np.array(system.roots).T)[tgt]
+        aa = la.exact_matmul(pm, la.transpose(system.coroots))[src]
+        bb = la.exact_matmul(pn, la.transpose(system.roots))[tgt]
         return ((aa > 0) & (bb < 0)) | ((aa < 0) & (bb > 0))
     return _verdict(plan, mu, nu, opposed, system.roots)
 
@@ -580,7 +579,7 @@ def check_stability_support(plan, delta, mu, nu):
     def outside(src, tgt):
         (pm, ms), (pn, ns) = mu.scaled, nu.scaled
         # y must lie in the dual polytope: <v, y> <= 1 for every vertex v
-        vy = _exact_matmul(np.array(delta.vertices), pn.T)
+        vy = la.exact_matmul(delta.vertices, pn.T)
         if (vy > ns).any():
             j = int(np.argwhere((vy > ns).any(axis=0))[0][0])
             raise ValueError(
@@ -604,8 +603,8 @@ def check_chamber_support(plan, rec, group, mu, nu):
         raise NotReflexive("chamber support needs a reflexive polytope")
 
     def no_shared_chamber(src, tgt):
-        in_m = _incidence(mu.scaled[0], rec.system, group, "M")
-        in_n = _incidence(nu.scaled[0], rec.system, group, "N")
+        in_m = chamber_incidence(mu.scaled[0], rec.system, group, "M")
+        in_n = chamber_incidence(nu.scaled[0], rec.system, group, "N")
         return ~(in_m[:, src] & in_n[:, tgt]).any(axis=0)
     return _verdict(plan, mu, nu, no_shared_chamber)
 

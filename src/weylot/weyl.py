@@ -12,16 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import inf
 
 import numpy as np
 
 from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
                      NotReflexive, OutOfTableRange)
 from . import linalg as la
-from .measures import _bounded_dtype, _exact_matmul, _int_array
 from .polytope import Polytope, convex_hull
-from .rootsystems import RootSystem, build_root_system
-from .symmetry import _reflection_search, _row_keys
+from .rootsystems import (RootSystem, build_root_system, cartan_matrix,
+                          weight_to_coords)
+from .symmetry import automorphism_group, reflection_search
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,6 @@ def mr_family(row, rank) -> WeylPolytopeRecord:
     if not admits(rank):
         raise OutOfTableRange(f"row {row!r} does not admit rank {rank}")
     system = build_root_system(family, rank, "root")
-    from .rootsystems import weight_to_coords
     m = weight_to_coords(system, weight_fn(rank))
     rec = weyl_polytope(system, m)
     if not rec.polytope.is_reflexive:
@@ -162,8 +162,8 @@ def vertex_condition(p: Polytope):
     if not p.is_reflexive:
         raise NotReflexive("vertex condition is defined for reflexive polytopes")
     dual = p.dual()
-    zeros = np.argwhere(_exact_matmul(p.scaled_vertices[0],
-                                      dual.scaled_vertices[0].T) == 0)
+    zeros = np.argwhere(la.exact_matmul(p.scaled_vertices[0],
+                                        dual.scaled_vertices[0].T) == 0)
     if len(zeros):
         i, j = zeros[0].tolist()
         return False, (p.vertices[i], dual.vertices[j])
@@ -172,22 +172,14 @@ def vertex_condition(p: Polytope):
 
 # -- recognizing the reflection group type -----------------------------------
 
+# (family, least rank, greatest rank) of the types detection names
+_REFERENCE_TYPES = (("A", 1, inf), ("B", 2, inf), ("C", 3, inf),
+                    ("D", 4, inf), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2))
+
+
 def _reference_cartans(rank):
-    from .rootsystems import _cartan_matrix
-    out = [(f"A{rank}", _cartan_matrix("A", rank))]
-    if rank == 2:
-        out.append(("B2", _cartan_matrix("B", 2)))
-        out.append(("G2", _cartan_matrix("G", 2)))
-    if rank >= 3:
-        out.append((f"B{rank}", _cartan_matrix("B", rank)))
-        out.append((f"C{rank}", _cartan_matrix("C", rank)))
-    if rank >= 4:
-        out.append((f"D{rank}", _cartan_matrix("D", rank)))
-    if rank == 4:
-        out.append(("F4", _cartan_matrix("F", 4)))
-    if rank in (6, 7, 8):
-        out.append((f"E{rank}", _cartan_matrix("E", rank)))
-    return out
+    return [(f"{fam}{rank}", cartan_matrix(fam, rank))
+            for fam, low, high in _REFERENCE_TYPES if low <= rank <= high]
 
 
 def _match_cartan(label_cartans, C):
@@ -220,20 +212,17 @@ def identify_reflection_group(roots, coroots):
     for a, av in zip(roots, coroots):
         for sign in (1, -1):
             pairs[tuple(sign * x for x in a)] = tuple(sign * x for x in av)
-    arr, _ = _int_array(list(pairs))
+    arr, _ = la.int_array(list(pairs))
     t = 1
     while True:
-        f = np.array([t ** i for i in range(arr.shape[1])], dtype=object)
-        height = _exact_matmul(arr, f)
+        height = la.exact_matmul(arr, [t ** i for i in range(arr.shape[1])])
         if (height != 0).all():
             break
         t += 1
     positive = [a for a, h in zip(pairs, height > 0) if h]
     pos = arr[height > 0]
-    top = 2 * int(np.abs(pos).max())
-    pos = pos.astype(_bounded_dtype(top))
-    hit = np.isin(_row_keys(pos[:, None, :] - pos[None, :, :], top),
-                  _row_keys(pos, top))
+    pos = pos.astype(la.bounded_dtype(2 * int(np.abs(pos).max())))
+    hit = la.row_index(pos[:, None, :] - pos[None, :, :], pos) >= 0
     sreal = sorted(a for a, sums in zip(positive, hit.any(axis=1))
                    if not sums)
     scov = [pairs[a] for a in sreal]
@@ -284,7 +273,7 @@ class WeylDetection:
 def is_weyl_polytope(p: Polytope):
     """Detect vertex transitivity under the reflection subgroup of Aut(p).
 
-    One batched search (:func:`symmetry._reflection_search`) gives every
+    One batched search (:func:`symmetry.reflection_search`) gives every
     lattice reflection preserving ``p`` with its vertex permutation, root
     and coroot.  The group they generate is transitive iff a frontier walk
     over the permutations from vertex 0 reaches every vertex; then ``p``
@@ -292,7 +281,7 @@ def is_weyl_polytope(p: Polytope):
     system.  Returns a :class:`WeylDetection`, or None if ``p`` has no
     reflection or is not one orbit.
     """
-    refs, roots, coroots, perms = _reflection_search(p)
+    refs, roots, coroots, perms = reflection_search(p)
     if not refs:
         return None
     seen = np.zeros(len(p.vertices), dtype=bool)
@@ -306,8 +295,8 @@ def is_weyl_polytope(p: Polytope):
         return None
     label, system = identify_reflection_group(roots, coroots)
     # the one vertex of the orbit in the closed dominant chamber
-    pairing = _exact_matmul(p.scaled_vertices[0],
-                            np.array(system.simple_coroots, dtype=object).T)
+    pairing = la.exact_matmul(p.scaled_vertices[0],
+                              la.transpose(system.simple_coroots))
     vertex = p.vertices[np.flatnonzero((pairing >= 0).all(axis=1))[0]]
     return WeylDetection(label, refs, system, vertex)
 
@@ -359,8 +348,8 @@ def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
     for side, poly, walls, allowed in sides:
         verts, scale = poly.scaled_vertices
         tight = poly.tight.T.astype(np.int64)
-        sums = _exact_matmul(tight, verts)           # facet x coordinate
-        dominant = (_exact_matmul(sums, _int_array(walls)[0].T) >= 0).all(1)
+        sums = la.exact_matmul(tight, verts)         # facet x coordinate
+        dominant = (la.exact_matmul(sums, la.transpose(walls)) >= 0).all(1)
         dominant[list(allowed)] = False
         if dominant.any():
             f = int(np.argmax(dominant))
@@ -386,7 +375,6 @@ class ClassificationRecord:
 
 def classify(p: Polytope, cap=None) -> ClassificationRecord:
     """Assemble the per-polytope classification data."""
-    from .symmetry import automorphism_group
     aut = automorphism_group(p, cap)
     bary_zero = all(x == 0 for x in p.barycenter)
     reflexive = p.is_reflexive

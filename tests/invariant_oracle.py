@@ -13,7 +13,6 @@ import numpy as np
 
 from weylot import linalg as la
 from weylot.errors import InternalCheckFailed, UnbalancedMasses
-from weylot.measures import _bounded_dtype, _matmul_dtype
 from weylot.transport import (KantorovichPotentials, TransportPlan,
                               _cost_matrix, _dual_value, _network_simplex,
                               _scaled_masses)
@@ -27,7 +26,7 @@ def _index_maps(cloud, matrices):
     """
     arr, _ = cloud.scaled
     mats = np.array(matrices)
-    dtype = _matmul_dtype(arr, mats)
+    dtype = la.matmul_dtype(arr, mats)
     arr, mats = arr.astype(dtype), mats.astype(dtype)
     lookup = {p: i for i, p in enumerate(map(tuple, arr.tolist()))}
     out = []
@@ -160,7 +159,7 @@ def solve_invariant_ot(mu, nu, group):
         raise InternalCheckFailed("quotient lift changed the transport cost")
 
     # exact feasibility of the lifted potentials on every pair
-    dtype = _bounded_dtype(2 * max(map(abs, u + v)))
+    dtype = la.bounded_dtype(2 * max(map(abs, u + v)))
     phin = np.array(u, dtype=dtype)[src_rep_of]
     psin = np.array(v, dtype=dtype)[tgt_rep_of]
     if ((phin[:, None] + psin[None, :]) > k).any():

@@ -13,8 +13,8 @@ from math import isqrt
 
 import numpy as np
 
+from weylot import linalg as la
 from weylot.errors import InternalCheckFailed, PivotCapExceeded
-from weylot.measures import _bounded_dtype
 from weylot.transport import _PIVOT_CAP, _greedy_tree
 
 
@@ -70,7 +70,7 @@ def _tree_simplex(a, b, k):
     n, m = len(a), len(b)
     nodes = n + m
     kmax = int(np.abs(k).max(initial=0))
-    dtype = _bounded_dtype(2 * nodes * kmax)
+    dtype = la.bounded_dtype(2 * nodes * kmax)
     k = k.astype(dtype, copy=False)
     adj = [[] for _ in range(nodes)]
     for (i, j), x in _greedy_tree(a, b, k).items():

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from weylot import linalg as la
-from weylot import measures
 from weylot.measures import measure_cells, surface_measure
 from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
@@ -210,7 +209,7 @@ def oracle(name):
 @pytest.fixture(params=["int64", "object"])
 def path(request, monkeypatch):
     if request.param == "object":
-        monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+        monkeypatch.setattr(la, "_INT64_GUARD", 1)
     return request.param
 
 

@@ -18,7 +18,6 @@ from math import factorial, gcd
 import pytest
 
 from weylot import linalg as la
-from weylot import measures
 from weylot.measures import (_barycentric_subdivide, _flag_cells,
                              discretize, dominant_cloud)
 from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks, is_weyl_polytope,
@@ -164,7 +163,7 @@ def oracle(name, kind, k):
 @pytest.fixture(params=["int64", "object"])
 def path(request, monkeypatch):
     if request.param == "object":
-        monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+        monkeypatch.setattr(la, "_INT64_GUARD", 1)
     return request.param
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from weylot import linalg as la
@@ -106,6 +108,28 @@ class TestDet:
     def test_fraction_matrix_raises(self):
         with pytest.raises(ValueError):
             la.det([[Fraction(1, 2), 0], [0, 2]])
+
+
+class TestIntegerArrays:
+    def test_exact_matmul_of_int_sequences(self):
+        big = 1 << 70
+        assert la.exact_matmul([[1, 2]], [[3], [4]]).dtype == np.int64
+        out = la.exact_matmul([[big, 1]], [[big], [-1]])
+        assert out.dtype == object and out.tolist() == [[big * big - 1]]
+
+    @pytest.mark.parametrize("guard", [False, True])
+    def test_row_index_matches_a_scan(self, guard, monkeypatch):
+        rng = random.Random(7)
+        table = np.array(rng.sample(list(product(range(-3, 4), repeat=3)), 10))
+        rows = np.array([[rng.randint(-4, 4) for _ in range(3)]
+                         for _ in range(40)]).reshape(8, 5, 3)
+        rows[0, 0] = table[3]
+        if guard:
+            monkeypatch.setattr(la, "_INT64_GUARD", 1)
+        where = {tuple(r): i for i, r in enumerate(table.tolist())}
+        assert la.row_index(rows, table).tolist() == [
+            [where.get(tuple(r), -1) for r in block]
+            for block in rows.tolist()]
 
 
 class TestDDConeSeed:

@@ -211,7 +211,7 @@ class TestChamberIncidence:
                         side=side, system=system)
         expected = [incident_chambers_oracle(system, W, x, side)
                     for x in cl.points]
-        inc = chamber_incidence(cl.points, system, W, side)
+        inc = chamber_incidence(cl.scaled[0], system, W, side)
         assert inc.shape == (len(W), len(cl))
         assert [list(np.flatnonzero(col)) for col in inc.T] == expected
         assert list(cl.chamber_tags) == [chambers[0] for chambers in expected]
@@ -228,7 +228,7 @@ class TestChamberIncidence:
         expected = [incident_chambers_oracle(b2, W, x, "M")
                     for x in wall_orbit]
         assert {len(chambers) for chambers in expected} == {2}
-        inc = chamber_incidence(wall_orbit, b2, W, "M")
+        inc = chamber_incidence(la.int_array(wall_orbit)[0], b2, W, "M")
         assert [list(np.flatnonzero(col)) for col in inc.T] == expected
 
     def test_chamber_support_verdict_matches_scan(self):

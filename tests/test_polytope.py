@@ -8,7 +8,8 @@ import pytest
 from weylot.errors import NotFullDimensional, OriginNotInterior, VertexNotFound
 from weylot.polytope import Face, Polytope, convex_hull
 from weylot import linalg as la
-from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
+from weylot.weyl import (FAMILY_ROWS, classify, family_smallest_ranks,
+                         mr_family, star_containment_check)
 
 from test_fixture_files import HERE, load
 from test_properties import random_polytope
@@ -74,6 +75,27 @@ class TestDual:
         d = b2_octagon.dual()
         assert not d.is_lattice
         assert d.dual() == b2_octagon
+
+    def test_built_once_without_back_reference(self, cube):
+        d = cube.dual()
+        assert cube.dual() is d
+        # the dual holds nothing of the cube, so the two form no cycle
+        assert "_polar" not in vars(d)
+        assert d.dual() == cube and d.dual() is not cube
+
+    def test_classify_then_star_check_builds_one_dual(self, monkeypatch):
+        rec = mr_family("Dn-w2", 4)
+        built = []
+        init = Polytope.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Polytope, "__init__", counting)
+        classify(rec.polytope)
+        star_containment_check(rec)
+        assert len(built) == 1 and built[0] is rec.polytope.dual()
 
 
 class TestReflexive:

@@ -275,7 +275,7 @@ class TestIntegerBounds:
         assert tight_matrix(*mu.scaled, delta).tolist() == [
             [la.vdot(x, n) == c for n, c in delta.facets] for x in xs]
         for side, pts in (("M", xs), ("N", ys)):
-            inc = chamber_incidence(pts, B2, W, side)
+            inc = chamber_incidence(la.int_array(pts)[0], B2, W, side)
             assert [[int(w) for w in np.flatnonzero(col)] for col in inc.T] \
                 == [incident_chambers_oracle(B2, W, x, side) for x in pts]
 

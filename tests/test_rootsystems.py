@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from weylot.errors import (NotLatticePoint, OrbitCapExceeded, UnsupportedType)
 from weylot import linalg as la
 from weylot.polytope import convex_hull
-from weylot.rootsystems import (GroupElement, RootSystem, _cartan_matrix,
+from weylot.rootsystems import (GroupElement, RootSystem, cartan_matrix,
                                 _change_lattice, block_reflections,
                                 build_from_label, build_root_system,
                                 dual_system, group_closure, parse_type_label,
@@ -113,7 +113,7 @@ def system_by_python(label):
     from :func:`roots_by_python`."""
     factors = []
     for fam, rk in parse_type_label(label.removesuffix("-weight")):
-        C = _cartan_matrix(fam, rk)
+        C = cartan_matrix(fam, rk)
         roots, coroots = roots_by_python(C)
         simple = [roots.index(tuple(int(k == i) for k in range(rk)))
                   for i in range(rk)]
@@ -193,7 +193,7 @@ class TestConstruction:
         assert len(roots) == count
         label, _ = identify_reflection_group(roots, coroots)
         assert label == f"E{rank}"
-        assert _cartan_matrix("E", rank) == C
+        assert cartan_matrix("E", rank) == C
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedType):

@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylot import linalg as la
-from weylot import measures
 from weylot.errors import GroupCapExceeded
-from weylot.measures import _batched_det
 from weylot.polytope import convex_hull
 from weylot.rootsystems import group_closure
 from weylot.symmetry import (_basis_image_search, _vertex_data,
@@ -367,7 +365,7 @@ class TestSearchAgainstOracle:
         (u, moved), = seeded_images(name, 1)
         expected = (automorphism_group(moved),
                     unimodular_equivalent(p, moved))
-        monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+        monkeypatch.setattr(la, "_INT64_GUARD", 1)
         (_, gram, _), = _vertex_data(moved)
         assert gram.dtype == object
         assert automorphism_group(moved) == expected[0] \
@@ -452,7 +450,7 @@ class TestBatchedDet:
         expected = [la.det(m) for m in mats]
         assert any(x == 0 for x in expected) and any(x != 0 for x in expected)
         for dtype in (np.int64, object):
-            assert _batched_det(np.array(mats, dtype=dtype)).tolist() \
+            assert la.batched_det(np.array(mats, dtype=dtype)).tolist() \
                 == expected
 
 
@@ -513,7 +511,7 @@ class TestWeylDetectionAgainstOracle:
         expected = [detection_summary(oracle.is_weyl_polytope(p))
                     for p in polytopes]
         if guard:
-            monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+            monkeypatch.setattr(la, "_INT64_GUARD", 1)
         for p, summary in zip(polytopes, expected):
             assert reflections(p) == oracle.reflections(p)
             assert detection_summary(is_weyl_polytope(p)) == summary

@@ -317,7 +317,7 @@ class TestNetworkxOracle:
         assert k.dtype == np.int64
         expected = _network_simplex(a, b, k)
         # the simplex picks its dtype from its bound alone
-        monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+        monkeypatch.setattr(la, "_INT64_GUARD", 1)
         assert _network_simplex(a, b, k.astype(object)) == expected
 
 
@@ -426,7 +426,7 @@ class TestGreedyStart:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transport, "_greedy_tree", recorded)
             _network_simplex(a, b, k)
-            patch.setattr(measures, "_INT64_GUARD", 1)
+            patch.setattr(la, "_INT64_GUARD", 1)
             _network_simplex(a, b, k)
         (int_dtype, int_start), (obj_dtype, obj_start) = starts
         # an all-zero cost matrix has bound 0, which fits any guard
@@ -506,7 +506,7 @@ class TestSimplexOracle:
         k = -np.array(pts_a) @ np.array(pts_b).T
         with pytest.MonkeyPatch.context() as patch:
             if guard:
-                patch.setattr(measures, "_INT64_GUARD", 1)
+                patch.setattr(la, "_INT64_GUARD", 1)
                 k = k.astype(object)
             assert (_network_simplex(a, b, k)
                     == simplex_oracle._network_simplex(a, b, k))
@@ -777,9 +777,9 @@ class TestCyclicalMonotonicity:
         nu = discretize(square.dual(), 0)
         cases.append((solve_ot(mu, nu)[0], mu, nu))
         expected = [check_cyclical_monotonicity(*case, 3) for case in cases]
-        monkeypatch.setattr(measures, "_INT64_GUARD", 1)
+        monkeypatch.setattr(la, "_INT64_GUARD", 1)
         for (plan, mu, nu), verdict in zip(cases, expected):
-            assert measures._matmul_dtype(mu.scaled[0], nu.scaled[0]) is object
+            assert la.matmul_dtype(mu.scaled[0], nu.scaled[0]) is object
             assert check_cyclical_monotonicity(plan, mu, nu, 3) == verdict
 
 
