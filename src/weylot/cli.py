@@ -87,12 +87,14 @@ def cmd_check(args):
                             det.dominant_vertex)})
         ok &= det is not None
     if args.vertex_condition:
-        verdict, witness = vertex_condition(p)
+        # defined for reflexive polytopes only; null otherwise, as in classify
+        verdict, witness = (vertex_condition(p) if p.is_reflexive
+                            else (None, None))
         doc["vertex_condition"] = verdict
         doc["vertex_condition_witness"] = (
             None if witness is None
             else [fileio.vector_json(v) for v in witness])
-        ok &= verdict
+        ok &= bool(verdict)
     if args.star:
         if det is None:
             doc["star_containment"] = None
@@ -139,9 +141,8 @@ def cmd_ot(args):
     nu_text = _read(args.nu)
     mp, mm = fileio.parse_measure(mu_text)
     np_, nm = fileio.parse_measure(nu_text)
-    mu = WeightedPointCloud(mp, mm, (None,) * len(mp), (None,) * len(mp), "M")
-    nu = WeightedPointCloud(np_, nm, (None,) * len(np_), (None,) * len(np_),
-                            "N")
+    mu = WeightedPointCloud(mp, mm, (None,) * len(mp), "M")
+    nu = WeightedPointCloud(np_, nm, (None,) * len(np_), "N")
     plan, pots = solve_ot(mu, nu)
     doc = {
         "tool": fileio.TOOL_VERSION,

@@ -63,15 +63,11 @@ class WeightedPointCloud:
 
     points: tuple
     masses: tuple
-    facet_tags: tuple
     chamber_tags: tuple
     side: str
 
     def __len__(self):
         return len(self.points)
-
-    def total_mass(self):
-        return la.norm_scalar(sum(self.masses, Fraction(0)))
 
     @cached_property
     def scaled(self):
@@ -212,13 +208,12 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
         # a full-dimensional cell's centroid is interior to its facet
         raise InternalCheckFailed(
             "cell centroid not in a unique facet interior")
-    facet_tags = tuple(int(f) for f in tight.argmax(axis=1))
 
     chamber_tags = (None,) * len(points)
     if system is not None and group is not None:
         inc = chamber_incidence(scaled[0], system, group, side)
         chamber_tags = tuple(int(w) for w in inc.argmax(axis=0))
-    cloud = WeightedPointCloud(points, masses, facet_tags, chamber_tags, side)
+    cloud = WeightedPointCloud(points, masses, chamber_tags, side)
     cloud.__dict__["scaled"] = scaled       # fills the cached property
     return cloud
 

@@ -211,9 +211,6 @@ class Polytope:
             raise VertexNotFound(f"{t} is not a vertex")
         return self._vertex_index[t]
 
-    def contains(self, x):
-        return all(la.vdot(x, n) <= c for n, c in self.facets)
-
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented
@@ -265,27 +262,6 @@ class Polytope:
     # Polytopes*, 2.2).  So every face is derived from ``incidence`` on
     # demand, with no closure over the whole lattice.
 
-    @cached_property
-    def faces(self):
-        """All proper faces, in increasing dimension, each deterministic.
-
-        Walked down from the facets through :meth:`face_children`; the
-        order is (dimension, sorted vertex index tuple).
-        """
-        return self._faces_below(self.facet_faces())
-
-    def _faces_below(self, roots):
-        """The faces ``roots`` and every face below them, sorted as ``faces``."""
-        found = {}
-        stack = list(roots)
-        while stack:
-            face = stack.pop()
-            if face.vertex_indices not in found:
-                found[face.vertex_indices] = face
-                stack.extend(self.face_children(face))
-        return tuple(sorted(found.values(),
-                            key=lambda f: (f.dimension, f.vertex_indices)))
-
     def face_children(self, face):
         """Faces of one dimension lower contained in the given face.
 
@@ -309,13 +285,6 @@ class Polytope:
         """The faces corresponding to facets, indexed like ``self.facets``."""
         return tuple(Face(tuple(sorted(members)), self.dim - 1, (f,))
                      for f, members in enumerate(self.incidence))
-
-    def closed_star(self, m):
-        """All faces containing the vertex ``m`` (the closed star of m)."""
-        i = self.vertex_index(m)
-        facets = self.facet_faces()
-        below = self._faces_below(facets[f] for f in self.vertex_facets[i])
-        return tuple(f for f in below if i in f.vertex_indices)
 
     def dual_facet(self, m):
         """The facet of the dual polytope on which the bracket with ``m`` is 1."""

@@ -23,7 +23,6 @@ A (n>=1), B (n>=2), C (n>=3), D (n>=4), E6, F4, G2 plus direct products.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, inf
 
@@ -164,24 +163,6 @@ _EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
                       ("F", 4): 1152, ("G", 2): 12}
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A Weyl group element: its matrix on M and inverse-transpose on N.
-
-    ``<matrix @ m, dual_matrix @ n> == <m, n>`` for all m, n; for a simple
-    reflection the dual matrix is the plain transpose.
-    """
-
-    matrix: tuple
-    dual_matrix: tuple
-
-    def apply(self, m):
-        return la.mat_vec(self.matrix, m)
-
-    def apply_dual(self, n):
-        return la.mat_vec(self.dual_matrix, n)
-
-
 class RootSystem:
     """A root system with a lattice choice between root and weight lattices."""
 
@@ -203,9 +184,6 @@ class RootSystem:
     def simple_coroots(self):
         return tuple(self.coroots[i] for i in self.simple_indices)
 
-    def label(self):
-        return "x".join(f"{fam}{rk}" for fam, rk in self.type_label)
-
     @property
     def order(self):
         """|W| in closed form from the type label, without building the
@@ -225,7 +203,8 @@ class RootSystem:
         return out
 
     def __repr__(self):
-        return (f"RootSystem({self.label()}, {len(self.roots)} roots, "
+        label = "x".join(f"{fam}{rk}" for fam, rk in self.type_label)
+        return (f"RootSystem({label}, {len(self.roots)} roots, "
                 f"lattice={self.lattice_choice!r})")
 
     # -- reflections, orbits and the group ---------------------------------
@@ -269,24 +248,16 @@ class RootSystem:
 
 
 class WeylGroup:
-    """A materialized Weyl group: int64 arrays of its matrices on M and on
-    N, and on first use one :class:`GroupElement` each."""
+    """A materialized Weyl group: int64 stacks of its matrices on M and of
+    their inverse transposes on N, index-aligned, so that
+    ``<matrices[k] m, dual_matrices[k] n> == <m, n>``."""
 
     def __init__(self, matrices, dual_matrices):
         self.matrices = matrices
         self.dual_matrices = dual_matrices
 
-    @cached_property
-    def elements(self):
-        return tuple(GroupElement(tuple(map(tuple, m)), tuple(map(tuple, d)))
-                     for m, d in zip(self.matrices.tolist(),
-                                     self.dual_matrices.tolist()))
-
     def __len__(self):
         return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 def build_root_system(family, rank, lattice="root"):
@@ -391,25 +362,6 @@ def product(r1: RootSystem, r2: RootSystem) -> RootSystem:
                       simple,
                       tuple(tuple(row) for row in C),
                       r1.lattice_choice)
-
-
-_DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E",
-                "F": "F", "G": "G"}
-
-
-def dual_system(r: RootSystem) -> RootSystem:
-    """Swap the roles of roots and coroots; an exact involution."""
-    order = sorted(range(len(r.coroots)), key=lambda i: r.coroots[i])
-    pos = {old: new for new, old in enumerate(order)}
-    label = tuple((_DUAL_FAMILY[f], k) for f, k in r.type_label)
-    n = r.rank
-    simple = [pos[i] for i in r.simple_indices]
-    cartan = tuple(tuple(r.cartan_matrix[j][i] for j in range(n))
-                   for i in range(n))
-    return RootSystem(label,
-                      [r.coroots[i] for i in order],
-                      [r.roots[i] for i in order],
-                      simple, cartan, r.lattice_choice)
 
 
 def parse_type_label(text):

@@ -85,14 +85,6 @@ def reflection_search(polytope):
             tuple(map(tuple, coroot[ok][idx].tolist())), perms[ok][idx])
 
 
-def reflections(polytope):
-    """All lattice reflections preserving the vertex set of a lattice
-    polytope, as a sorted tuple of integer matrices.  The search, with the
-    roots, coroots and vertex permutations it also finds, is
-    :func:`reflection_search`."""
-    return reflection_search(polytope)[0]
-
-
 # tuples of basis images in one block of the search: large enough to pay
 # for the numpy calls a block makes, small enough that a search for one map
 # reaches its first complete tuples early and that a block of images stays

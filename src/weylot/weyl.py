@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import inf
 
 import numpy as np
 
@@ -20,8 +18,7 @@ from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
                      NotReflexive, OutOfTableRange)
 from . import linalg as la
 from .polytope import Polytope, convex_hull
-from .rootsystems import (RootSystem, build_root_system, cartan_matrix,
-                          weight_to_coords)
+from .rootsystems import RootSystem, build_root_system, weight_to_coords
 from .symmetry import automorphism_group, reflection_search
 
 
@@ -172,27 +169,45 @@ def vertex_condition(p: Polytope):
 
 # -- recognizing the reflection group type -----------------------------------
 
-# (family, least rank, greatest rank) of the types detection names
-_REFERENCE_TYPES = (("A", 1, inf), ("B", 2, inf), ("C", 3, inf),
-                    ("D", 4, inf), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2))
-
-
-def _reference_cartans(rank):
-    return [(f"{fam}{rank}", cartan_matrix(fam, rank))
-            for fam, low, high in _REFERENCE_TYPES if low <= rank <= high]
-
-
-def _match_cartan(label_cartans, C):
+def _dynkin_label(C):
+    """Type of an irreducible Cartan matrix, named from its Dynkin diagram's
+    shape (Bourbaki, *Lie*, VI, 4.2; Humphreys, *Reflection Groups and
+    Coxeter Groups*, 2.7).  A -3 entry is G2.  A -2 entry is F4 when both
+    of its nodes have two neighbours, else B when the row holding it is a
+    leaf and C when it is not.  A simply laced diagram with no branch node
+    is A; with one, of arm lengths (1, 1, k) it is D and of (1, 2, 2..4)
+    it is E6-E8.  Any other shape is ``?n``.
+    """
     n = len(C)
-    rows_profile = sorted(sorted(row) for row in C)
-    for label, ref in label_cartans:
-        if sorted(sorted(row) for row in ref) != rows_profile:
-            continue
-        for perm in permutations(range(n)):
-            if all(ref[perm[i]][perm[j]] == C[i][j]
-                   for i in range(n) for j in range(n)):
-                return label
-    return None
+    nbrs = [[j for j in range(n) if j != i and C[i][j]] for i in range(n)]
+    entries = {x for row in C for x in row}
+    if -3 in entries:
+        return "G2"
+    if -2 in entries:
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if C[i][j] == -2)
+        if n == 4 and len(nbrs[i]) == len(nbrs[j]) == 2:
+            return "F4"
+        return f"{'B' if len(nbrs[i]) == 1 else 'C'}{n}"
+    branch = [i for i in range(n) if len(nbrs[i]) > 2]
+    if not branch:
+        return f"A{n}"
+    b = branch[0]
+    if len(branch) > 1 or len(nbrs[b]) > 3:
+        return f"?{n}"
+    arms = []
+    for cur in nbrs[b]:
+        prev, length = b, 1
+        while len(nbrs[cur]) == 2:
+            prev, cur = cur, next(k for k in nbrs[cur] if k != prev)
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return f"D{n}"
+    if arms[:2] == [1, 2] and arms[2] <= 4:
+        return f"E{n}"
+    return f"?{n}"
 
 
 def identify_reflection_group(roots, coroots):
@@ -206,7 +221,8 @@ def identify_reflection_group(roots, coroots):
     all differences are tested in one pass on exact row keys.  Returns
     (label, system): the system of the roots +-a and coroots in the
     lattice's own coordinates, type ("detected", rank), whose Cartan
-    matrix is split along the Dynkin graph and matched to reference types.
+    matrix is split along the Dynkin graph into components, each named by
+    :func:`_dynkin_label`.
     """
     pairs = {}
     for a, av in zip(roots, coroots):
@@ -232,31 +248,15 @@ def identify_reflection_group(roots, coroots):
     system = RootSystem([("detected", len(sreal))], all_roots,
                         [pairs[a] for a in all_roots],
                         [all_roots.index(a) for a in sreal], C, "custom")
-    # split into irreducible components along the Dynkin graph
-    n = len(sreal)
-    comp = list(range(n))
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    for i in range(n):
-        for j in range(n):
-            if i != j and C[i][j] != 0:
-                comp[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    labels = []
-    for members in groups.values():
-        sub = tuple(tuple(C[i][j] for j in members) for i in members)
-        label = _match_cartan(_reference_cartans(len(members)), sub)
-        if label is None:
-            label = f"?{len(members)}"
-        labels.append(label)
-    labels.sort()
+    # the irreducible components are the connected sets of the Dynkin
+    # graph: square its adjacency, with loops, until paths span every node
+    reach = np.array(C) != 0
+    for _ in range(len(C).bit_length()):
+        reach = reach @ reach
+    labels = sorted(_dynkin_label([[C[i][j] for j in members]
+                                   for i in members])
+                    for members in {tuple(np.flatnonzero(row).tolist())
+                                    for row in reach})
     return "x".join(labels), system
 
 
@@ -380,12 +380,10 @@ def classify(p: Polytope, cap=None) -> ClassificationRecord:
     reflexive = p.is_reflexive
     det = is_weyl_polytope(p)
     weyl = (det.type_label, det.dominant_vertex) if det else None
-    dual_weyl = None
+    dual_weyl, vc, witness = None, None, None
     if reflexive:
-        ddet = is_weyl_polytope(p.dual())
+        ddet = is_dual_weyl_polytope(p)
         dual_weyl = (ddet.type_label, ddet.dominant_vertex) if ddet else None
-    vc, witness = (None, None)
-    if reflexive:
         vc, witness = vertex_condition(p)
     return ClassificationRecord(
         aut_order=len(aut),

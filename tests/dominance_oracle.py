@@ -8,7 +8,6 @@ multiplies the group element out with Python matrix products
 """
 
 from weylot import linalg as la
-from weylot.rootsystems import GroupElement
 
 
 def mat_mul(a, b):
@@ -27,7 +26,8 @@ def simple_matrices(system, j):
 
 
 def dominant_representative(system, x, side="M"):
-    """The chamber representative of ``x`` and a group element mapping x to it.
+    """The chamber representative of ``x`` and a group element mapping x to
+    it, as its (matrix on M, matrix on N) pair of tuple matrices.
 
     Repeatedly reflects at a violated simple (co)root; terminates because
     each step strictly shortens the inversion set.
@@ -45,4 +45,4 @@ def dominant_representative(system, x, side="M"):
         cur = la.mat_vec(smat if side == "M" else sdual, cur)
         mat = mat_mul(smat, mat)
         dual = mat_mul(sdual, dual)
-    return cur, GroupElement(mat, dual)
+    return cur, (mat, dual)

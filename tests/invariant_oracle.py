@@ -64,9 +64,8 @@ def symmetrize_plan(plan, group, mu, nu):
     matrices, the target under the dual matrices); masses are compared
     exactly, so a non-invariant input raises.
     """
-    elements = list(group)
-    src_maps = _index_maps(mu, [e.matrix for e in elements])
-    tgt_maps = _index_maps(nu, [e.dual_matrix for e in elements])
+    src_maps = _index_maps(mu, group.matrices.tolist())
+    tgt_maps = _index_maps(nu, group.dual_matrices.tolist())
     for src, tgt in zip(src_maps, tgt_maps):
         for idx, i2 in enumerate(src):
             if mu.masses[idx] != mu.masses[i2]:
@@ -115,12 +114,11 @@ def solve_invariant_ot(mu, nu, group):
     The lifted potentials are re-verified feasible on every pair and the
     duality gap is checked to be exactly zero.
     """
-    if mu.total_mass() != nu.total_mass():
+    if sum(mu.masses) != sum(nu.masses):
         raise UnbalancedMasses(
-            f"total masses differ: {mu.total_mass()} vs {nu.total_mass()}")
-    elements = list(group)
-    src_maps = _index_maps(mu, [e.matrix for e in elements])
-    tgt_maps = _index_maps(nu, [e.dual_matrix for e in elements])
+            f"total masses differ: {sum(mu.masses)} vs {sum(nu.masses)}")
+    src_maps = _index_maps(mu, group.matrices.tolist())
+    tgt_maps = _index_maps(nu, group.dual_matrices.tolist())
     src_reps, src_rep_of = _orbit_decomposition(src_maps)
     tgt_reps, tgt_rep_of = _orbit_decomposition(tgt_maps)
     k, scale = _cost_matrix(mu, nu)

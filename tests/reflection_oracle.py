@@ -4,17 +4,48 @@
 roots and coroots off one batched integer search.  This module is the route
 it replaced: each candidate reflection tested on every vertex with
 ``mat_vec``, a set-based orbit walk, and each reflection's root and coroot
-re-derived from its matrix.  The tests compare the two on every input.
+re-derived from its matrix, and each component of the Dynkin graph named
+by a search for a node permutation matching a reference Cartan matrix.
+The tests compare the two on every input.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from weylot import linalg as la
-from weylot.rootsystems import RootSystem
-from weylot.weyl import WeylDetection, _match_cartan, _reference_cartans
+from weylot.rootsystems import RootSystem, cartan_matrix
+from weylot.weyl import WeylDetection
 
 from dominance_oracle import dominant_representative, mat_mul
+
+# (family, least rank, greatest rank) of the types detection names
+REFERENCE_TYPES = (("A", 1, inf), ("B", 2, inf), ("C", 3, inf),
+                   ("D", 4, inf), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2))
+
+
+def reference_cartans(rank):
+    return [(f"{fam}{rank}", cartan_matrix(fam, rank))
+            for fam, low, high in REFERENCE_TYPES if low <= rank <= high]
+
+
+def match_cartan(label_cartans, C):
+    """The label of the first reference Cartan matrix that C equals up to
+    a permutation of the nodes, or None.  Backtracking over the node
+    permutations: node i of C goes to each unused reference node that
+    agrees with it on the diagonal and on its entries with nodes 0..i-1."""
+    n = len(C)
+
+    def extend(ref, perm):
+        i = len(perm)
+        return i == n or any(
+            extend(ref, perm + [k]) for k in range(n)
+            if k not in perm and ref[k][k] == C[i][i]
+            and all(ref[k][perm[j]] == C[i][j] and ref[perm[j]][k] == C[j][i]
+                    for j in range(i)))
+
+    return next((label for label, ref in label_cartans if extend(ref, [])),
+                None)
 
 
 def moment_adjugate(vertices):
@@ -161,7 +192,7 @@ def identify_reflection_group(refs):
     labels = []
     for members in groups.values():
         sub = tuple(tuple(C[i][j] for j in members) for i in members)
-        label = _match_cartan(_reference_cartans(len(members)), sub)
+        label = match_cartan(reference_cartans(len(members)), sub)
         if label is None:
             label = f"?{len(members)}"
         labels.append(label)

@@ -247,4 +247,4 @@ def test_measure_cells_match_the_frame(name, path):
 
 def test_non_facet_face_raises(cube):
     with pytest.raises(ValueError):
-        cube.face_lattice_volume(cube.faces[0])
+        cube.face_lattice_volume(cube.face_children(cube.facet_faces()[0])[0])

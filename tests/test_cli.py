@@ -116,6 +116,20 @@ class TestCheck:
         assert doc["vertex_condition"] is False
         assert doc["vertex_condition_witness"]
 
+    def test_all_checks_on_a_polytope_that_is_not_reflexive(self, capsys):
+        # the vertex condition is defined for reflexive polytopes only: the
+        # report gives it as null, as classify does, beside the other checks
+        code = main(["check", str(FIXTURES / "b2-octagon.poly"), "--reflexive",
+                     "--delzant", "--weyl", "--vertex-condition", "--star"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reflexive"] is False
+        assert doc["delzant"] is True
+        assert doc["weyl"] == {"type": "B2", "dominant_vertex": [2, 3]}
+        assert doc["vertex_condition"] is None
+        assert doc["vertex_condition_witness"] is None
+        assert doc["star_containment"] == {"pass": True, "mode": "certified"}
+
 
 class TestClassify:
     def test_batch(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from weylot.errors import MalformedHeader, NonIntegerEntry
 from weylot import fileio
 from weylot.cli import main
 from weylot.polytope import convex_hull
+from weylot.transport import CertificationReport, CheckVerdict, CycleVerdict
 from weylot.weyl import classify
 
 
@@ -110,6 +111,43 @@ class TestReports:
         wit = doc["vertex_condition_witness"]
         assert isinstance(wit, list) and len(wit) == 2
         assert all(isinstance(x, int) for vec in wit for x in vec)
+
+    def test_failing_certification(self):
+        # no golden report fails a check: a hand-built failing report pins
+        # the failure schema, pair and (pair, root) witnesses alike
+        half = Fraction(1, 2)
+        report = CertificationReport(
+            stability=CheckVerdict(False, Fraction(1, 8),
+                                   (((1, half), (-1, 0)),)),
+            chamber_support=CheckVerdict(True, Fraction(0), ()),
+            reflection_sign=CheckVerdict(
+                False, Fraction(3, 8), ((((2, 1), (0, -1)), (1, 0)),
+                                        (((1, 1), (half, 0)), (0, 1)))),
+            cyclical_monotonicity=CycleVerdict(
+                False, 3, (((0, 1), (1, 0)), ((2, 2), (3, 0), (0, 3)))),
+            duality_gap=Fraction(0), cost=Fraction(-3, 2), refinement=1,
+            source_size=4, target_size=6)
+        expected = {
+            "tool": fileio.TOOL_VERSION, "input_hash": "h", "type": "B2",
+            "weight": [0, 2], "refinement": 1, "source_points": 4,
+            "target_points": 6, "cost": "-3/2", "duality_gap": "0/1",
+            "stability": {"pass": False, "offending_mass": "1/8",
+                          "witnesses": [{"pair": [[1, "1/2"], [-1, 0]]}]},
+            "chamber_support": {"pass": True, "offending_mass": "0/1",
+                                "witnesses": []},
+            "reflection_sign": {
+                "pass": False, "offending_mass": "3/8",
+                "witnesses": [{"pair": [[2, 1], [0, -1]], "root": [1, 0]},
+                              {"pair": [[1, 1], ["1/2", 0]],
+                               "root": [0, 1]}]},
+            "cyclical_monotonicity": {"pass": False, "max_cycle_length": 3,
+                                      "violations": 2},
+            "pass": False}
+        doc = fileio.certification_json(report, "h", "B2", (0, 2))
+        assert doc == expected
+        # the key order too
+        assert fileio.write_report(doc) == \
+            json.dumps(expected, indent=2) + "\n"
 
 
 def report_docs(capsys):

@@ -204,7 +204,7 @@ def check_witness(rec, verdict):
     poly, walls = ((p, system.simple_coroots) if side == "primal"
                    else (p.dual(), system.simple_roots))
     assert all(la.vdot(x, a) >= 0 for a in walls)
-    assert poly.contains(x)
+    assert all(la.vdot(x, n) <= c for n, c in poly.facets)
     on = [f for f, (n, c) in enumerate(poly.facets) if la.vdot(x, n) == c]
     assert len(on) == 1
     if side == "primal":

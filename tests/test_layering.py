@@ -1,7 +1,8 @@
 """Layering of the package, read from the source with ``ast``.
 
-Every module imports at its top, uses no other module's ``_`` names, and
-the modules import each other without a cycle.
+Every module imports at its top, uses no other module's ``_`` names, the
+modules import each other without a cycle, and every definition has a
+caller outside the unit tests.
 """
 
 import ast
@@ -9,9 +10,17 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylot"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "weylot"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
+# what runs the package other than its unit tests: the package's modules
+# (the commands), the benchmark and the acceptance suite; the re-exports
+# of ``__init__.py`` call nothing
+CALLERS = ([path for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"]
+           + sorted((ROOT / "perfbench").rglob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 
 
 def imports(tree):
@@ -73,3 +82,41 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(edges):
         visit(name)
+
+
+def names_read(tree):
+    """Every name a tree refers to: ``Name`` ids, ``Attribute`` attributes
+    and the parts of imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+    return out
+
+
+def test_every_definition_has_a_caller():
+    """Each function, method and class of the package, dunders aside, is
+    named somewhere in the package, ``perfbench/`` or the acceptance suite.
+
+    The check goes by name alone: a definition passes when anything of the
+    same name is read, such as another object's attribute, a local variable
+    or its own recursive call.  So a method named like a common attribute
+    (``faces``, ``elements``) or a function named like a variable
+    (``reflections``) passes unread; the check finds only code whose name
+    nothing reads.
+    """
+    read = set()
+    for path in CALLERS:
+        read |= names_read(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [f"{name}.{node.name}" for name, tree in MODULES.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))
+              and node.name not in read]
+    assert unread == [], f"defined but named by no caller: {unread}"

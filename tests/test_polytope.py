@@ -12,7 +12,7 @@ from weylot.weyl import (FAMILY_ROWS, classify, family_smallest_ranks,
                          mr_family, star_containment_check)
 
 from test_fixture_files import HERE, load
-from test_properties import random_polytope
+from test_properties import all_faces, random_polytope
 
 
 def edge_normal_oracle(a, b):
@@ -156,23 +156,24 @@ def closure_faces(p):
 
 class TestFaces:
     def test_square_counts(self, square):
-        dims = [f.dimension for f in square.faces]
+        dims = [f.dimension for f in all_faces(square)]
         assert dims.count(0) == 4 and dims.count(1) == 4
 
     def test_cube_counts(self, cube):
-        dims = [f.dimension for f in cube.faces]
+        dims = [f.dimension for f in all_faces(cube)]
         assert (dims.count(0), dims.count(1), dims.count(2)) == (8, 12, 6)
 
     def test_octahedron_counts_against_oracle(self, octahedron):
-        dims = [f.dimension for f in octahedron.faces]
+        faces = all_faces(octahedron)
+        dims = [f.dimension for f in faces]
         assert (dims.count(0), dims.count(1), dims.count(2)) == (6, 12, 8)
         oracle = brute_force_faces(octahedron)
-        assert {frozenset(f.vertex_indices) for f in octahedron.faces} == oracle
+        assert {frozenset(f.vertex_indices) for f in faces} == oracle
 
     def test_deterministic_order(self, cube):
-        faces = cube.faces
-        keys = [(f.dimension, f.vertex_indices) for f in faces]
-        assert keys == sorted(keys)
+        for face in all_faces(cube):
+            keys = [f.vertex_indices for f in cube.face_children(face)]
+            assert keys == sorted(keys)
 
     def test_facet_local_lattice_matches_the_closure(self):
         polys = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
@@ -184,7 +185,7 @@ class TestFaces:
         assert len(polys) == 65
         for p in polys:
             oracle = closure_faces(p)
-            assert list(p.faces) == oracle, p
+            assert all_faces(p) == oracle, p
             by_vertices = {frozenset(f.vertex_indices): f for f in oracle}
             assert p.facet_faces() == tuple(
                 by_vertices[members] for members in p.incidence), p
@@ -196,28 +197,11 @@ class TestFaces:
 
 
 class TestStarAndDualFacet:
-    def test_cube_star(self, cube):
-        star = cube.closed_star((1, 1, 1))
-        facets = [f for f in star if f.dimension == 2]
-        assert len(facets) == 3
-        # as a point set the star is the union of the facets through m
-        union_members = set()
-        for f in facets:
-            union_members |= set(f.vertex_indices)
-        for f in star:
-            assert set(f.vertex_indices) <= union_members
-
     def test_figure_triangle_star_and_tau(self):
         tri = convex_hull([(1, -1), (1, 2), (-2, -1)])
-        star = tri.closed_star((1, 2))
-        assert len([f for f in star if f.dimension == 1]) == 2
         dual, tau = tri.dual_facet((1, 2))
         tau_verts = {dual.vertices[i] for i in tau.vertex_indices}
         assert tau_verts == {(-1, 1), (1, 0)}
-
-    def test_octahedron_star(self, octahedron):
-        star = octahedron.closed_star((0, 0, 1))
-        assert len([f for f in star if f.dimension == 2]) == 4
 
     def test_cube_dual_facet(self, cube):
         dual, tau = cube.dual_facet((1, 1, 1))
@@ -231,16 +215,12 @@ class TestStarAndDualFacet:
 
     def test_vertex_not_found(self, cube):
         with pytest.raises(VertexNotFound):
-            cube.closed_star((2, 0, 0))
-
-    def test_every_boundary_vertex_in_some_star(self, cube):
-        for v in cube.vertices:
-            assert cube.closed_star(v)
+            cube.dual_facet((2, 0, 0))
 
 
 class TestVolumes:
     def test_unit_segment_face(self, square):
-        edge = next(f for f in square.faces if f.dimension == 1)
+        edge = square.facet_faces()[0]
         assert square.face_lattice_volume(edge) == 2  # edges have length 2
 
     def test_cube_facet(self, cube):

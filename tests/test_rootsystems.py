@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 
 import numpy as np
@@ -8,15 +9,15 @@ from hypothesis import strategies as st
 from weylot.errors import (NotLatticePoint, OrbitCapExceeded, UnsupportedType)
 from weylot import linalg as la
 from weylot.polytope import convex_hull
-from weylot.rootsystems import (GroupElement, RootSystem, cartan_matrix,
-                                _change_lattice, block_reflections,
-                                build_from_label, build_root_system,
-                                dual_system, group_closure, parse_type_label,
-                                product, weight_to_coords)
-from weylot.symmetry import automorphism_group, reflections
+from weylot.rootsystems import (RootSystem, cartan_matrix, _change_lattice,
+                                block_reflections, build_from_label,
+                                build_root_system, group_closure,
+                                parse_type_label, product, weight_to_coords)
+from weylot.symmetry import automorphism_group, reflection_search
 from weylot.weyl import identify_reflection_group
 
 from dominance_oracle import dominant_representative, mat_mul, simple_matrices
+from reflection_oracle import match_cartan, reference_cartans
 
 CLASSICAL = {
     ("A", 1): (2, 2), ("A", 2): (6, 6), ("A", 3): (12, 24),
@@ -41,23 +42,22 @@ def closure_system(label):
 
 
 def weyl_group_by_python(system):
-    """Oracle: breadth-first closure in pure Python over tuple matrices."""
+    """Oracle: breadth-first closure in pure Python over tuple matrices,
+    as sorted (matrix on M, matrix on N) pairs."""
     n = system.rank
     gens = [simple_matrices(system, j)
             for j in range(len(system.simple_indices))]
-    ident = GroupElement(la.identity(n), la.identity(n))
-    seen = {ident.matrix: ident}
+    ident = la.identity(n)
+    seen = {ident: ident}
     queue = [ident]
     while queue:
         g = queue.pop()
-        for j, (smat, sdual) in enumerate(gens):
-            mat = mat_mul(smat, g.matrix)
-            if mat in seen:
-                continue
-            elem = GroupElement(mat, mat_mul(sdual, g.dual_matrix))
-            seen[mat] = elem
-            queue.append(elem)
-    return sorted(seen.values(), key=lambda e: e.matrix)
+        for smat, sdual in gens:
+            mat = mat_mul(smat, g)
+            if mat not in seen:
+                seen[mat] = mat_mul(sdual, seen[g])
+                queue.append(mat)
+    return sorted(seen.items())
 
 
 def reflect_by_python(system, root_index, x, side="M"):
@@ -204,6 +204,39 @@ class TestConstruction:
             build_root_system("H", 3)
 
 
+# Every type the detection names, up to rank 10.
+TYPE_SWEEP = tuple(f"{fam}{rank}" for fam, low, high in (
+    ("A", 1, 10), ("B", 2, 10), ("C", 3, 10), ("D", 4, 10), ("E", 6, 8),
+    ("F", 4, 4), ("G", 2, 2)) for rank in range(low, high + 1))
+
+
+def shuffled_roots(label, seed):
+    """Roots and coroots of :func:`system_by_python`, with the coordinates,
+    and so the order of the simple roots, shuffled."""
+    system = system_by_python(label)
+    perm = list(range(system.rank))
+    random.Random(seed).shuffle(perm)
+    return ([tuple(r[k] for k in perm) for r in system.roots],
+            [tuple(c[k] for k in perm) for c in system.coroots])
+
+
+class TestTypeNames:
+    """The Dynkin-shape names against the permutation search of the
+    reference Cartan matrices, on shuffled node orders."""
+
+    @pytest.mark.parametrize("label", TYPE_SWEEP)
+    def test_matches_the_permutation_search(self, label):
+        name, system = identify_reflection_group(*shuffled_roots(label, 7))
+        C = system.cartan_matrix
+        assert name == label
+        assert match_cartan(reference_cartans(len(C)), C) == label
+
+    @pytest.mark.parametrize("label", ["A1xB2", "A2xG2"])
+    def test_products(self, label):
+        name, _ = identify_reflection_group(*shuffled_roots(label, 11))
+        assert name == label
+
+
 class TestReflections:
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
     def test_involution_b2(self, x):
@@ -294,35 +327,36 @@ class TestDominance:
     def test_b2_sign_flip(self):
         b2 = build_root_system("B", 2)
         # e-coords (-1,-1) = alpha-coords (-1,-2); dominant form is (1,2)=(1,1)e
-        dom, w = dominant_representative(b2, (-1, -2))
+        dom, (w, _) = dominant_representative(b2, (-1, -2))
         assert dom == (1, 2)
-        assert w.apply((-1, -2)) == (1, 2)
+        assert la.mat_vec(w, (-1, -2)) == (1, 2)
 
     def test_dominant_fixed(self):
         a3 = build_root_system("A", 3)
         x = (3, 4, 3)
-        dom, w = dominant_representative(a3, x)
-        assert dom == x and w.matrix == la.identity(3)
+        dom, (w, _) = dominant_representative(a3, x)
+        assert dom == x and w == la.identity(3)
 
     def test_a2_simple_root_to_highest(self):
         a2 = build_root_system("A", 2)
-        dom, w = dominant_representative(a2, (1, 0))
+        dom, (w, _) = dominant_representative(a2, (1, 0))
         assert dom == (1, 1)
-        assert w.matrix == simple_matrices(a2, 1)[0]
+        assert w == simple_matrices(a2, 1)[0]
 
     def test_dual_side(self):
         b2 = build_root_system("B", 2)
         n = (-1, 0)
-        dom, w = dominant_representative(b2, n, side="N")
+        dom, (_, w_dual) = dominant_representative(b2, n, side="N")
         assert b2.is_dominant(dom, "N")
-        assert w.apply_dual(n) == dom
+        assert la.mat_vec(w_dual, n) == dom
 
     def test_group_element_bracket_compatibility(self):
         g2 = build_root_system("G", 2)
-        _, w = dominant_representative(g2, (-3, -1))
+        _, (w, w_dual) = dominant_representative(g2, (-3, -1))
         m = (2, 5)
         n = (7, -3)
-        assert la.vdot(w.apply(m), w.apply_dual(n)) == la.vdot(m, n)
+        assert la.vdot(la.mat_vec(w, m), la.mat_vec(w_dual, n)) == \
+            la.vdot(m, n)
 
 
 class TestWeylGroup:
@@ -340,17 +374,16 @@ class TestWeylGroup:
     def test_elements_preserve_roots(self):
         b2 = build_root_system("B", 2)
         roots = set(b2.roots)
-        for e in b2.weyl_group():
-            assert {la.mat_vec(e.matrix, r) for r in roots} == roots
+        for w in b2.weyl_group().matrices.tolist():
+            assert {la.mat_vec(w, r) for r in roots} == roots
 
     @pytest.mark.parametrize("label", CLOSURE_LABELS)
     def test_matches_python_closure(self, label):
         system = closure_system(label)
-        oracle = weyl_group_by_python(system)
-        elements = system.weyl_group().elements
-        assert [e.matrix for e in elements] == [e.matrix for e in oracle]
-        assert [e.dual_matrix for e in elements] == \
-            [e.dual_matrix for e in oracle]
+        W = system.weyl_group()
+        assert [(tuple(map(tuple, m)), tuple(map(tuple, d))) for m, d in zip(
+            W.matrices.tolist(), W.dual_matrices.tolist())] == \
+            weyl_group_by_python(system)
 
     @pytest.mark.parametrize("label", CLOSURE_LABELS + (
         "A1xA1", "A1xA1xA2", "B2xG2", "A2xC3"))
@@ -371,7 +404,7 @@ class TestWeylGroup:
     def test_group_closure_cap_boundary(self):
         cube = convex_hull([(x, y, z) for x in (1, -1) for y in (1, -1)
                             for z in (1, -1)])
-        refs = reflections(cube)
+        refs = reflection_search(cube)[0]
         with pytest.raises(OrbitCapExceeded):
             group_closure(refs, cap=47)
         # the reflections generate all 48 automorphisms, in sorted order
@@ -384,21 +417,18 @@ class TestWeylGroup:
         W = closure_system(label).weyl_group()
         M, D = W.matrices, W.dual_matrices
         assert M.dtype == D.dtype == np.int64 and len(M) == len(D) == len(W)
-        assert [(e.matrix, e.dual_matrix) for e in W] == [
-            (tuple(map(tuple, m)), tuple(map(tuple, d)))
-            for m, d in zip(M.tolist(), D.tolist())]
         # <M m, D n> = <m, n> for all m, n: M^T D = 1
         eye = np.eye(M.shape[-1], dtype=np.int64)
         assert (np.transpose(M, (0, 2, 1)) @ D == eye).all()
 
     def test_dual_matrices_preserve_bracket(self):
         a2 = build_root_system("A", 2)
-        for e in a2.weyl_group():
+        W = a2.weyl_group()
+        for w, w_dual in zip(W.matrices.tolist(), W.dual_matrices.tolist()):
             for m in [(1, 0), (2, -3)]:
                 for n in [(0, 1), (-1, 4)]:
-                    assert la.vdot(la.mat_vec(e.matrix, m),
-                                   la.mat_vec(e.dual_matrix, n)) == \
-                        la.vdot(m, n)
+                    assert la.vdot(la.mat_vec(w, m),
+                                   la.mat_vec(w_dual, n)) == la.vdot(m, n)
 
 
 class TestProductsAndDuality:
@@ -414,25 +444,6 @@ class TestProductsAndDuality:
     def test_a1_b2(self):
         p = build_from_label("A1xB2")
         assert len(p.weyl_group()) == 16
-
-    def test_dual_of_b2_is_c2_shape(self):
-        b2 = build_root_system("B", 2)
-        d = dual_system(b2)
-        assert d.label() == "C2"
-        lengths = sorted(la.vdot(r, r) for r in d.roots)
-        lengths_b = sorted(la.vdot(r, r) for r in b2.coroots)
-        assert lengths == lengths_b
-
-    def test_dual_involution(self):
-        for label in ("A2", "B2", "G2"):
-            r = build_from_label(label)
-            dd = dual_system(dual_system(r))
-            assert dd.roots == r.roots and dd.coroots == r.coroots
-
-    def test_a_self_dual(self):
-        a3 = build_root_system("A", 3)
-        d = dual_system(a3)
-        assert d.cartan_matrix == a3.cartan_matrix
 
     def test_parse_labels(self):
         assert parse_type_label("B3") == (("B", 3),)

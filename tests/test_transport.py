@@ -30,7 +30,7 @@ import simplex_oracle
 def cloud(points, masses, side="M"):
     n = len(points)
     return WeightedPointCloud(tuple(points), tuple(masses), (None,) * n,
-                              (None,) * n, side)
+                              side)
 
 
 # -- spanning-tree enumeration oracle -----------------------------------------
@@ -584,9 +584,8 @@ class TestSymmetrize:
         assert sym.cost_value == plan.cost_value
         weighted = {(mu.points[i], nu.points[j]): m
                     for i, j, m in sym.triples}
-        for e in W:
-            moved = {(tuple(la.mat_vec(e.matrix, x)),
-                      tuple(la.mat_vec(e.dual_matrix, y))): m
+        for w, w_dual in zip(W.matrices.tolist(), W.dual_matrices.tolist()):
+            moved = {(tuple(la.mat_vec(w, x)), tuple(la.mat_vec(w_dual, y))): m
                      for (x, y), m in weighted.items()}
             assert moved == weighted
 

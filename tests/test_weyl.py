@@ -41,8 +41,8 @@ class TestWeylPolytope:
         b2 = build_root_system("B", 2)
         rec = weyl_polytope(b2, (2, 3))
         vset = set(rec.polytope.vertices)
-        for e in b2.weyl_group():
-            assert {la.mat_vec(e.matrix, v) for v in vset} == vset
+        for w in b2.weyl_group().matrices.tolist():
+            assert {la.mat_vec(w, v) for v in vset} == vset
 
     def test_errors(self):
         b2 = build_root_system("B", 2)
@@ -214,7 +214,7 @@ class TestStarContainment:
         side, y = verdict.witness
         assert side == "dual"
         dual = rec.polytope.dual()
-        assert dual.contains(y)
+        assert all(la.vdot(y, n) <= c for n, c in dual.facets)
         assert any(la.vdot(y, n) == c for n, c in dual.facets)
         assert all(la.vdot(a, y) >= 0 for a in rec.system.simple_roots)
         assert la.vdot((-1, 1), y) != 1
