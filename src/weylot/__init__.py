@@ -8,7 +8,7 @@ from .errors import (GroupCapExceeded, InternalTableViolation,
                      WeylotError)
 from .polytope import Face, Polytope, convex_hull
 from .rootsystems import (RootSystem, WeylGroup, build_from_label,
-                          build_root_system, product, weight_to_coords)
+                          build_root_system, weight_to_coords)
 from .symmetry import automorphism_group, unimodular_equivalent
 from .weyl import (ClassificationRecord, WeylPolytopeRecord, classify,
                    is_dual_weyl_polytope, is_weyl_polytope, mr_family,

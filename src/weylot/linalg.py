@@ -141,12 +141,6 @@ def solve(m, b):
     return tuple(norm_scalar(a[i][n]) for i in range(n))
 
 
-def inverse(m):
-    """Exact inverse of a square matrix; None if singular."""
-    cols = [solve(m, e) for e in identity(len(m))]
-    return None if None in cols else transpose(cols)
-
-
 def adjugate_int(m):
     """Adjugate of an integer matrix, computed from cofactors."""
     n = len(m)

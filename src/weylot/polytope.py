@@ -114,7 +114,7 @@ def _check_full_dimensional(points, dim):
             f"affine span of the points has dimension < {dim}")
 
 
-def convex_hull(points, dim=None):
+def convex_hull(points):
     """Exact convex hull of lattice points with 0 in the interior.
 
     Returns a :class:`Polytope`.  Raises :class:`NotFullDimensional` if the
@@ -132,7 +132,7 @@ def convex_hull(points, dim=None):
             pts.append(t)
     if not pts:
         raise NotFullDimensional("no points given")
-    d = dim if dim is not None else len(pts[0])
+    d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("points of mixed dimension")
     if len(pts) < d + 1:

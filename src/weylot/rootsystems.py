@@ -1,13 +1,13 @@
 """Crystallographic root systems, Weyl groups and orbits.
 
-Coordinates: a root system of rank r lives in an r-dimensional lattice M.
-Internally everything is generated in the simple-root basis, where the
-root lattice is exactly ``Z^r``.  Choosing ``lattice="weight"`` re-expresses
-all data in the fundamental-weight basis, and a custom intermediate lattice
-may be given by an integer basis matrix (columns are lattice generators in
-simple-root coordinates).  Dual-side data (coroots, chamber normals) is
-stored in the basis dual to the chosen one, so the duality bracket is the
-plain dot product throughout.
+A root datum is fixed by its Cartan matrix and its lattice M (Bourbaki,
+*Lie*, VI, 1; Humphreys, *Reflection Groups and Coxeter Groups*, 2.9).
+:func:`build_from_label` builds every system, one type or a direct
+product, over the root lattice (in simple-root coordinates, where it is
+``Z^r``) or over the weight lattice (in fundamental-weight coordinates),
+from the block-diagonal Cartan matrix of its factors.  Dual-side data
+(coroots, chamber normals) is stored in the basis dual to the chosen one,
+so the duality bracket is the plain dot product throughout.
 
 The roots, an orbit and the Weyl group are all one reflection closure
 (:func:`group_closure`) under the simple reflections, as block-diagonal
@@ -32,6 +32,8 @@ from .errors import (GroupCapExceeded, NotLatticePoint, UnsupportedType)
 from . import linalg as la
 
 DEFAULT_ORBIT_CAP = 100_000
+# elements per batch of products that group_closure dedupes at once
+_CLOSURE_BATCH = 1 << 13
 
 
 def orbit_cap():
@@ -50,8 +52,12 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
     ``seeds`` a stack of d x c integer arrays (default: the d x d identity,
     whose closure is the group itself).  Each element is keyed on its first
     ``rank`` rows and columns, which must determine it.  Breadth first:
-    each round multiplies the whole frontier by every generator, one
-    matmul per diagonal block, and keeps the products whose keys are new.
+    each round multiplies the frontier by the generators, one matmul per
+    diagonal block, and keeps the products whose keys are new.  It takes
+    as many generators at a time as keep a batch of products near
+    ``_CLOSURE_BATCH`` elements, and dedupes each batch before the next:
+    all of them for a small frontier, one at a time for a large one, so a
+    round holds a large frontier's products for one generator only.
     Returns an int64 array of the elements, sorted lexicographically on
     their keys.  Raises GroupCapExceeded before the closure grows past
     ``cap`` elements (default from ``orbit_cap()``), or when an entry could
@@ -63,10 +69,10 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
     rank = d if rank is None else rank
     if gens[:, :rank, rank:].any() or gens[:, rank:, :rank].any():
         raise ValueError("generators are not block diagonal at the rank")
-    top, bottom = gens[:, None, :rank, :rank], gens[:, None, rank:, rank:]
-    batch = np.eye(d, dtype=np.int64)[None] if seeds is None else seeds
-    found, seen = [], set()
-    while len(batch):
+    seen = set()
+
+    def fresh(batch):
+        """The elements of ``batch`` whose keys are new, now seen."""
         if la.matmul_dtype(gens, batch) is object:
             raise GroupCapExceeded("closure entries outgrow int64")
         batch = np.asarray(batch, dtype=np.int64)
@@ -82,12 +88,23 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
                 raise GroupCapExceeded(f"closure size exceeds cap {cap}")
             seen.add(key)
             keep.append(i)
-        frontier = batch[keep]
+        return batch[keep]
+
+    frontier = fresh(np.eye(d, dtype=np.int64)[None] if seeds is None
+                     else seeds)
+    found = []
+    while len(frontier):
         found.append(frontier)
-        batch = np.empty((len(gens), *frontier.shape), dtype=np.int64)
-        np.matmul(top, frontier[:, :rank], out=batch[:, :, :rank])
-        np.matmul(bottom, frontier[:, rank:], out=batch[:, :, rank:])
-        batch = batch.reshape(-1, *frontier.shape[1:])
+        step, parts = max(1, _CLOSURE_BATCH // len(frontier)), []
+        for k in range(0, len(gens), step):
+            g = gens[k:k + step, None]
+            batch = np.empty((len(g), *frontier.shape), dtype=np.int64)
+            np.matmul(g[..., :rank, :rank], frontier[:, :rank],
+                      out=batch[:, :, :rank])
+            np.matmul(g[..., rank:, rank:], frontier[:, rank:],
+                      out=batch[:, :, rank:])
+            parts.append(fresh(batch.reshape(-1, *frontier.shape[1:])))
+        frontier = np.concatenate(parts)
     elements = np.concatenate(found)
     found.clear()
     keys = elements[:, :rank, :rank].reshape(len(elements), -1)
@@ -158,9 +175,8 @@ def cartan_matrix(family, rank):
 
 
 _ADMISSIBLE = {"A": 1, "B": 2, "C": 3, "D": 4}
-_EXCEPTIONAL = {("E", 6), ("F", 4), ("G", 2)}
-_EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-                      ("F", 4): 1152, ("G", 2): 12}
+# the supported exceptional types and their Weyl group orders
+_EXCEPTIONAL_ORDER = {("E", 6): 51840, ("F", 4): 1152, ("G", 2): 12}
 
 
 class RootSystem:
@@ -260,110 +276,6 @@ class WeylGroup:
         return len(self.matrices)
 
 
-def build_root_system(family, rank, lattice="root"):
-    """Construct a root system of the given family, rank, and lattice choice.
-
-    ``lattice`` is ``"root"``, ``"weight"``, or an integer matrix whose
-    columns generate an intermediate lattice in simple-root coordinates.
-    """
-    family = family.upper()
-    if (family, rank) not in _EXCEPTIONAL:
-        if family not in _ADMISSIBLE or rank < _ADMISSIBLE[family]:
-            raise UnsupportedType(f"unsupported root system {family}{rank}")
-    C = cartan_matrix(family, rank)
-    n = rank
-
-    # the (root, coroot) columns: the closure of the simple ones (e_i; C[i]),
-    # keyed on the root; a supported system has at most 3 rank^2 roots, so
-    # the orbit cap does not apply
-    eye = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    columns = group_closure(block_reflections(eye, C),
-                            [[[x] for x in e + c] for e, c in zip(eye, C)],
-                            n, inf)
-    roots = list(map(tuple, columns[:, :n, 0].tolist()))
-    coroots = list(map(tuple, columns[:, n:, 0].tolist()))
-    simple_indices = [roots.index(e) for e in eye]
-
-    system = RootSystem([(family, rank)], roots, coroots, simple_indices,
-                        C, "root")
-    if lattice == "root":
-        return system
-    if lattice == "weight":
-        basis = la.inverse(C)  # columns = fundamental weights in alpha-coords
-        basis = tuple(tuple(basis[i][j] for j in range(n)) for i in range(n))
-        return _change_lattice(system, basis, "weight")
-    basis = tuple(tuple(row) for row in lattice)
-    return _change_lattice(system, basis, "custom")
-
-
-def _change_lattice(system, basis, name):
-    """Re-express a root-lattice system in the basis given by ``basis`` columns.
-
-    Verifies the sandwich condition: the new lattice must contain all roots
-    (integer coordinates) and sit inside the weight lattice (integer pairings
-    with all coroots).
-    """
-    n = system.rank
-    inv = la.inverse(basis)
-    if inv is None:
-        raise ValueError("lattice basis is singular")
-    new_roots = []
-    for alpha in system.roots:
-        x = la.mat_vec(inv, alpha)
-        if not la.is_integer_vector(x):
-            raise ValueError("lattice does not contain the root lattice")
-        new_roots.append(tuple(la.norm_scalar(v) for v in x))
-    bt = la.transpose(basis)
-    new_coroots = []
-    for covec in system.coroots:
-        y = la.mat_vec(bt, covec)
-        new_coroots.append(tuple(la.norm_scalar(v) for v in y))
-    for j in range(n):
-        col = tuple(basis[i][j] for i in range(n))
-        pairings = [la.vdot(col, system.coroots[i]) for i in system.simple_indices]
-        if not la.is_integer_vector(pairings):
-            raise ValueError("lattice is not inside the weight lattice")
-    order = sorted(range(len(new_roots)), key=lambda i: new_roots[i])
-    inv_order = {old: new for new, old in enumerate(order)}
-    return RootSystem(system.type_label,
-                      [new_roots[i] for i in order],
-                      [new_coroots[i] for i in order],
-                      [inv_order[i] for i in system.simple_indices],
-                      system.cartan_matrix, name)
-
-
-def product(r1: RootSystem, r2: RootSystem) -> RootSystem:
-    """Direct product: block sums of roots, coroots, and Cartan data."""
-    if r1.lattice_choice != r2.lattice_choice:
-        raise ValueError("lattice choices differ")
-    n1, n2 = r1.rank, r2.rank
-    roots = []
-    coroots = []
-    for a, av in zip(r1.roots, r1.coroots):
-        roots.append(a + (0,) * n2)
-        coroots.append(av + (0,) * n2)
-    for b, bv in zip(r2.roots, r2.coroots):
-        roots.append((0,) * n1 + b)
-        coroots.append((0,) * n1 + bv)
-    order = sorted(range(len(roots)), key=lambda i: roots[i])
-    pos = {old: new for new, old in enumerate(order)}
-    simple = [pos[i] for i in r1.simple_indices]
-    simple += [pos[len(r1.roots) + i] for i in r2.simple_indices]
-    C = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            C[i][j] = r1.cartan_matrix[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            C[n1 + i][n1 + j] = r2.cartan_matrix[i][j]
-    return RootSystem(r1.type_label + r2.type_label,
-                      [roots[i] for i in order],
-                      [coroots[i] for i in order],
-                      simple,
-                      tuple(tuple(row) for row in C),
-                      r1.lattice_choice)
-
-
 def parse_type_label(text):
     """Parse labels like ``"B3"`` or ``"A1xA2"`` into (family, rank) pairs."""
     parts = text.replace(" ", "").split("x")
@@ -381,31 +293,56 @@ def parse_type_label(text):
 
 
 def build_from_label(text, lattice="root"):
-    """Build a (product) root system from a label like ``"A1xB2"``."""
-    parts = parse_type_label(text)
-    system = build_root_system(parts[0][0], parts[0][1], lattice)
-    for fam, rk in parts[1:]:
-        system = product(system, build_root_system(fam, rk, lattice))
-    return system
+    """Build the root system of a label like ``"B3"`` or ``"A1xB2"`` over
+    the root or the weight lattice.
+
+    C is the block-diagonal Cartan matrix of all factors.  The simple
+    (root; coroot) columns are (e_i; C_i) over the root lattice, in
+    simple-root coordinates, and (column i of C; e_i) over the weight
+    lattice, in fundamental-weight coordinates; their closure under the
+    simple reflections gives every root and its coroot.  A supported system
+    has at most 3 rank^2 roots, so the orbit cap does not apply.
+    """
+    label = parse_type_label(text)
+    for family, rank in label:
+        if (family, rank) not in _EXCEPTIONAL_ORDER and (
+                family not in _ADMISSIBLE or rank < _ADMISSIBLE[family]):
+            raise UnsupportedType(f"unsupported root system {family}{rank}")
+    if lattice not in ("root", "weight"):
+        raise ValueError(f"lattice is 'root' or 'weight', not {lattice!r}")
+    n = sum(rank for _, rank in label)
+    C, at = [[0] * n for _ in range(n)], 0
+    for family, rank in label:
+        for i, row in enumerate(cartan_matrix(family, rank)):
+            C[at + i][at:at + rank] = row
+        at += rank
+    C, eye = tuple(map(tuple, C)), la.identity(n)
+    simple, cosimple = (eye, C) if lattice == "root" else (la.transpose(C), eye)
+    columns = group_closure(block_reflections(simple, cosimple),
+                            [[[x] for x in a + c]
+                             for a, c in zip(simple, cosimple)], n, inf)
+    roots = list(map(tuple, columns[:, :n, 0].tolist()))
+    coroots = list(map(tuple, columns[:, n:, 0].tolist()))
+    return RootSystem(label, roots, coroots,
+                      [roots.index(a) for a in simple], C, lattice)
+
+
+def build_root_system(family, rank, lattice="root"):
+    """The root system of one type: :func:`build_from_label` of
+    ``f"{family}{rank}"``."""
+    return build_from_label(f"{family}{rank}", lattice)
 
 
 def weight_to_coords(system: RootSystem, omega_coeffs):
-    """Point of M with the given fundamental-weight coefficients.
+    """The point x of M with ``<x, alpha_i^vee> = omega_i`` for every
+    simple coroot, in any lattice.
 
-    Raises NotLatticePoint if the combination lands outside the chosen
-    lattice M.
+    Raises NotLatticePoint if x lies outside the system's lattice M.
     """
     n = system.rank
     if len(omega_coeffs) != n:
         raise ValueError(f"expected {n} weight coefficients")
-    if system.lattice_choice == "root":
-        inv = la.inverse(system.cartan_matrix)
-        coords = la.mat_vec(inv, omega_coeffs)
-    elif system.lattice_choice == "weight":
-        coords = tuple(omega_coeffs)
-    else:
-        raise ValueError("weight coordinates need a root or weight lattice")
-    coords = tuple(la.norm_scalar(x) for x in coords)
+    coords = la.solve(system.simple_coroots, omega_coeffs)
     if not la.is_integer_vector(coords):
         raise NotLatticePoint(
             f"weight {tuple(omega_coeffs)} is not in the chosen lattice")

@@ -373,9 +373,9 @@ class ClassificationRecord:
     delzant: bool
 
 
-def classify(p: Polytope, cap=None) -> ClassificationRecord:
+def classify(p: Polytope) -> ClassificationRecord:
     """Assemble the per-polytope classification data."""
-    aut = automorphism_group(p, cap)
+    aut = automorphism_group(p)
     bary_zero = all(x == 0 for x in p.barycenter)
     reflexive = p.is_reflexive
     det = is_weyl_polytope(p)

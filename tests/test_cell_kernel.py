@@ -21,6 +21,7 @@ from weylot.measures import measure_cells, surface_measure
 from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
+from lattice_oracle import inverse
 from test_fixture_files import HERE, load
 from test_integer_cells import (barycentric_subdivide, flag_cells,
                                 scaled_points)
@@ -103,7 +104,7 @@ def face_frame(p, face):
     assert len(basis) == face.dimension
     rows = [tuple(b[r] for b in basis) for r in range(p.dim)]
     idx = la.independent_rows(rows, len(basis))
-    inv = la.inverse([rows[r] for r in idx])
+    inv = inverse([rows[r] for r in idx])
     rest = [r for r in range(p.dim) if r not in idx]
 
     def to_local(x):

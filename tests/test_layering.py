@@ -104,10 +104,10 @@ def test_every_definition_has_a_caller():
 
     The check goes by name alone: a definition passes when anything of the
     same name is read, such as another object's attribute, a local variable
-    or its own recursive call.  So a method named like a common attribute
-    (``faces``, ``elements``) or a function named like a variable
-    (``reflections``) passes unread; the check finds only code whose name
-    nothing reads.
+    or its own recursive call.  So a method named like a local variable
+    (``Polytope.tight``, ``RootSystem.order``) or a function named like one
+    (``linalg.rank``, ``linalg.det``) would pass unread; the check finds
+    only code whose name nothing reads.
     """
     read = set()
     for path in CALLERS:

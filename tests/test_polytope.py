@@ -41,7 +41,7 @@ class TestConvexHull:
 
     def test_degenerate_input(self):
         with pytest.raises(NotFullDimensional):
-            convex_hull([(0, 0), (1, 0), (2, 0)], dim=2)
+            convex_hull([(0, 0), (1, 0), (2, 0)])
 
     def test_origin_must_be_interior(self):
         with pytest.raises(OriginNotInterior):

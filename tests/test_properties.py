@@ -22,6 +22,7 @@ from weylot.weyl import weyl_polytope
 
 from invariant_oracle import solve_invariant_ot
 from dominance_oracle import dominant_representative
+from lattice_oracle import inverse
 from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 
@@ -164,7 +165,7 @@ class TestWeylGroupWords:
         g2 = build_root_system("G", 2)
         W = g2.weyl_group()
         for w, w_dual in zip(W.matrices.tolist(), W.dual_matrices.tolist()):
-            inv = la.inverse(w)
+            inv = inverse(w)
             inv = [[la.norm_scalar(x) for x in row] for row in inv]
             assert la.transpose(inv) == tuple(map(tuple, w_dual))
 

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from weylot.errors import (NotLatticePoint, OrbitCapExceeded, UnsupportedType)
 from weylot import linalg as la
+from weylot import rootsystems
 from weylot.polytope import convex_hull
-from weylot.rootsystems import (RootSystem, cartan_matrix, _change_lattice,
-                                block_reflections, build_from_label,
-                                build_root_system, group_closure,
-                                parse_type_label, product, weight_to_coords)
+from weylot.rootsystems import (RootSystem, cartan_matrix, block_reflections,
+                                build_from_label, build_root_system,
+                                group_closure, parse_type_label,
+                                weight_to_coords)
 from weylot.symmetry import automorphism_group, reflection_search
 from weylot.weyl import identify_reflection_group
 
 from dominance_oracle import dominant_representative, mat_mul, simple_matrices
+from lattice_oracle import change_lattice, inverse, product
 from reflection_oracle import match_cartan, reference_cartans
 
 CLASSICAL = {
@@ -30,9 +32,11 @@ CLASSICAL = {
 
 
 # Systems the group closure is checked on: every family up to rank 4, one
-# direct product and one weight-lattice system.
+# direct product, and five systems over the weight lattice, the product
+# among them.
 CLOSURE_LABELS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4",
-                  "F4", "G2", "A1xB2", "B3-weight")
+                  "F4", "G2", "A1xB2", "B3-weight", "A1xB2-weight",
+                  "G2-weight", "D4-weight", "F4-weight")
 
 
 def closure_system(label):
@@ -110,7 +114,8 @@ def roots_by_python(C):
 
 def system_by_python(label):
     """Oracle: ``closure_system(label)`` with the roots of each factor
-    from :func:`roots_by_python`."""
+    from :func:`roots_by_python`, moved to the weight lattice and glued
+    together by ``lattice_oracle``."""
     factors = []
     for fam, rk in parse_type_label(label.removesuffix("-weight")):
         C = cartan_matrix(fam, rk)
@@ -119,8 +124,7 @@ def system_by_python(label):
                   for i in range(rk)]
         system = RootSystem([(fam, rk)], roots, coroots, simple, C, "root")
         if label.endswith("-weight"):
-            basis = tuple(map(tuple, la.inverse(C)))
-            system = _change_lattice(system, basis, "weight")
+            system = change_lattice(system, inverse(C), "weight")
         factors.append(system)
     return reduce(product, factors)
 
@@ -202,6 +206,8 @@ class TestConstruction:
             build_root_system("E", 7)
         with pytest.raises(UnsupportedType):
             build_root_system("H", 3)
+        with pytest.raises(ValueError):
+            build_from_label("A2", "custom")
 
 
 # Every type the detection names, up to rank 10.
@@ -395,6 +401,19 @@ class TestWeylGroup:
         assert build_root_system("E", 6).order == 51840
         assert build_from_label("E6xG2").order == 51840 * 12
 
+    @pytest.mark.parametrize("label", ["F4", "A1xB2-weight"])
+    def test_one_generator_at_a_time(self, label, monkeypatch):
+        # batches of one generator's products, deduped one after another,
+        # give the same closure as one batch of every generator's
+        system = closure_system(label)
+        whole = system.weyl_group()
+        monkeypatch.setattr(rootsystems, "_CLOSURE_BATCH", 1)
+        single = system.weyl_group()
+        assert (single.matrices == whole.matrices).all()
+        assert (single.dual_matrices == whole.dual_matrices).all()
+        with pytest.raises(OrbitCapExceeded):
+            system.weyl_group(cap=len(whole) - 1)
+
     def test_cap_boundary(self):
         b3 = build_root_system("B", 3)
         with pytest.raises(OrbitCapExceeded):
@@ -433,7 +452,9 @@ class TestWeylGroup:
 
 class TestProductsAndDuality:
     def test_a1_a1(self):
-        p = product(build_root_system("A", 1), build_root_system("A", 1))
+        p = build_from_label("A1xA1")
+        assert p.roots == product(build_root_system("A", 1),
+                                  build_root_system("A", 1)).roots
         assert len(p.roots) == 4
         assert len(p.weyl_group()) == 4
 

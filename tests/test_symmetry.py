@@ -21,6 +21,7 @@ from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks,
 
 import reflection_oracle as oracle
 from dominance_oracle import mat_mul
+from lattice_oracle import inverse
 from reflection_oracle import reflection_data
 from test_fixture_files import HERE, load
 from test_linalg import fraction_det, rank_loop
@@ -38,7 +39,7 @@ def automorphisms_by_permutation(p):
             rows.append(list(v))
             if len(rows) == d:
                 break
-    binv = la.inverse(rows)
+    binv = inverse(rows)
     found = set()
     vset = set(verts)
     for perm in permutations(range(len(verts))):
@@ -72,9 +73,9 @@ class TestAutomorphismGroup:
     def test_group_axioms(self, square):
         aut = set(automorphism_group(square))
         for a in aut:
-            assert la.inverse(a) is not None
+            assert inverse(a) is not None
             inv = tuple(tuple(la.norm_scalar(x) for x in row)
-                        for row in la.inverse(a))
+                        for row in inverse(a))
             assert inv in aut
             for b in aut:
                 assert mat_mul(a, b) in aut
@@ -199,7 +200,7 @@ def oracle_gram(polytope):
     g = [[sum(v[i] * v[j] for v in verts) for j in range(d)]
          for i in range(d)]
     det = fraction_det(g)
-    badj = [[det * x for x in row] for row in la.inverse(g)]
+    badj = [[det * x for x in row] for row in inverse(g)]
     bv = [la.mat_vec(badj, v) for v in verts]
     return [[la.vdot(u, w) for w in bv] for u in verts], det
 
@@ -210,7 +211,7 @@ def oracle_search(p, gram_p, q, gram_q, first_only, cap):
     verts_p, verts_q = p.vertices, q.vertices
     d = p.dim
     basis_idx = rank_loop(verts_p, d)
-    binv_t = la.transpose(la.inverse([verts_p[i] for i in basis_idx]))
+    binv_t = la.transpose(inverse([verts_p[i] for i in basis_idx]))
     vset_q = set(verts_q)
     candidates = [[c for c in range(len(verts_q))
                    if gram_q[c][c] == gram_p[bi][bi]] for bi in basis_idx]
@@ -270,7 +271,7 @@ def image(u, p):
 
 def conjugate(u, maps):
     """u A u^-1 for each map A, sorted: the automorphisms of u(P)."""
-    uinv = la.inverse(u)
+    uinv = inverse(u)
     return tuple(sorted(tuple(tuple(la.norm_scalar(x) for x in row)
                               for row in mat_mul(mat_mul(u, a), uinv))
                         for a in maps))

@@ -140,6 +140,16 @@ class TestDetection:
         det = is_weyl_polytope(p2_dual_triangle)
         assert det is not None and det.type_label == "A2"
 
+    @pytest.mark.parametrize("name", ["square", "hexagon", "cube",
+                                      "octahedron", "p2_dual_triangle"])
+    def test_dominant_vertex_from_its_pairings(self, name, request):
+        # the detected system lives in the polytope's own lattice, neither
+        # the root nor the weight lattice of its type
+        det = is_weyl_polytope(request.getfixturevalue(name))
+        v = det.dominant_vertex
+        assert weight_to_coords(det.system,
+                                det.system.simple_pairings(v)) == v
+
     def test_not_vertex_transitive(self):
         p = convex_hull([(1, 0), (-1, 0), (0, 1), (0, -2)])
         assert is_weyl_polytope(p) is None
