@@ -32,8 +32,6 @@ from .errors import (GroupCapExceeded, NotLatticePoint, UnsupportedType)
 from . import linalg as la
 
 DEFAULT_ORBIT_CAP = 100_000
-# elements per batch of products that group_closure dedupes at once
-_CLOSURE_BATCH = 1 << 13
 
 
 def orbit_cap():
@@ -52,12 +50,10 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
     ``seeds`` a stack of d x c integer arrays (default: the d x d identity,
     whose closure is the group itself).  Each element is keyed on its first
     ``rank`` rows and columns, which must determine it.  Breadth first:
-    each round multiplies the frontier by the generators, one matmul per
-    diagonal block, and keeps the products whose keys are new.  It takes
-    as many generators at a time as keep a batch of products near
-    ``_CLOSURE_BATCH`` elements, and dedupes each batch before the next:
-    all of them for a small frontier, one at a time for a large one, so a
-    round holds a large frontier's products for one generator only.
+    each round multiplies the frontier by each generator in turn, one
+    matmul per diagonal block, and keeps the products whose keys are new
+    before the next generator, so a round holds the frontier's products by
+    one generator at a time.
     Returns an int64 array of the elements, sorted lexicographically on
     their keys.  Raises GroupCapExceeded before the closure grows past
     ``cap`` elements (default from ``orbit_cap()``), or when an entry could
@@ -69,14 +65,18 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
     rank = d if rank is None else rank
     if gens[:, :rank, rank:].any() or gens[:, rank:, :rank].any():
         raise ValueError("generators are not block diagonal at the rank")
+    blocks = [(g[:rank, :rank], g[rank:, rank:]) for g in gens]
     seen = set()
+
+    def multipliable(batch):
+        """``batch`` as int64, once its products by the generators fit."""
+        if la.matmul_dtype(gens, batch) is object:
+            raise GroupCapExceeded("closure entries outgrow int64")
+        return np.asarray(batch, dtype=np.int64)
 
     def fresh(batch):
         """The elements of ``batch`` whose keys are new, now seen."""
-        if la.matmul_dtype(gens, batch) is object:
-            raise GroupCapExceeded("closure entries outgrow int64")
-        batch = np.asarray(batch, dtype=np.int64)
-        keys = np.ascontiguousarray(batch[:, :rank, :rank])
+        keys = batch[:, :rank, :rank]
         size = keys[0].nbytes
         buf = keys.tobytes()
         keep = []
@@ -90,20 +90,17 @@ def group_closure(generators, seeds=None, rank=None, cap=None):
             keep.append(i)
         return batch[keep]
 
-    frontier = fresh(np.eye(d, dtype=np.int64)[None] if seeds is None
-                     else seeds)
+    frontier = fresh(multipliable(np.eye(d, dtype=np.int64)[None]
+                                  if seeds is None else seeds))
     found = []
     while len(frontier):
-        found.append(frontier)
-        step, parts = max(1, _CLOSURE_BATCH // len(frontier)), []
-        for k in range(0, len(gens), step):
-            g = gens[k:k + step, None]
-            batch = np.empty((len(g), *frontier.shape), dtype=np.int64)
-            np.matmul(g[..., :rank, :rank], frontier[:, :rank],
-                      out=batch[:, :, :rank])
-            np.matmul(g[..., rank:, rank:], frontier[:, rank:],
-                      out=batch[:, :, rank:])
-            parts.append(fresh(batch.reshape(-1, *frontier.shape[1:])))
+        found.append(multipliable(frontier))
+        parts = []
+        for g, g_dual in blocks:
+            batch = np.empty_like(frontier)
+            np.matmul(g, frontier[:, :rank], out=batch[:, :rank])
+            np.matmul(g_dual, frontier[:, rank:], out=batch[:, rank:])
+            parts.append(fresh(batch))
         frontier = np.concatenate(parts)
     elements = np.concatenate(found)
     found.clear()

@@ -4,7 +4,8 @@ The tests draw dominant points with it and pick the dominant vertex of the
 tuple-at-a-time Weyl detection in ``reflection_oracle``; it reflects with
 the system's simple reflection matrices (:func:`simple_matrices`) and
 multiplies the group element out with Python matrix products
-(:func:`mat_mul`, which other tests import too).
+(:func:`mat_mul`).  Other tests import :func:`mat_mul` and the exact
+:func:`inverse` from here too.
 """
 
 from weylot import linalg as la
@@ -14,6 +15,12 @@ def mat_mul(a, b):
     """Exact product of two matrices of tuples."""
     bt = tuple(zip(*b))
     return tuple(tuple(la.vdot(row, col) for col in bt) for row in a)
+
+
+def inverse(m):
+    """Exact inverse of a square matrix; None if singular."""
+    cols = [la.solve(m, e) for e in la.identity(len(m))]
+    return None if None in cols else la.transpose(cols)
 
 
 def simple_matrices(system, j):

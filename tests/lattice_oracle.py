@@ -5,18 +5,14 @@ the weight lattice, with one closure over the block-diagonal Cartan matrix.
 This oracle takes the older path, which ``tests/test_rootsystems.py``
 compares it with: the roots of one type in simple-root coordinates,
 re-expressed one root at a time in Fractions in the basis of another
-lattice (:func:`change_lattice`, through the exact :func:`inverse`), then
+lattice (:func:`change_lattice`, through the exact ``inverse``), then
 glued into block sums factor by factor (:func:`product`).
 """
 
 from weylot import linalg as la
 from weylot.rootsystems import RootSystem
 
-
-def inverse(m):
-    """Exact inverse of a square matrix; None if singular."""
-    cols = [la.solve(m, e) for e in la.identity(len(m))]
-    return None if None in cols else la.transpose(cols)
+from dominance_oracle import inverse
 
 
 def change_lattice(system, basis, name):

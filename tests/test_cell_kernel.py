@@ -21,7 +21,7 @@ from weylot.measures import measure_cells, surface_measure
 from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
-from lattice_oracle import inverse
+from dominance_oracle import inverse
 from test_fixture_files import HERE, load
 from test_integer_cells import (barycentric_subdivide, flag_cells,
                                 scaled_points)

@@ -21,8 +21,7 @@ from weylot.measures import WeightedPointCloud, chamber_incidence, discretize
 from weylot.weyl import weyl_polytope
 
 from invariant_oracle import solve_invariant_ot
-from dominance_oracle import dominant_representative
-from lattice_oracle import inverse
+from dominance_oracle import dominant_representative, inverse
 from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 

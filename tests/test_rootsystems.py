@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from weylot.errors import (NotLatticePoint, OrbitCapExceeded, UnsupportedType)
 from weylot import linalg as la
-from weylot import rootsystems
 from weylot.polytope import convex_hull
 from weylot.rootsystems import (RootSystem, cartan_matrix, block_reflections,
                                 build_from_label, build_root_system,
@@ -17,8 +16,9 @@ from weylot.rootsystems import (RootSystem, cartan_matrix, block_reflections,
 from weylot.symmetry import automorphism_group, reflection_search
 from weylot.weyl import identify_reflection_group
 
-from dominance_oracle import dominant_representative, mat_mul, simple_matrices
-from lattice_oracle import change_lattice, inverse, product
+from dominance_oracle import (dominant_representative, inverse, mat_mul,
+                              simple_matrices)
+from lattice_oracle import change_lattice, product
 from reflection_oracle import match_cartan, reference_cartans
 
 CLASSICAL = {
@@ -400,19 +400,6 @@ class TestWeylGroup:
     def test_exceptional_orders(self):
         assert build_root_system("E", 6).order == 51840
         assert build_from_label("E6xG2").order == 51840 * 12
-
-    @pytest.mark.parametrize("label", ["F4", "A1xB2-weight"])
-    def test_one_generator_at_a_time(self, label, monkeypatch):
-        # batches of one generator's products, deduped one after another,
-        # give the same closure as one batch of every generator's
-        system = closure_system(label)
-        whole = system.weyl_group()
-        monkeypatch.setattr(rootsystems, "_CLOSURE_BATCH", 1)
-        single = system.weyl_group()
-        assert (single.matrices == whole.matrices).all()
-        assert (single.dual_matrices == whole.dual_matrices).all()
-        with pytest.raises(OrbitCapExceeded):
-            system.weyl_group(cap=len(whole) - 1)
 
     def test_cap_boundary(self):
         b3 = build_root_system("B", 3)

@@ -20,8 +20,7 @@ from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks,
                          is_weyl_polytope, mr_family)
 
 import reflection_oracle as oracle
-from dominance_oracle import mat_mul
-from lattice_oracle import inverse
+from dominance_oracle import inverse, mat_mul
 from reflection_oracle import reflection_data
 from test_fixture_files import HERE, load
 from test_linalg import fraction_det, rank_loop
