@@ -32,10 +32,6 @@ def vsub(a, b) -> tuple:
     return tuple(norm_scalar(x - y) for x, y in zip(a, b))
 
 
-def mat_vec(m, v) -> tuple:
-    return tuple(vdot(row, v) for row in m)
-
-
 def transpose(m) -> tuple:
     return tuple(zip(*m))
 
@@ -123,35 +119,44 @@ def det(m):
     return sign * a[-1][-1]
 
 
-def solve(m, b):
-    """Solve the square system m x = b exactly; None if singular."""
+def adjugate(m):
+    """Adjugate and determinant of a nonsingular integer matrix: one
+    fraction-free Gauss-Jordan pass on [m | I] (Bareiss, *Math. Comp.* 22,
+    1968).
+
+    Every entry the pass writes is a minor of [m | I] (Bareiss's
+    identity), so each division by the previous pivot is exact; the pass
+    ends with +-det I on the left and +-adj on the right, the sign that of
+    the row swaps.  Raises ValueError if m is singular.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m, b)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+    a = [list(row) + list(e) for row, e in zip(m, identity(n))]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(norm_scalar(a[i][n]) for i in range(n))
+            raise ValueError("adjugate pass needs a nonsingular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        sign = sign if piv == k else -sign
+        top = a[k]
+        a = [row if row is top else [(x * top[k] - row[k] * y) // prev
+                                     for x, y in zip(row, top)] for row in a]
+        prev = top[k]
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
 
 
-def adjugate_int(m):
-    """Adjugate of an integer matrix, computed from cofactors."""
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
-            cof[i][j] = (-1) ** (i + j) * det(minor)
-    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+def solve(m, b):
+    """Solve the square system m x = b exactly; None if singular.
+
+    Each row is cleared of denominators, and x = adj b / det.
+    """
+    rows = [clear_denominators(tuple(row) + (y,))[0] for row, y in zip(m, b)]
+    try:
+        adj, d = adjugate([row[:-1] for row in rows])
+    except ValueError:
+        return None
+    rhs = [row[-1] for row in rows]
+    return tuple(norm_scalar(Fraction(vdot(r, rhs), d)) for r in adj)
 
 
 # -- integer arrays -----------------------------------------------------------

@@ -203,7 +203,7 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
                    for key in keys)
     masses = tuple(la.norm_scalar(Fraction(accum[key], total)) for key in keys)
     scaled = la.int_array(points)
-    tight = tight_matrix(*scaled, p)
+    tight = tight_matrix(*scaled, p.facets)
     if (tight.sum(axis=1) != 1).any():
         # a full-dimensional cell's centroid is interior to its facet
         raise InternalCheckFailed(

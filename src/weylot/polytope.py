@@ -50,16 +50,10 @@ def _dd_cone(rows):
     seed_idx = la.independent_rows(rows, dim)
     if len(seed_idx) < dim:
         raise ValueError("constraint rows do not span; cone is not pointed")
-    seed_rows = [list(rows[i]) for i in seed_idx]
-
-    d = la.det(seed_rows)
-    adj = la.adjugate_int(tuple(map(tuple, seed_rows)))
+    adj, d = la.adjugate([rows[i] for i in seed_idx])
     sign = 1 if d > 0 else -1
-    rays = []
-    for j in range(dim):
-        col = tuple(-sign * adj[i][j] for i in range(dim))
-        prim, _ = la.primitivize(col)
-        rays.append(prim)
+    rays = [la.primitivize([-sign * x for x in col])[0]
+            for col in la.transpose(adj)]
 
     seed_set = set(seed_idx)
     # bit b of a zero set: the ray is tight on the b-th row inserted, seed
@@ -106,14 +100,6 @@ def _dd_cone(rows):
     return rays
 
 
-def _check_full_dimensional(points, dim):
-    base = points[0]
-    diffs = [la.vsub(p, base) for p in points[1:]]
-    if la.rank(diffs) < dim:
-        raise NotFullDimensional(
-            f"affine span of the points has dimension < {dim}")
-
-
 def convex_hull(points):
     """Exact convex hull of lattice points with 0 in the interior.
 
@@ -121,15 +107,13 @@ def convex_hull(points):
     affine span is proper and :class:`OriginNotInterior` if 0 is not
     strictly inside the hull.
     """
-    pts = []
-    seen = set()
+    pts = set()
     for p in points:
         t = tuple(la.norm_scalar(x) for x in p)
         if any(not isinstance(x, int) for x in t):
             raise ValueError(f"non-integer point {t}")
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
+        pts.add(t)
+    pts = sorted(pts)
     if not pts:
         raise NotFullDimensional("no points given")
     d = len(pts[0])
@@ -137,9 +121,10 @@ def convex_hull(points):
         raise ValueError("points of mixed dimension")
     if len(pts) < d + 1:
         raise NotFullDimensional(f"{len(pts)} points cannot span dimension {d}")
-    _check_full_dimensional(pts, d)
+    if la.rank([la.vsub(p, pts[0]) for p in pts[1:]]) < d:
+        raise NotFullDimensional(
+            f"affine span of the points has dimension < {d}")
 
-    pts.sort()
     rows = [(0,) * d + (-1,)] + [p + (-1,) for p in pts]
     rays = _dd_cone(rows)
     facets = []
@@ -152,26 +137,41 @@ def convex_hull(points):
         facets.append((n, la.norm_scalar(Fraction(t, g))))
     facets.sort()
 
-    vertices = []
-    for p in pts:
-        tight = [f for f, (n, c) in enumerate(facets) if la.vdot(p, n) == c]
-        if tight and la.rank([facets[f][0] for f in tight]) == d:
-            vertices.append(p)
-    return Polytope(tuple(vertices), tuple(facets), d)
+    # p is a vertex iff no other point lies on every facet through p: the
+    # facets through a vertex meet in it alone, and a point that is not a
+    # vertex shares every facet through it with the vertices of the face it
+    # is relatively interior to (Ziegler, *Lectures on Polytopes*, 2.3)
+    tight = tight_matrix(*la.int_array(pts), facets)
+    keep, step = [], max(1, (1 << 22) // len(pts))      # products per block
+    for lo in range(0, len(pts), step):
+        # [i, j]: some facet through point lo + i misses point j; a bool
+        # product is an "any", which cannot wrap
+        misses = tight[lo:lo + step] @ ~tight.T
+        keep += ((~misses).sum(axis=1) == 1).tolist()
+    vertices = tuple(p for p, k in zip(pts, keep) if k)
+    return Polytope(vertices, tuple(facets), d)
 
 
-def tight_matrix(pts, scale, p):
+def tight_matrix(pts, scale, facets):
     """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``.
 
     Facet f, <x, n> = c with c = a / b, is tight at x / scale iff
     <x, b n> = a scale: one integer product for every point and facet.
     """
-    offsets = [Fraction(c) for _, c in p.facets]
+    offsets = [Fraction(c) for _, c in facets]
     normals = [[x * c.denominator for x in n]
-               for (n, _), c in zip(p.facets, offsets)]
+               for (n, _), c in zip(facets, offsets)]
     # a scale need not fit int64 when the points do
     return la.exact_matmul(pts, la.transpose(normals)) == la.int_array(
         [[c.numerator * scale for c in offsets]])[0]
+
+
+def _polar_facet(v):
+    """The facet <x, n> <= c of the polar dual that vertex v gives: n is
+    primitive and v = n / c, so the facet is <v, x> <= 1."""
+    ints, mult = la.clear_denominators(v)
+    n, g = la.primitivize(ints)
+    return n, la.norm_scalar(Fraction(mult, g))
 
 
 class Polytope:
@@ -192,7 +192,7 @@ class Polytope:
     @cached_property
     def tight(self):
         """The vertex x facet incidence matrix, from :func:`tight_matrix`."""
-        return tight_matrix(*self.scaled_vertices, self)
+        return tight_matrix(*self.scaled_vertices, self.facets)
 
     @cached_property
     def incidence(self):
@@ -241,12 +241,7 @@ class Polytope:
         dverts = sorted(
             tuple(la.norm_scalar(Fraction(x, 1) / c) for x in n)
             for n, c in self.facets)
-        dfacets = []
-        for v in self.vertices:
-            ints, mult = la.clear_denominators(v)
-            n, g = la.primitivize(ints)
-            dfacets.append((n, la.norm_scalar(Fraction(mult, g))))
-        dfacets.sort()
+        dfacets = sorted(map(_polar_facet, self.vertices))
         return Polytope(tuple(dverts), tuple(dfacets), self.dim)
 
     @cached_property
@@ -288,11 +283,9 @@ class Polytope:
 
     def dual_facet(self, m):
         """The facet of the dual polytope on which the bracket with ``m`` is 1."""
-        self.vertex_index(m)
         dual = self.dual()
-        members = frozenset(
-            j for j, n in enumerate(dual.vertices) if la.vdot(m, n) == 1)
-        return dual, dual.facet_faces()[dual.incidence.index(members)]
+        tau = _polar_facet(self.vertices[self.vertex_index(m)])
+        return dual, dual.facet_faces()[dual.facets.index(tau)]
 
     # -- triangulation and volume -------------------------------------------
 

@@ -28,18 +28,27 @@ from math import factorial, inf
 
 import numpy as np
 
-from .errors import (GroupCapExceeded, NotLatticePoint, UnsupportedType)
+from .errors import (GroupCapExceeded, NotLatticePoint, UnsupportedType,
+                     WeylotError)
 from . import linalg as la
 
 DEFAULT_ORBIT_CAP = 100_000
 
 
 def orbit_cap():
-    """Active orbit/group size cap; WEYLOT_ORBIT_CAP overrides the default."""
-    value = os.environ.get("WEYLOT_ORBIT_CAP")
-    if value is None:
-        return DEFAULT_ORBIT_CAP
-    return int(value)
+    """Active orbit/group size cap; WEYLOT_ORBIT_CAP overrides the default.
+
+    Raises WeylotError unless the variable is unset or an integer >= 1.
+    """
+    value = os.environ.get("WEYLOT_ORBIT_CAP", str(DEFAULT_ORBIT_CAP))
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise WeylotError(
+            f"WEYLOT_ORBIT_CAP must be an integer >= 1, not {value!r}")
+    return cap
 
 
 def group_closure(generators, seeds=None, rank=None, cap=None):

@@ -30,8 +30,7 @@ from .rootsystems import orbit_cap
 def moment_adjugate(verts):
     """Adjugate and determinant of G = sum over vertex rows v of v v^T, for
     an integer array of vertex rows."""
-    g = la.exact_matmul(verts.T, verts).tolist()
-    return la.adjugate_int(g), la.det(g)
+    return la.adjugate(la.exact_matmul(verts.T, verts).tolist())
 
 
 def reflection_search(polytope):
@@ -140,10 +139,9 @@ def _basis_image_search(verts_p, gram_p, verts_q, gram_q, first_only, cap):
     """
     d = verts_q.shape[1]
     basis = la.independent_rows(verts_p.tolist(), d)
-    brows = verts_p[basis].tolist()
     # T B^T = U^T for image rows U, so det(B) T = U^T adj(B)^T
-    adj_t = la.transpose(la.adjugate_int(brows))
-    det_b = la.det(brows)
+    adj, det_b = la.adjugate(verts_p[basis].tolist())
+    adj_t = la.transpose(adj)
     search = (adj_t, det_b, verts_p, verts_q)
     cands = [np.flatnonzero(gram_q.diagonal() == gram_p[b, b]) for b in basis]
     stack = [np.zeros((1, 0), dtype=np.intp)]

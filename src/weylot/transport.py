@@ -584,7 +584,7 @@ def check_stability_support(plan, delta, mu, nu):
             j = int(np.argwhere((vy > ns).any(axis=0))[0][0])
             raise ValueError(
                 f"target point {nu.points[j]} is outside the dual")
-        tight = tight_matrix(pm, ms, delta)             # sources x facets
+        tight = tight_matrix(pm, ms, delta.facets)      # sources x facets
         # bool matmuls: "any" over facets and vertices, which cannot wrap
         cand = tight @ delta.tight.T                    # sources x vertices
         tau = (vy == ns)                                # vertices x targets

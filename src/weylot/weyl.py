@@ -106,20 +106,9 @@ FAMILY_ROWS = {
 
 
 def family_smallest_ranks(row, count=3):
-    """The ``count`` smallest admissible ranks of a family row."""
-    family, admits, _, _ = FAMILY_ROWS[row]
-    if family in ("E", "F", "G"):
-        fixed = {"E": 6, "F": 4, "G": 2}[family]
-        return (fixed,)
-    out = []
-    n = 1
-    while len(out) < count:
-        if admits(n):
-            out.append(n)
-        n += 1
-        if n > 64:
-            break
-    return tuple(out)
+    """The ``count`` smallest admissible ranks of a family row, up to 64."""
+    _, admits, _, _ = FAMILY_ROWS[row]
+    return tuple(n for n in range(1, 65) if admits(n))[:count]
 
 
 def mr_family(row, rank) -> WeylPolytopeRecord:

@@ -4,9 +4,14 @@ The tests draw dominant points with it and pick the dominant vertex of the
 tuple-at-a-time Weyl detection in ``reflection_oracle``; it reflects with
 the system's simple reflection matrices (:func:`simple_matrices`) and
 multiplies the group element out with Python matrix products
-(:func:`mat_mul`).  Other tests import :func:`mat_mul` and the exact
-:func:`inverse` from here too.
+(:func:`mat_mul`).  Other tests import the exact matrix helpers from here
+too: :func:`mat_mul`, :func:`mat_vec`, the cofactor :func:`adjugate`, the
+``Fraction`` Gauss-Jordan :func:`fraction_solve` and the :func:`inverse`
+built on it.  None of them calls ``linalg.adjugate`` or ``linalg.solve``,
+so they stay independent oracles of both.
 """
+
+from fractions import Fraction
 
 from weylot import linalg as la
 
@@ -17,9 +22,46 @@ def mat_mul(a, b):
     return tuple(tuple(la.vdot(row, col) for col in bt) for row in a)
 
 
+def mat_vec(m, v) -> tuple:
+    """Exact product of a matrix of tuples and a vector."""
+    return tuple(la.vdot(row, v) for row in m)
+
+
+def adjugate(m):
+    """Adjugate of an integer matrix, computed from cofactors."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    cof = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+            cof[i][j] = (-1) ** (i + j) * la.det(minor)
+    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+
+
+def fraction_solve(m, b):
+    """Solve the square system m x = b by Gauss-Jordan elimination in
+    Fractions; None if singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m, b)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return tuple(la.norm_scalar(a[i][n]) for i in range(n))
+
+
 def inverse(m):
     """Exact inverse of a square matrix; None if singular."""
-    cols = [la.solve(m, e) for e in la.identity(len(m))]
+    cols = [fraction_solve(m, e) for e in la.identity(len(m))]
     return None if None in cols else la.transpose(cols)
 
 
@@ -49,7 +91,7 @@ def dominant_representative(system, x, side="M"):
         if j is None:
             break
         smat, sdual = simple_matrices(system, j)
-        cur = la.mat_vec(smat if side == "M" else sdual, cur)
+        cur = mat_vec(smat if side == "M" else sdual, cur)
         mat = mat_mul(smat, mat)
         dual = mat_mul(sdual, dual)
     return cur, (mat, dual)

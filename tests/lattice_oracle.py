@@ -12,7 +12,7 @@ glued into block sums factor by factor (:func:`product`).
 from weylot import linalg as la
 from weylot.rootsystems import RootSystem
 
-from dominance_oracle import inverse
+from dominance_oracle import inverse, mat_vec
 
 
 def change_lattice(system, basis, name):
@@ -28,14 +28,14 @@ def change_lattice(system, basis, name):
         raise ValueError("lattice basis is singular")
     new_roots = []
     for alpha in system.roots:
-        x = la.mat_vec(inv, alpha)
+        x = mat_vec(inv, alpha)
         if not la.is_integer_vector(x):
             raise ValueError("lattice does not contain the root lattice")
         new_roots.append(tuple(la.norm_scalar(v) for v in x))
     bt = la.transpose(basis)
     new_coroots = []
     for covec in system.coroots:
-        y = la.mat_vec(bt, covec)
+        y = mat_vec(bt, covec)
         new_coroots.append(tuple(la.norm_scalar(v) for v in y))
     for j in range(n):
         col = tuple(basis[i][j] for i in range(n))

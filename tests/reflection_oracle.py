@@ -17,7 +17,8 @@ from weylot import linalg as la
 from weylot.rootsystems import RootSystem, cartan_matrix
 from weylot.weyl import WeylDetection
 
-from dominance_oracle import dominant_representative, mat_mul
+from dominance_oracle import (adjugate, dominant_representative, mat_mul,
+                              mat_vec)
 
 # (family, least rank, greatest rank) of the types detection names
 REFERENCE_TYPES = (("A", 1, inf), ("B", 2, inf), ("C", 3, inf),
@@ -51,7 +52,7 @@ def match_cartan(label_cartans, C):
 def moment_adjugate(vertices):
     """Adjugate and determinant of G = sum over vertices of v v^T (integers)."""
     g = mat_mul(la.transpose(vertices), vertices)
-    return la.adjugate_int(g), la.det(g)
+    return adjugate(g), la.det(g)
 
 
 def reflections(polytope):
@@ -78,7 +79,7 @@ def reflections(polytope):
 
     found = {}
     for alpha in directions:
-        balpha = la.mat_vec(badj, alpha)
+        balpha = mat_vec(badj, alpha)
         s = la.vdot(alpha, balpha)
         # sigma = I - 2 alpha (B alpha)^T / (alpha^T B alpha); must be integral
         num = [[2 * a * b for b in balpha] for a in alpha]
@@ -86,7 +87,7 @@ def reflections(polytope):
             continue
         mat = tuple(tuple(int(i == j) - x // s for j, x in enumerate(row))
                     for i, row in enumerate(num))
-        if all(la.mat_vec(mat, v) in vset for v in verts):
+        if all(mat_vec(mat, v) in vset for v in verts):
             found[mat] = alpha
     return tuple(sorted(found))
 
@@ -216,7 +217,7 @@ def is_weyl_polytope(p):
     while queue:
         v = queue.pop()
         for s in refs:
-            w = la.mat_vec(s, v)
+            w = mat_vec(s, v)
             if w not in seen:
                 seen.add(w)
                 queue.append(w)

@@ -21,7 +21,7 @@ from weylot.measures import measure_cells, surface_measure
 from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
-from dominance_oracle import inverse
+from dominance_oracle import inverse, mat_vec
 from test_fixture_files import HERE, load
 from test_integer_cells import (barycentric_subdivide, flag_cells,
                                 scaled_points)
@@ -109,7 +109,7 @@ def face_frame(p, face):
 
     def to_local(x):
         dvec = la.vsub(x, v0)
-        sol = la.mat_vec(inv, [dvec[r] for r in idx])
+        sol = mat_vec(inv, [dvec[r] for r in idx])
         assert all(la.vdot(sol, rows[r]) == dvec[r] for r in rest)
         return sol
 

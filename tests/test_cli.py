@@ -254,6 +254,15 @@ class TestResourceCaps:
         monkeypatch.setenv("WEYLOT_ORBIT_CAP", "4")
         assert main(["gen", "--type", "B3", "--weight", "0,0,2"]) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-5"])
+    def test_bad_orbit_cap_is_an_input_error(self, value, monkeypatch,
+                                             capsys):
+        # a setting that is not an integer >= 1 is not a resource cap
+        monkeypatch.setenv("WEYLOT_ORBIT_CAP", value)
+        assert main(["gen", "--type", "B3", "--weight", "0,0,2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: WEYLOT_ORBIT_CAP must be an integer")
+
     @pytest.mark.parametrize("weight", [2 ** 62, 2 ** 70])
     def test_orbit_past_int64_exit_code(self, weight, capsys):
         # the A1 orbit of weight w is +-w/2: past the closure's int64 bound
@@ -311,8 +320,8 @@ class TestInternalCheck:
         # every centroid lies inside one facet; a tight matrix that says
         # otherwise is a weylot fault, not an input error
         monkeypatch.setattr(measures, "tight_matrix",
-                            lambda pts, scale, p: np.zeros(
-                                (len(pts), len(p.facets)), dtype=bool))
+                            lambda pts, scale, facets: np.zeros(
+                                (len(pts), len(facets)), dtype=bool))
         golden = Path(__file__).parent / "golden"
         assert main(["certify", str(golden / "cube-B3.poly"), "--type", "B3",
                      "--weight", "0,0,2"]) == 4

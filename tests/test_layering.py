@@ -98,25 +98,79 @@ def names_read(tree):
     return out
 
 
+def package_module(node):
+    """The package module an import statement reads from: ``x`` for
+    ``from .x`` or ``from weylot.x``, "" for ``from .`` or ``from
+    weylot``, None for any other import."""
+    if not isinstance(node, ast.ImportFrom):
+        return None
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and (
+            node.module == "weylot" or node.module.startswith("weylot.")):
+        return node.module.removeprefix("weylot").removeprefix(".")
+    return None
+
+
+# the names ``from weylot import name`` can bind: the package's modules,
+# and the re-exports of ``__init__.py`` by the module they come from
+REEXPORTS = {alias.name: package_module(node)
+             for node in imports(MODULES["__init__"])
+             for alias in node.names}
+
+
+def module_names_read(tree, here=None):
+    """(module, name) per module-level definition a tree reads: a bare
+    name if the tree is module ``here``, ``alias.name`` on an alias bound
+    to a package module, and each name imported from a package module
+    (``from .m import name``, ``from weylot import name``,
+    ``from weylot.m import name``)."""
+    out, aliases = set(), {}
+    for node in imports(tree):
+        module = package_module(node)
+        for alias in [] if module is None else node.names:
+            if module == "" and alias.name in MODULES:
+                aliases[alias.asname or alias.name] = alias.name
+            else:
+                out.add((REEXPORTS.get(alias.name) if module == ""
+                         else module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and here is not None:
+            out.add((here, node.id))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            out.add((aliases[node.value.id], node.attr))
+    return out
+
+
 def test_every_definition_has_a_caller():
     """Each function, method and class of the package, dunders aside, is
-    named somewhere in the package, ``perfbench/`` or the acceptance suite.
+    read somewhere in the package, ``perfbench/`` or the acceptance suite.
 
-    The check goes by name alone: a definition passes when anything of the
-    same name is read, such as another object's attribute, a local variable
-    or its own recursive call.  So a method named like a local variable
-    (``Polytope.tight``, ``RootSystem.order``) or a function named like one
-    (``linalg.rank``, ``linalg.det``) would pass unread; the check finds
-    only code whose name nothing reads.
+    A module-level definition is resolved through its module: it is read
+    as a bare name in its own module, as ``alias.name`` on an alias of its
+    module (``la.rank``), or by an import of it from its module or from
+    ``weylot``.  A method or a nested function goes by name alone: it
+    passes when anything of the same name is read, such as another
+    object's attribute or a local variable, so a method named like a local
+    variable (``Polytope.tight``, ``RootSystem.order``) would pass unread.
     """
-    read = set()
+    read, module_read = set(), set()
     for path in CALLERS:
-        read |= names_read(ast.parse(path.read_text(encoding="utf-8")))
-    unread = [f"{name}.{node.name}" for name, tree in MODULES.items()
-              for node in ast.walk(tree)
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.ClassDef))
-              and not (node.name.startswith("__")
-                       and node.name.endswith("__"))
-              and node.name not in read]
-    assert unread == [], f"defined but named by no caller: {unread}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= names_read(tree)
+        here = path.stem if path.parent == PACKAGE else None
+        module_read |= module_names_read(tree, here)
+    unread = []
+    for name, tree in MODULES.items():
+        top = set(tree.body)
+        unread += [
+            f"{name}.{node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__")
+                     and node.name.endswith("__"))
+            and ((name, node.name) not in module_read if node in top
+                 else node.name not in read)]
+    assert unread == [], f"defined but read by no caller: {unread}"

@@ -8,6 +8,8 @@ import pytest
 from weylot import linalg as la
 from weylot.polytope import _dd_cone
 
+from dominance_oracle import adjugate, fraction_solve
+
 
 def fraction_rank(rows):
     """Oracle: rank by Gauss-Jordan elimination over the rationals."""
@@ -108,6 +110,63 @@ class TestDet:
     def test_fraction_matrix_raises(self):
         with pytest.raises(ValueError):
             la.det([[Fraction(1, 2), 0], [0, 2]])
+
+
+def seeded_matrix(rng, n, entry):
+    """An n x n matrix of ``entry()`` values, about a third of them 0 so
+    that the eliminations swap rows."""
+    return [[rng.choice((0, entry(), entry())) for _ in range(n)]
+            for _ in range(n)]
+
+
+class TestAdjugate:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_cofactors(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        # every fourth matrix has entries past int64
+        top = (1 << 70) if seed % 4 == 0 else 9
+        m = seeded_matrix(rng, n, lambda: rng.randint(-top, top))
+        while fraction_det(m) == 0:
+            m = seeded_matrix(rng, n, lambda: rng.randint(-top, top))
+        assert la.adjugate(m) == (adjugate(m), fraction_det(m))
+
+    @pytest.mark.parametrize("m", [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+        [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+        [[1 << 70, 1], [1 << 71, 2]],
+    ])
+    def test_singular_raises(self, m):
+        with pytest.raises(ValueError):
+            la.adjugate(m)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_fraction_gauss_jordan(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+
+        def entry():
+            if rng.random() < 0.5:
+                return rng.randint(-9, 9)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+        m = seeded_matrix(rng, n, entry)
+        if seed % 5 == 0 and n > 1:
+            # a singular system: the last row repeats a multiple of the first
+            m[-1] = [Fraction(3, 2) * x for x in m[0]]
+        b = [entry() for _ in range(n)]
+        got, want = la.solve(m, b), fraction_solve(m, b)
+        assert got == want
+        if want is not None:
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+    def test_singular_is_none(self):
+        assert la.solve([[1, 2], [Fraction(1, 2), 1]], [1, 0]) is None
+        assert la.solve([[0, 0], [0, 0]], [0, 0]) is None
 
 
 class TestIntegerArrays:

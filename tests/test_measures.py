@@ -16,6 +16,7 @@ from weylot.rootsystems import build_root_system, weight_to_coords
 from weylot.transport import TransportPlan, check_chamber_support
 from weylot.weyl import weyl_polytope
 
+from dominance_oracle import mat_vec
 from test_fixture_files import HERE, load
 
 
@@ -25,7 +26,7 @@ def incident_chambers_oracle(system, group, x, side):
     for i, (w, w_dual) in enumerate(zip(group.matrices.tolist(),
                                         group.dual_matrices.tolist())):
         inv = la.transpose(w_dual if side == "M" else w)
-        if system.is_dominant(la.mat_vec(inv, x), side):
+        if system.is_dominant(mat_vec(inv, x), side):
             out.append(i)
     return out
 
@@ -122,11 +123,11 @@ class TestEquivariance:
     def test_cloud_of_the_image_is_the_image_of_the_cloud(self, name):
         p = load(name)
         for t in UNIMODULAR_MAPS[p.dim]:
-            image = convex_hull([la.mat_vec(t, v) for v in p.vertices])
+            image = convex_hull([mat_vec(t, v) for v in p.vertices])
             for k in (0, 1):
                 cl, moved = discretize(p, k), discretize(image, k)
                 assert dict(zip(moved.points, moved.masses)) == {
-                    la.mat_vec(t, x): mass
+                    mat_vec(t, x): mass
                     for x, mass in zip(cl.points, cl.masses)}
 
 
@@ -139,7 +140,7 @@ class TestGroupInvariance:
             cl = discretize(rec.polytope, k, group=W, side="M", system=b2)
             weighted = dict(zip(cl.points, cl.masses))
             for w in W.matrices.tolist():
-                moved = {tuple(la.mat_vec(w, p)): m
+                moved = {tuple(mat_vec(w, p)): m
                          for p, m in weighted.items()}
                 assert moved == weighted
 
@@ -151,7 +152,7 @@ class TestGroupInvariance:
         cl = discretize(dual, 0, group=W, side="N", system=b2)
         weighted = dict(zip(cl.points, cl.masses))
         for w_dual in W.dual_matrices.tolist():
-            moved = {tuple(la.mat_vec(w_dual, p)): m
+            moved = {tuple(mat_vec(w_dual, p)): m
                      for p, m in weighted.items()}
             assert moved == weighted
 
@@ -269,7 +270,7 @@ def orbit_expansion(cloud, group):
     for pt, mass in zip(cloud.points, cloud.masses):
         for w in (group.matrices if cloud.side == "M"
                   else group.dual_matrices).tolist():
-            image = la.mat_vec(w, pt)
+            image = mat_vec(w, pt)
             image = tuple(la.norm_scalar(x) for x in image)
             assert image not in out
             out[image] = Fraction(mass, len(group))

@@ -11,16 +11,79 @@ from weylot import linalg as la
 from weylot.weyl import (FAMILY_ROWS, classify, family_smallest_ranks,
                          mr_family, star_containment_check)
 
+from dominance_oracle import fraction_solve, mat_vec
 from test_fixture_files import HERE, load
 from test_properties import all_faces, random_polytope
 
 
 def edge_normal_oracle(a, b):
     """Facet data of the edge through a, b by solving the 2x2 system."""
-    sol = la.solve([list(a), list(b)], [1, 1])
+    sol = fraction_solve([list(a), list(b)], [1, 1])
     ints, mult = la.clear_denominators(sol)
     n, g = la.primitivize(ints)
     return n, Fraction(mult, g)
+
+
+def rank_test_vertices(points, facets):
+    """The vertex test ``convex_hull`` ran point by point, kept as an
+    oracle: a distinct point is a vertex iff the normals of the facets
+    through it have full rank."""
+    d = len(facets[0][0])
+    out = []
+    for p in sorted(set(points)):
+        tight = [n for n, c in facets if la.vdot(p, n) == c]
+        if tight and la.rank(tight) == d:
+            out.append(p)
+    return tuple(out)
+
+
+def padded_points(p, rng, extra):
+    """Integer points whose hull is 6 p: its vertices, then the origin,
+    half of one vertex, up to ``extra`` averages of 2 or 3 vertices of a
+    face (an edge midpoint or a point on a facet) and repeated rows, all
+    shuffled."""
+    verts = [tuple(6 * x for x in v) for v in p.vertices]
+    faces = [f for f in all_faces(p) if f.dimension >= 1]
+    pts = verts + [(0,) * p.dim, tuple(x // 2 for x in verts[0])]
+    for face in rng.sample(faces, min(extra, len(faces))):
+        k = 2 if face.dimension == 1 else rng.choice((2, 3))
+        chosen = rng.sample(face.vertex_indices, k)
+        pts.append(tuple(sum(verts[i][j] for i in chosen) // k
+                         for j in range(p.dim)))
+    pts += rng.sample(pts, 3)
+    rng.shuffle(pts)
+    return pts
+
+
+class TestHullVertices:
+    """``convex_hull`` keeps the points the per-point rank test keeps."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_points(self, seed):
+        rng = random.Random(seed)
+        d = 2 + seed % 3
+        # the cross-polytope points keep the origin interior
+        base = [tuple(rng.randint(-4, 4) for _ in range(d))
+                for _ in range(rng.randint(d + 1, 3 * d))]
+        base += [tuple(2 * (i == j) * s for j in range(d))
+                 for i in range(d) for s in (1, -1)]
+        p = convex_hull(base)
+        pts = padded_points(p, rng, 12)
+        hull = convex_hull(pts)
+        assert hull.vertices == tuple(sorted(
+            tuple(6 * x for x in v) for v in p.vertices))
+        assert hull.vertices == rank_test_vertices(pts, hull.facets)
+
+    def test_fixtures_and_family_members(self):
+        rng = random.Random(5)
+        polys = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
+        polys += [mr_family(row, rank).polytope for row in sorted(FAMILY_ROWS)
+                  for rank in family_smallest_ranks(row, 2)]
+        for p in polys:
+            pts = padded_points(p, rng, 8)
+            hull = convex_hull(pts)
+            assert hull.vertices == rank_test_vertices(pts, hull.facets), p
+            assert len(hull.vertices) == len(p.vertices), p
 
 
 class TestConvexHull:
@@ -217,6 +280,24 @@ class TestStarAndDualFacet:
         with pytest.raises(VertexNotFound):
             cube.dual_facet((2, 0, 0))
 
+    def test_matches_the_bracket_scan(self):
+        # the dual facet on which <m, n> = 1, found by scanning every dual
+        # vertex, on lattice polytopes, their duals and rational duals
+        rng = random.Random(9)
+        polys = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
+        polys += [mr_family(row, rank).polytope for row in sorted(FAMILY_ROWS)
+                  for rank in family_smallest_ranks(row) if rank <= 6]
+        polys += [p.dual() for p in polys]
+        polys += [random_polytope(rng).dual() for _ in range(4)]
+        for p in polys:
+            for m in p.vertices:
+                dual, tau = p.dual_facet(m)
+                members = frozenset(j for j, n in enumerate(dual.vertices)
+                                    if la.vdot(m, n) == 1)
+                assert dual.incidence[tau.facet_indices[0]] == members
+                assert tau == dual.facet_faces()[
+                    dual.incidence.index(members)]
+
 
 class TestVolumes:
     def test_unit_segment_face(self, square):
@@ -250,7 +331,7 @@ class TestVolumes:
 
     def test_volume_unimodular_invariance(self, hexagon):
         shear = ((1, 1), (0, 1))
-        moved = convex_hull([la.mat_vec(shear, v) for v in hexagon.vertices])
+        moved = convex_hull([mat_vec(shear, v) for v in hexagon.vertices])
         assert moved.volume == hexagon.volume
         f0 = hexagon.facet_faces()[0]
         vols = sorted(hexagon.face_lattice_volume(f)

@@ -21,7 +21,7 @@ from weylot.measures import WeightedPointCloud, chamber_incidence, discretize
 from weylot.weyl import weyl_polytope
 
 from invariant_oracle import solve_invariant_ot
-from dominance_oracle import dominant_representative, inverse
+from dominance_oracle import dominant_representative, inverse, mat_vec
 from test_measures import incident_chambers_oracle
 from test_rootsystems import CLOSURE_LABELS, closure_system
 
@@ -199,7 +199,7 @@ class TestDominantPairingLemma:
         # quotient cost of certify is one matmul
         system, group, x, y = case
         assert system.is_dominant(x, "M") and system.is_dominant(y, "N")
-        best = max(la.vdot(x, la.mat_vec(w_dual, y))
+        best = max(la.vdot(x, mat_vec(w_dual, y))
                    for w_dual in group.dual_matrices.tolist())
         assert best == la.vdot(x, y)
 
@@ -287,7 +287,7 @@ class TestIntegerBounds:
                                 (None,) * len(xs), "M")
         nu = WeightedPointCloud(tuple(ys), (Fraction(1, len(ys)),) * len(ys),
                                 (None,) * len(ys), "N")
-        assert tight_matrix(*mu.scaled, delta).tolist() == [
+        assert tight_matrix(*mu.scaled, delta.facets).tolist() == [
             [la.vdot(x, n) == c for n, c in delta.facets] for x in xs]
         for side, pts in (("M", xs), ("N", ys)):
             inc = chamber_incidence(la.int_array(pts)[0], B2, W, side)

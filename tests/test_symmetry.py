@@ -20,7 +20,7 @@ from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks,
                          is_weyl_polytope, mr_family)
 
 import reflection_oracle as oracle
-from dominance_oracle import inverse, mat_mul
+from dominance_oracle import inverse, mat_mul, mat_vec
 from reflection_oracle import reflection_data
 from test_fixture_files import HERE, load
 from test_linalg import fraction_det, rank_loop
@@ -49,7 +49,7 @@ def automorphisms_by_permutation(p):
         t = tuple(tuple(la.norm_scalar(x) for x in r) for r in t)
         if abs(la.det(t)) != 1:
             continue
-        if all(la.mat_vec(t, verts[i]) == verts[perm[i]]
+        if all(mat_vec(t, verts[i]) == verts[perm[i]]
                for i in range(len(verts))):
             found.add(t)
     return found
@@ -97,7 +97,7 @@ class TestReflections:
             x = (3, 5)
             t = la.vdot(x, rd.coroot)
             expected = tuple(xi - t * ai for xi, ai in zip(x, rd.root))
-            assert la.mat_vec(m, x) == expected
+            assert mat_vec(m, x) == expected
 
     def test_triangle_reflections_generate_s3(self, p2_dual_triangle):
         refs = reflection_search(p2_dual_triangle)[0]
@@ -120,7 +120,7 @@ class TestUnimodularEquivalence:
         t = unimodular_equivalent(hexagon, hexagon.dual())
         assert t is not None
         assert abs(la.det(t)) == 1
-        images = {la.mat_vec(t, v) for v in hexagon.vertices}
+        images = {mat_vec(t, v) for v in hexagon.vertices}
         assert images == set(hexagon.dual().vertices)
 
     def test_square_vs_diamond(self, square, diamond):
@@ -133,11 +133,11 @@ class TestUnimodularEquivalence:
 
     def test_sheared_copy(self, p2_dual_triangle):
         shear = ((1, 2), (0, 1))
-        moved = convex_hull([la.mat_vec(shear, v)
+        moved = convex_hull([mat_vec(shear, v)
                              for v in p2_dual_triangle.vertices])
         t = unimodular_equivalent(p2_dual_triangle, moved)
         assert t is not None
-        assert {la.mat_vec(t, v) for v in p2_dual_triangle.vertices} == \
+        assert {mat_vec(t, v) for v in p2_dual_triangle.vertices} == \
             set(moved.vertices)
 
 
@@ -182,10 +182,10 @@ class TestBasisImageSearch:
         order = len(automorphism_group(p))
         for _ in range(3):
             u = random_unimodular(rng, p.dim)
-            moved = convex_hull([la.mat_vec(u, v) for v in p.vertices])
+            moved = convex_hull([mat_vec(u, v) for v in p.vertices])
             t = unimodular_equivalent(p, moved)
             assert t is not None and abs(la.det(t)) == 1
-            assert {la.mat_vec(t, v) for v in p.vertices} == \
+            assert {mat_vec(t, v) for v in p.vertices} == \
                 set(moved.vertices)
             assert len(automorphism_group(moved)) == order
 
@@ -200,7 +200,7 @@ def oracle_gram(polytope):
          for i in range(d)]
     det = fraction_det(g)
     badj = [[det * x for x in row] for row in inverse(g)]
-    bv = [la.mat_vec(badj, v) for v in verts]
+    bv = [mat_vec(badj, v) for v in verts]
     return [[la.vdot(u, w) for w in bv] for u in verts], det
 
 
@@ -227,7 +227,7 @@ def oracle_search(p, gram_p, q, gram_q, first_only, cap):
             t = tuple(tuple(la.norm_scalar(x) for x in row) for row in t)
             if abs(la.det(t)) != 1:
                 return
-            if all(la.mat_vec(t, v) in vset_q for v in verts_p):
+            if all(mat_vec(t, v) in vset_q for v in verts_p):
                 out.append(t)
                 if len(out) > cap:
                     raise GroupCapExceeded(f"more than {cap}")
@@ -265,7 +265,7 @@ def oracle_equivalent(p, q):
 
 
 def image(u, p):
-    return convex_hull([la.mat_vec(u, v) for v in p.vertices])
+    return convex_hull([mat_vec(u, v) for v in p.vertices])
 
 
 def conjugate(u, maps):

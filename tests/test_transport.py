@@ -23,6 +23,7 @@ from weylot.transport import (TransportPlan, _cost_matrix, _network_simplex,
                               solve_ot)
 from weylot.weyl import mr_family, weyl_polytope
 
+from dominance_oracle import mat_vec
 from invariant_oracle import solve_invariant_ot, symmetrize_plan
 import simplex_oracle
 
@@ -585,7 +586,7 @@ class TestSymmetrize:
         weighted = {(mu.points[i], nu.points[j]): m
                     for i, j, m in sym.triples}
         for w, w_dual in zip(W.matrices.tolist(), W.dual_matrices.tolist()):
-            moved = {(tuple(la.mat_vec(w, x)), tuple(la.mat_vec(w_dual, y))): m
+            moved = {(tuple(mat_vec(w, x)), tuple(mat_vec(w_dual, y))): m
                      for (x, y), m in weighted.items()}
             assert moved == weighted
 
