@@ -284,8 +284,8 @@ class Polytope:
     def dual_facet(self, m):
         """The facet of the dual polytope on which the bracket with ``m`` is 1."""
         dual = self.dual()
-        tau = _polar_facet(self.vertices[self.vertex_index(m)])
-        return dual, dual.facet_faces()[dual.facets.index(tau)]
+        f = dual.facets.index(_polar_facet(self.vertices[self.vertex_index(m)]))
+        return dual, Face(tuple(sorted(dual.incidence[f])), self.dim - 1, (f,))
 
     # -- triangulation and volume -------------------------------------------
 

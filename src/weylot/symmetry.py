@@ -15,7 +15,8 @@ search strategies used below:
   polyhedra", 2014): numpy arrays of tuples of basis-vertex images grow
   one basis vertex a level, kept where their pairwise B-products match,
   and every complete tuple's map is checked exactly, in blocks, for
-  integrality, the vertex set and |det| = 1.
+  integrality and for sending the vertices one to one onto the vertices,
+  which makes it a bijection of the vertex sets and so unimodular.
 """
 
 from __future__ import annotations
@@ -108,18 +109,22 @@ def _vertex_data(*polytopes):
 def _leaf_maps(leaves, search):
     """The maps of complete image tuples that pass every exact check, in
     order.  Tuple r gives T = U^T adj(B)^T / det B, U its image rows; T must
-    be integral, send every vertex of p to a vertex of q (an exact row
-    lookup, :func:`linalg.row_index`) and have |det T| = 1, that is
-    |det U| = |det B|."""
+    be integral and send the vertices of p one to one into those of q: an
+    exact row lookup (:func:`linalg.row_index`) finds every image, and no
+    two images are the same vertex.
+
+    That makes |det T| = 1 with no determinant taken.  As |V(p)| = |V(q)|,
+    T maps V(p) onto V(q), so T(p) = q and T is nonsingular.  For p = q,
+    T permutes a spanning set, so some power of T is I and the integer
+    det T is +-1.  For p != q, summing v v^T over the matched vertices
+    gives G_q = T G_p T^T, and the matched products in the forms give
+    T^T adj(G_q) T = adj(G_p); taking determinants, det(T)^(2d) = 1."""
     adj_t, det_b, verts_p, verts_q = search
-    u = verts_q[leaves]
-    num = la.exact_matmul(u.transpose(0, 2, 1), adj_t)
-    ok = (num % det_b == 0).all(axis=(1, 2))
-    u, t = u[ok], num[ok] // det_b
+    num = la.exact_matmul(verts_q[leaves].transpose(0, 2, 1), adj_t)
+    t = num[(num % det_b == 0).all(axis=(1, 2))] // det_b
     images = la.exact_matmul(verts_p, t.transpose(0, 2, 1))
-    ok = (la.row_index(images, verts_q) >= 0).all(axis=1)
-    u, t = u[ok], t[ok]
-    t = t[abs(la.batched_det(u)) == abs(det_b)]
+    idx = np.sort(la.row_index(images, verts_q), axis=1)
+    t = t[(idx[:, 0] >= 0) & (idx[:, 1:] != idx[:, :-1]).all(axis=1)]
     return [tuple(map(tuple, m)) for m in t.tolist()]
 
 
@@ -178,14 +183,14 @@ def automorphism_group(polytope, cap=None):
 def unimodular_equivalent(p, q):
     """A determinant +-1 integer map with T(V(p)) = V(q), or None.
 
-    Quick invariants (counts, volume, sorted Gram-diagonal multisets) reject
-    most non-equivalent pairs before the image search runs.
+    Quick invariants (counts, det G and the sorted Gram-diagonal multisets)
+    reject most non-equivalent pairs before the image search runs.  The
+    volume, though invariant, is not compared: it needs a boundary
+    triangulation, which costs more than the search it would save.
     """
     if p.dim != q.dim:
         return None
     if len(p.vertices) != len(q.vertices) or len(p.facets) != len(q.facets):
-        return None
-    if p.volume != q.volume:
         return None
     (verts_p, gram_p, det_p), (verts_q, gram_q, det_q) = _vertex_data(p, q)
     if det_p != det_q:

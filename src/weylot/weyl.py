@@ -363,11 +363,22 @@ class ClassificationRecord:
 
 
 def classify(p: Polytope) -> ClassificationRecord:
-    """Assemble the per-polytope classification data."""
+    """Assemble the per-polytope classification data.
+
+    A Weyl polytope's barycenter is 0, so only other inputs triangulate
+    their boundary for it.  Each reflection of the detected group W maps
+    ``p`` onto itself linearly, so W fixes the barycenter x.  In an inner
+    product averaged over the finite group W, <x, v> = <x, w v> is then one
+    constant c over the vertices, as W is transitive on them.  0 is
+    interior, so 0 = sum of l_v v with every l_v > 0, and 0 = c sum l_v
+    gives c = 0; the vertices span, so x = 0.  The automorphism count
+    takes no determinant either: a map that sends the vertices one to one
+    onto themselves is unimodular (:func:`symmetry.automorphism_group`).
+    """
     aut = automorphism_group(p)
-    bary_zero = all(x == 0 for x in p.barycenter)
-    reflexive = p.is_reflexive
     det = is_weyl_polytope(p)
+    bary_zero = det is not None or all(x == 0 for x in p.barycenter)
+    reflexive = p.is_reflexive
     weyl = (det.type_label, det.dominant_vertex) if det else None
     dual_weyl, vc, witness = None, None, None
     if reflexive:

@@ -414,12 +414,16 @@ class TestBoundaries:
         assert _basis_image_search(verts_p, zero, verts_q, zero,
                                    False, 10) == []
 
-    def test_singular_maps_are_rejected(self, diamond):
-        """((1, -1), (0, 0)) sends the diamond's vertices into themselves."""
-        (verts, _, _), = _vertex_data(diamond)
-        zero = np.zeros((4, 4), dtype=np.int64)
+    @pytest.mark.parametrize("name", ["diamond", "cube", "octahedron"])
+    def test_singular_maps_are_rejected(self, name, request):
+        """((1, -1), (0, 0)) sends the diamond's vertices into themselves;
+        so does ((1, 1, 0), (0, 0, 0), (0, 0, 1)) the octahedron's, and
+        ((1, 0, 0), (1, 0, 0), (1, 0, 0)) the cube's."""
+        p = request.getfixturevalue(name)
+        (verts, _, _), = _vertex_data(p)
+        zero = np.zeros((len(verts),) * 2, dtype=np.int64)
         found = _basis_image_search(verts, zero, verts, zero, False, 100)
-        assert sorted(found) == list(automorphism_group(diamond))
+        assert sorted(found) == list(automorphism_group(p))
 
     def test_dimension_one(self, segment):
         assert automorphism_group(segment) == (((-1,),), ((1,),))

@@ -6,7 +6,7 @@ import pytest
 from weylot.errors import (InternalTableViolation, NotDominant,
                            NotLatticePoint, NotReflexive, OutOfTableRange)
 from weylot import linalg as la
-from weylot.polytope import convex_hull
+from weylot.polytope import Polytope, convex_hull
 from weylot.rootsystems import (build_root_system, group_closure,
                                 weight_to_coords)
 from weylot.symmetry import unimodular_equivalent, automorphism_group
@@ -15,6 +15,7 @@ from weylot.weyl import (classify, is_dual_weyl_polytope, is_weyl_polytope,
                          weyl_polytope)
 
 from dominance_oracle import mat_vec
+from test_symmetry import ALL_CASES, case, image, member_cases, seeded_images
 
 
 class TestWeylPolytope:
@@ -279,3 +280,82 @@ class TestRecordConsistency:
         rec = mr_family("An-roots", 3)
         det = is_weyl_polytope(rec.polytope)
         assert det is not None
+
+
+# One polygon of each of the 16 reflexive classes; the five Weyl ones are
+# the two A2 triangles, the two B2 quadrilaterals and the G2 hexagon.
+REFLEXIVE_POLYGONS = [
+    [(-1, -1), (-1, 1), (1, 0)],
+    [(-1, -1), (0, 1), (1, 0)],
+    [(-2, -1), (0, -1), (1, 2)],
+    [(-2, -1), (0, 1), (2, -1)],
+    [(-2, -1), (1, -1), (1, 2)],
+    [(-1, -1), (-1, 0), (0, -1), (1, 1)],
+    [(-1, -1), (-1, 0), (0, 1), (1, -1)],
+    [(-1, -1), (-1, 0), (1, -1), (1, 1)],
+    [(-1, -1), (-1, 0), (1, 0), (1, 1)],
+    [(-1, -1), (-1, 1), (1, -1), (1, 1)],
+    [(-2, -1), (-1, -1), (1, 0), (1, 2)],
+    [(-2, -1), (0, -1), (1, 0), (1, 2)],
+    [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0)],
+    [(-1, -1), (-1, 0), (0, 1), (1, -1), (1, 0)],
+    [(-1, -1), (-1, 0), (0, 1), (1, -1), (1, 1)],
+    [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)],
+]
+
+# not Weyl: an off-center triangle (barycenter (1/3, 0)) and a centrally
+# symmetric parallelogram (barycenter 0) with no transitive reflections
+NON_WEYL = [
+    [(3, 0), (-1, 1), (-1, -1)],
+    [(-1, -3), (0, -3), (0, 3), (1, 3)],
+]
+
+
+def fresh(p):
+    """``p`` with no cached property, so no volume or barycenter computed
+    by an earlier test carries over."""
+    return Polytope(p.vertices, p.facets, p.dim)
+
+
+class TestBarycenterShortcut:
+    """``classify`` reads barycenter_zero off the Weyl detection; the exact
+    barycenter is its oracle."""
+
+    @pytest.mark.parametrize("name", ALL_CASES)
+    def test_members_duals_and_fixtures(self, name):
+        p = case(name)
+        assert classify(p).barycenter_zero == all(x == 0 for x in p.barycenter)
+
+    @pytest.mark.parametrize("verts", REFLEXIVE_POLYGONS + NON_WEYL)
+    def test_polygons(self, verts):
+        p = convex_hull(verts)
+        assert classify(p).barycenter_zero == all(x == 0 for x in p.barycenter)
+
+    def test_census_and_fallback(self):
+        polys = [convex_hull(v) for v in REFLEXIVE_POLYGONS]
+        assert sum(1 for p in polys if is_weyl_polytope(p)) == 5
+        assert all(unimodular_equivalent(p, q) is None
+                   for i, p in enumerate(polys) for q in polys[:i])
+        off, sym = (classify(convex_hull(v)) for v in NON_WEYL)
+        assert off.weyl is None and off.barycenter_zero is False
+        assert sym.weyl is None and sym.barycenter_zero is True
+
+
+class TestNoTriangulationOnTheClassifyPath:
+    """``classify`` and ``unimodular_equivalent`` on Weyl polytopes never
+    triangulate the boundary."""
+
+    @pytest.fixture(autouse=True)
+    def no_cones(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("boundary triangulation on the classify path")
+        monkeypatch.setattr(Polytope, "_cones", property(refuse))
+
+    @pytest.mark.parametrize("name", [n for n in member_cases()
+                                      if not n.endswith("-dual")])
+    def test_members(self, name):
+        p = fresh(case(name))
+        assert classify(p).barycenter_zero is True
+        (_, moved), = seeded_images(name, 1)
+        t = unimodular_equivalent(p, moved)
+        assert t is not None and image(t, p) == moved
