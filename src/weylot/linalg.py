@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals and the integers.
 
-The list functions (:func:`det`, :func:`solve`, ...) work on tuples of
+The list functions (:func:`adjugate`, :func:`solve`, ...) work on tuples of
 ints and Fractions: on one matrix of dimension at most 8 or so they beat
 numpy's call overhead.  The array functions (:func:`exact_matmul`,
 :func:`batched_det`, :func:`row_index`, ...) work on integer numpy arrays,
@@ -92,31 +92,6 @@ def independent_rows(rows, limit):
 def rank(rows) -> int:
     """Rank of a matrix given as a list of rows."""
     return len(independent_rows(rows, len(rows[0]) if rows else 0))
-
-
-def det(m):
-    """Exact determinant of an integer matrix (fraction-free Bareiss).
-
-    Raises ValueError for an entry that is not an int.
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    if not all(isinstance(x, int) for row in a for x in row):
-        raise ValueError("determinant needs an integer matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def adjugate(m):

@@ -380,12 +380,12 @@ class Polytope:
         """True iff every vertex cone is unimodular (smooth toric fan).
 
         A vertex cone is unimodular iff the vertex lies on exactly ``dim``
-        facets and their primitive normals form a lattice basis.
+        facets and their primitive normals form a lattice basis: one
+        batched determinant over the stacked normals of every vertex.
         """
-        for fs in self.vertex_facets:
-            if len(fs) != self.dim:
-                return False
-            if abs(la.det([self.facets[f][0] for f in fs])) != 1:
-                return False
-        return True
+        if any(len(fs) != self.dim for fs in self.vertex_facets):
+            return False
+        normals = np.array([[self.facets[f][0] for f in fs]
+                            for fs in self.vertex_facets], dtype=object)
+        return bool((np.abs(la.batched_det(normals)) == 1).all())
 

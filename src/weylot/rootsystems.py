@@ -185,6 +185,40 @@ _ADMISSIBLE = {"A": 1, "B": 2, "C": 3, "D": 4}
 _EXCEPTIONAL_ORDER = {("E", 6): 51840, ("F", 4): 1152, ("G", 2): 12}
 
 
+def components(C):
+    """The node sets of the connected components of the Dynkin graph of a
+    Cartan matrix, as sorted index tuples in sorted order: the adjacency,
+    with loops, squared until paths span every node."""
+    reach = np.array(C) != 0
+    for _ in range(len(C).bit_length()):
+        reach = reach @ reach
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+
+
+def dynkin_type(C):
+    """(family, rank) of a connected Cartan matrix, in any node order: the
+    type whose :func:`cartan_matrix` has the same determinant and the same
+    multiset of sorted rows, or ``("?", rank)`` if no type has both.
+
+    Both are invariant under a simultaneous permutation of rows and
+    columns, and they tell apart any two types of one rank.  From rank 9
+    on the candidates are A_n (det n+1 >= 10), B_n and C_n (det 2) and D_n
+    (det 4); B_n has a row with nonzero entries {2, -2} and none with
+    {2, -1, -2}, and C_n the reverse.  Ranks up to 8, with E6-E8, F4 and
+    G2, are checked by enumeration (``tests/test_rootsystems.py``).  An
+    affine Cartan matrix has determinant 0, so it is ``?``.
+    """
+    n = len(C)
+    types = [(f, n) for f, low in _ADMISSIBLE.items() if n >= low]
+    types += [(f, r) for f, r in (*_EXCEPTIONAL_ORDER, ("E", 7), ("E", 8))
+              if r == n]
+    stack = [C] + [cartan_matrix(*t) for t in types]
+    keys = [(d, sorted(map(sorted, m))) for d, m in
+            zip(la.batched_det(np.array(stack)).tolist(), stack)]
+    return next((t for t, k in zip(types, keys[1:]) if k == keys[0]),
+                ("?", n))
+
+
 class RootSystem:
     """A root system with a lattice choice between root and weight lattices."""
 
@@ -244,27 +278,27 @@ class RootSystem:
     def is_dominant(self, x, side="M"):
         return all(t >= 0 for t in self.simple_pairings(x, side))
 
-    def orbit(self, m, cap=None):
+    def orbit(self, m):
         """Weyl orbit of the lattice point ``m``, sorted lexicographically:
         the closure of the column (m; 0) under the simple reflections.
 
         Raises GroupCapExceeded (an OrbitCapExceeded) if the orbit grows
-        past the cap (default from ``orbit_cap()``), or if its entries
-        could leave int64, which takes entries of about 2^55.
+        past ``orbit_cap()``, or if its entries could leave int64, which
+        takes entries of about 2^55.
         """
         if not la.is_integer_vector(m):
             raise NotLatticePoint(f"{tuple(m)} is not a lattice point")
         n = self.rank
         column = [[x] for x in m] + [[0]] * n
-        points = group_closure(self.simple_reflections, [column], n, cap)
+        points = group_closure(self.simple_reflections, [column], n)
         return tuple(map(tuple, points[:, :n, 0].tolist()))
 
-    def weyl_group(self, cap=None):
+    def weyl_group(self):
         """The whole Weyl group: the closure of the identity under the
         simple reflections, keyed on the M block, which fixes the N block
-        (its inverse transpose)."""
+        (its inverse transpose).  Capped by ``orbit_cap()``."""
         n = self.rank
-        elements = group_closure(self.simple_reflections, None, n, cap)
+        elements = group_closure(self.simple_reflections, None, n)
         return WeylGroup(elements[:, :n, :n].copy(),
                          elements[:, n:, n:].copy())
 

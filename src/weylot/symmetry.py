@@ -172,12 +172,12 @@ def _basis_image_search(verts_p, gram_p, verts_q, gram_q, first_only, cap):
     return out
 
 
-def automorphism_group(polytope, cap=None):
-    """All determinant +-1 integer maps sending the vertex set onto itself."""
-    cap = orbit_cap() if cap is None else cap
+def automorphism_group(polytope):
+    """All determinant +-1 integer maps sending the vertex set onto itself;
+    GroupCapExceeded past ``orbit_cap()`` of them."""
     (verts, gram, _), = _vertex_data(polytope)
     return tuple(sorted(_basis_image_search(verts, gram, verts, gram,
-                                            False, cap)))
+                                            False, orbit_cap())))
 
 
 def unimodular_equivalent(p, q):

@@ -22,9 +22,9 @@ potential that bounds every cycle sum by 0, a failure a positive cycle.
 N, max over w of <x, w y> is <x, y> (Humphreys, *Reflection Groups and
 Coxeter Groups*, 1.12), so the invariant problem is a plain transport
 problem between dominant representatives.  ``solve_invariant_ot`` solves it
-with the same core as ``solve_ot`` and checks the certificate exactly: its
-potentials are feasible on every pair of representatives and leave no
-duality gap, which proves the lifted plan optimal at every cycle length.
+with the same core as ``solve_ot``, and both check the certificate exactly:
+the potentials are feasible on every pair and leave no duality gap, which
+on the representatives proves the lifted plan optimal at every cycle length.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def _scaled_masses(masses_a, masses_b):
 
 
 def _solve(mu, nu):
-    """The core of both solvers: the optimal plan, the simplex potentials
-    u, v in integer cost units, the integer cost matrix, its scale, and
-    the duality gap sum x k - sum a u - sum b v in integers (a, b the
-    scaled masses, x the flows)."""
+    """The core of both solvers: the optimal plan and its potentials, the
+    certificate checked in integer cost units (a, b the scaled masses, x
+    the flows): u_i + v_j <= k_ij on every pair, and a zero duality gap
+    sum x k - sum a u - sum b v.  Either failure raises InternalCheckFailed."""
     a, b, mass_scale = _scaled_masses(mu.masses, nu.masses)
     k, cost_scale = _cost_matrix(mu, nu)
     flows, u, v = _network_simplex(a, b, k)
@@ -115,20 +115,24 @@ def _solve(mu, nu):
     cost = sum(x * int(k[i, j]) for (i, j), x in arcs)
     plan = TransportPlan(triples, la.norm_scalar(
         Fraction(cost, mass_scale * cost_scale)))
-    gap = (cost - sum(x * y for x, y in zip(a, u))
-           - sum(x * y for x, y in zip(b, v)))
-    return plan, u, v, k, cost_scale, gap
+    dtype = la.bounded_dtype(2 * max(map(abs, u + v)))
+    phin, psin = np.array(u, dtype=dtype), np.array(v, dtype=dtype)
+    if (phin[:, None] + psin > k).any():
+        raise InternalCheckFailed("transport potentials are not dual feasible")
+    if (cost - sum(x * y for x, y in zip(a, u))
+            - sum(x * y for x, y in zip(b, v))):
+        raise InternalCheckFailed("transport solve left a duality gap")
+    return plan, _potentials(mu, u, v, cost_scale)
 
 
 def solve_ot(mu, nu):
     """Exactly optimal transport plan and potentials between two clouds.
 
-    Runs a rational network simplex on the bipartite transportation problem;
-    the duality gap of the returned pair is exactly zero.  Raises
+    Runs a rational network simplex on the bipartite transportation problem
+    and checks its certificate exactly (:func:`_solve`).  Raises
     UnbalancedMasses when the totals differ.
     """
-    plan, u, v, _, scale, _ = _solve(mu, nu)
-    return plan, _potentials(mu, u, v, scale)
+    return _solve(mu, nu)
 
 
 def solve_invariant_ot(mu, nu):
@@ -138,19 +142,10 @@ def solve_invariant_ot(mu, nu):
     orbit with its orbit mass.  For such x and y, max over w of <x, w y>
     is <x, y>, so ``-<x, y>`` is already the quotient cost and the
     invariant problem is the plain transport problem between the clouds.
-    The plan comes from the core of :func:`solve_ot`; its potentials are
-    then checked exactly feasible on every pair of representatives, and
-    the duality gap exactly zero, both in integers.  Either failure raises
-    InternalCheckFailed.
+    The plan and its certificate, checked exactly on every pair of
+    representatives, come from the core of :func:`solve_ot`.
     """
-    plan, u, v, k, scale, gap = _solve(mu, nu)
-    dtype = la.bounded_dtype(2 * max(map(abs, u + v)))
-    phin, psin = np.array(u, dtype=dtype), np.array(v, dtype=dtype)
-    if (phin[:, None] + psin > k).any():
-        raise InternalCheckFailed("quotient potentials are not dual feasible")
-    if gap:
-        raise InternalCheckFailed("quotient solve left a duality gap")
-    return plan, _potentials(mu, u, v, scale)
+    return _solve(mu, nu)
 
 
 def _potentials(mu, u, v, scale):
@@ -598,6 +593,18 @@ def check_chamber_support(plan, rec, group, mu, nu):
     For every support pair there must be a group element w with the source
     in w(C+_M) and the target in w^vee(C+_N); wall points belong to every
     incident chamber.
+
+    This is the test of :func:`check_reflection_sign`: such a w exists iff
+    no root alpha gives <x, alpha^vee> and <alpha, y> strictly opposite
+    signs, so both checks give the same offending mass and witness pairs.
+    If w exists, beta = w^-1 alpha pairs the dominant w^-1 x and w^-vee y
+    to brackets of the sign of beta.  Conversely, identify N_R with M_R by
+    a W-invariant inner product ( , ), y to y', so that <alpha, y> has the
+    sign of (alpha, y') and C+_N goes to C+_M.  For g on no wall and small
+    e > 0, (z, alpha) at z = x + e (y' - x) + e^2 g has the sign of
+    (x, alpha), else of (y', alpha), else of (g, alpha), the first nonzero:
+    z is in one open chamber w C+, whose closure holds x, and y' as no
+    (x, alpha) and (y', alpha) have strictly opposite signs.
     """
     if not rec.polytope.is_reflexive:
         raise NotReflexive("chamber support needs a reflexive polytope")

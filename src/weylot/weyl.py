@@ -18,7 +18,8 @@ from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
                      NotReflexive, OutOfTableRange)
 from . import linalg as la
 from .polytope import Polytope, convex_hull
-from .rootsystems import RootSystem, build_root_system, weight_to_coords
+from .rootsystems import (RootSystem, build_root_system, components,
+                          dynkin_type, weight_to_coords)
 from .symmetry import automorphism_group, reflection_search
 
 
@@ -158,47 +159,6 @@ def vertex_condition(p: Polytope):
 
 # -- recognizing the reflection group type -----------------------------------
 
-def _dynkin_label(C):
-    """Type of an irreducible Cartan matrix, named from its Dynkin diagram's
-    shape (Bourbaki, *Lie*, VI, 4.2; Humphreys, *Reflection Groups and
-    Coxeter Groups*, 2.7).  A -3 entry is G2.  A -2 entry is F4 when both
-    of its nodes have two neighbours, else B when the row holding it is a
-    leaf and C when it is not.  A simply laced diagram with no branch node
-    is A; with one, of arm lengths (1, 1, k) it is D and of (1, 2, 2..4)
-    it is E6-E8.  Any other shape is ``?n``.
-    """
-    n = len(C)
-    nbrs = [[j for j in range(n) if j != i and C[i][j]] for i in range(n)]
-    entries = {x for row in C for x in row}
-    if -3 in entries:
-        return "G2"
-    if -2 in entries:
-        i, j = next((i, j) for i in range(n) for j in range(n)
-                    if C[i][j] == -2)
-        if n == 4 and len(nbrs[i]) == len(nbrs[j]) == 2:
-            return "F4"
-        return f"{'B' if len(nbrs[i]) == 1 else 'C'}{n}"
-    branch = [i for i in range(n) if len(nbrs[i]) > 2]
-    if not branch:
-        return f"A{n}"
-    b = branch[0]
-    if len(branch) > 1 or len(nbrs[b]) > 3:
-        return f"?{n}"
-    arms = []
-    for cur in nbrs[b]:
-        prev, length = b, 1
-        while len(nbrs[cur]) == 2:
-            prev, cur = cur, next(k for k in nbrs[cur] if k != prev)
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return f"D{n}"
-    if arms[:2] == [1, 2] and arms[2] <= 4:
-        return f"E{n}"
-    return f"?{n}"
-
-
 def identify_reflection_group(roots, coroots):
     """Root system and type label of lattice reflections, given by their
     roots and index-aligned coroots (one of each +-pair per reflection).
@@ -210,8 +170,8 @@ def identify_reflection_group(roots, coroots):
     all differences are tested in one pass on exact row keys.  Returns
     (label, system): the system of the roots +-a and coroots in the
     lattice's own coordinates, type ("detected", rank), whose Cartan
-    matrix is split along the Dynkin graph into components, each named by
-    :func:`_dynkin_label`.
+    matrix is split into :func:`rootsystems.components`, each named by
+    :func:`rootsystems.dynkin_type`.
     """
     pairs = {}
     for a, av in zip(roots, coroots):
@@ -237,15 +197,9 @@ def identify_reflection_group(roots, coroots):
     system = RootSystem([("detected", len(sreal))], all_roots,
                         [pairs[a] for a in all_roots],
                         [all_roots.index(a) for a in sreal], C, "custom")
-    # the irreducible components are the connected sets of the Dynkin
-    # graph: square its adjacency, with loops, until paths span every node
-    reach = np.array(C) != 0
-    for _ in range(len(C).bit_length()):
-        reach = reach @ reach
-    labels = sorted(_dynkin_label([[C[i][j] for j in members]
-                                   for i in members])
-                    for members in {tuple(np.flatnonzero(row).tolist())
-                                    for row in reach})
+    labels = sorted("{}{}".format(*dynkin_type([[C[i][j] for j in members]
+                                                for i in members]))
+                    for members in components(C))
     return "x".join(labels), system
 
 

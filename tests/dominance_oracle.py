@@ -5,10 +5,11 @@ tuple-at-a-time Weyl detection in ``reflection_oracle``; it reflects with
 the system's simple reflection matrices (:func:`simple_matrices`) and
 multiplies the group element out with Python matrix products
 (:func:`mat_mul`).  Other tests import the exact matrix helpers from here
-too: :func:`mat_mul`, :func:`mat_vec`, the cofactor :func:`adjugate`, the
-``Fraction`` Gauss-Jordan :func:`fraction_solve` and the :func:`inverse`
-built on it.  None of them calls ``linalg.adjugate`` or ``linalg.solve``,
-so they stay independent oracles of both.
+too: :func:`mat_mul`, :func:`mat_vec`, the Bareiss :func:`det` of one
+matrix, the cofactor :func:`adjugate` built on it, the ``Fraction``
+Gauss-Jordan :func:`fraction_solve` and the :func:`inverse` built on it.
+None of them calls ``linalg.adjugate``, ``linalg.solve`` or
+``linalg.batched_det``, so they stay independent oracles of all three.
 """
 
 from fractions import Fraction
@@ -27,6 +28,31 @@ def mat_vec(m, v) -> tuple:
     return tuple(la.vdot(row, v) for row in m)
 
 
+def det(m):
+    """Exact determinant of an integer matrix (fraction-free Bareiss).
+
+    Raises ValueError for an entry that is not an int.
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    if not all(isinstance(x, int) for row in a for x in row):
+        raise ValueError("determinant needs an integer matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def adjugate(m):
     """Adjugate of an integer matrix, computed from cofactors."""
     n = len(m)
@@ -36,7 +62,7 @@ def adjugate(m):
     for i in range(n):
         for j in range(n):
             minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
-            cof[i][j] = (-1) ** (i + j) * la.det(minor)
+            cof[i][j] = (-1) ** (i + j) * det(minor)
     return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
 
 

@@ -17,8 +17,8 @@ from weylot import linalg as la
 from weylot.rootsystems import RootSystem, cartan_matrix
 from weylot.weyl import WeylDetection
 
-from dominance_oracle import (adjugate, dominant_representative, mat_mul,
-                              mat_vec)
+from dominance_oracle import (adjugate, det, dominant_representative,
+                              mat_mul, mat_vec)
 
 # (family, least rank, greatest rank) of the types detection names
 REFERENCE_TYPES = (("A", 1, inf), ("B", 2, inf), ("C", 3, inf),
@@ -52,7 +52,7 @@ def match_cartan(label_cartans, C):
 def moment_adjugate(vertices):
     """Adjugate and determinant of G = sum over vertices of v v^T (integers)."""
     g = mat_mul(la.transpose(vertices), vertices)
-    return adjugate(g), la.det(g)
+    return adjugate(g), det(g)
 
 
 def reflections(polytope):

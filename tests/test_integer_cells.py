@@ -23,6 +23,7 @@ from weylot.measures import (_barycentric_subdivide, _flag_cells,
 from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks, is_weyl_polytope,
                          mr_family)
 
+from dominance_oracle import det
 from test_fixture_files import HERE, load
 
 
@@ -91,7 +92,7 @@ def oracle_discretize(p, cells_per_facet):
             rows, mult = scaled_points(cell)
             centroid = tuple(la.norm_scalar(Fraction(sum(col), d * mult))
                              for col in zip(*rows))
-            vol = Fraction(abs(la.det(rows)),
+            vol = Fraction(abs(det(rows)),
                            mult ** d * factorial(d - 1) * p.facets[f][1])
             mass, tag = accum.get(centroid, (Fraction(0), f))
             assert tag == f

@@ -8,7 +8,7 @@ import pytest
 from weylot import linalg as la
 from weylot.polytope import _dd_cone
 
-from dominance_oracle import adjugate, fraction_solve
+from dominance_oracle import adjugate, det, fraction_solve
 
 
 def fraction_rank(rows):
@@ -99,17 +99,20 @@ class TestIndependentRows:
 
 
 class TestDet:
+    """The Bareiss determinant of one matrix, an oracle in
+    ``dominance_oracle``, against Gauss-Jordan elimination in Fractions."""
+
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_fraction_elimination(self, seed):
         rng = random.Random(seed)
         d = rng.randint(1, 6)
         m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(d)]
              for _ in range(d)]
-        assert la.det(m) == fraction_det(m)
+        assert det(m) == fraction_det(m)
 
     def test_fraction_matrix_raises(self):
         with pytest.raises(ValueError):
-            la.det([[Fraction(1, 2), 0], [0, 2]])
+            det([[Fraction(1, 2), 0], [0, 2]])
 
 
 def seeded_matrix(rng, n, entry):

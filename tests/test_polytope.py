@@ -11,7 +11,7 @@ from weylot import linalg as la
 from weylot.weyl import (FAMILY_ROWS, classify, family_smallest_ranks,
                          mr_family, star_containment_check)
 
-from dominance_oracle import fraction_solve, mat_vec
+from dominance_oracle import det, fraction_solve, mat_vec
 from test_fixture_files import HERE, load
 from test_properties import all_faces, random_polytope
 
@@ -387,7 +387,7 @@ def delzant_by_edges(p):
     """Oracle: at every vertex, ``dim`` primitive edge directions of |det| 1."""
     for i in range(len(p.vertices)):
         dirs = vertex_edge_directions(p, i)
-        if len(dirs) != p.dim or abs(la.det(dirs)) != 1:
+        if len(dirs) != p.dim or abs(det(dirs)) != 1:
             return False
     return True
 

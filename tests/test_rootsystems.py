@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from weylot import linalg as la
 from weylot.polytope import convex_hull
 from weylot.rootsystems import (RootSystem, cartan_matrix, block_reflections,
                                 build_from_label, build_root_system,
-                                group_closure, parse_type_label,
-                                weight_to_coords)
+                                components, dynkin_type, group_closure,
+                                parse_type_label, weight_to_coords)
 from weylot.symmetry import automorphism_group, reflection_search
 from weylot.weyl import identify_reflection_group
 
-from dominance_oracle import (dominant_representative, inverse, mat_mul,
-                              mat_vec, simple_matrices)
+from dominance_oracle import (det, dominant_representative, inverse,
+                              mat_mul, mat_vec, simple_matrices)
 from lattice_oracle import change_lattice, product
 from reflection_oracle import match_cartan, reference_cartans
 
@@ -243,6 +244,58 @@ class TestTypeNames:
         assert name == label
 
 
+def permuted(C, perm):
+    """C with its nodes renumbered: node k of the result is node perm[k]."""
+    return tuple(tuple(C[i][j] for j in perm) for i in perm)
+
+
+# the affine 3-cycle (A~2) and the affine star with four leaves (D~4)
+AFFINE_A2 = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+AFFINE_D4 = ((2, -1, -1, -1, -1),) + tuple(
+    tuple(-1 if j == 0 else 2 if j == i else 0 for j in range(5))
+    for i in range(1, 5))
+
+
+class TestDynkinType:
+    """Each type named by its determinant and its multiset of sorted rows,
+    against the reference Cartan matrices of every candidate type."""
+
+    @pytest.mark.parametrize("rank", range(1, 17))
+    def test_the_invariants_tell_the_types_apart(self, rank):
+        keys = [(det(C), sorted(map(sorted, C)))
+                for _, C in reference_cartans(rank)]
+        assert all(a != b for a, b in combinations(keys, 2))
+
+    @pytest.mark.parametrize("rank", range(1, 13))
+    def test_every_type_in_any_node_order(self, rank):
+        rng = random.Random(rank)
+        for label, C in reference_cartans(rank):
+            for _ in range(5):
+                perm = rng.sample(range(rank), rank)
+                assert dynkin_type(permuted(C, perm)) == \
+                    parse_type_label(label)[0]
+
+    @pytest.mark.parametrize("C", [AFFINE_A2, AFFINE_D4],
+                             ids=["A~2", "D~4"])
+    def test_affine_diagrams_are_unnamed(self, C):
+        assert dynkin_type(C) == ("?", len(C))
+
+    def test_components_of_a_shuffled_product(self):
+        blocks = [cartan_matrix("A", 2), cartan_matrix("G", 2),
+                  cartan_matrix("A", 1), cartan_matrix("B", 3)]
+        C = [[0] * 8 for _ in range(8)]
+        at = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                C[at + i][at:at + len(row)] = row
+            at += len(block)
+        perm = random.Random(3).sample(range(8), 8)
+        where = {node: k for k, node in enumerate(perm)}
+        expected = sorted(tuple(sorted(where[node] for node in nodes))
+                          for nodes in ((0, 1), (2, 3), (4,), (5, 6, 7)))
+        assert components(permuted(C, perm)) == expected
+
+
 class TestReflections:
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
     def test_involution_b2(self, x):
@@ -401,11 +454,13 @@ class TestWeylGroup:
         assert build_root_system("E", 6).order == 51840
         assert build_from_label("E6xG2").order == 51840 * 12
 
-    def test_cap_boundary(self):
+    def test_cap_boundary(self, monkeypatch):
         b3 = build_root_system("B", 3)
+        monkeypatch.setenv("WEYLOT_ORBIT_CAP", "47")
         with pytest.raises(OrbitCapExceeded):
-            b3.weyl_group(cap=47)
-        assert len(b3.weyl_group(cap=48)) == 48
+            b3.weyl_group()
+        monkeypatch.setenv("WEYLOT_ORBIT_CAP", "48")
+        assert len(b3.weyl_group()) == 48
 
     def test_group_closure_cap_boundary(self):
         cube = convex_hull([(x, y, z) for x in (1, -1) for y in (1, -1)

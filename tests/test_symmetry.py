@@ -20,7 +20,7 @@ from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks,
                          is_weyl_polytope, mr_family)
 
 import reflection_oracle as oracle
-from dominance_oracle import inverse, mat_mul, mat_vec
+from dominance_oracle import det, inverse, mat_mul, mat_vec
 from reflection_oracle import reflection_data
 from test_fixture_files import HERE, load
 from test_linalg import fraction_det, rank_loop
@@ -47,7 +47,7 @@ def automorphisms_by_permutation(p):
         if not all(isinstance(la.norm_scalar(x), int) for r in t for x in r):
             continue
         t = tuple(tuple(la.norm_scalar(x) for x in r) for r in t)
-        if abs(la.det(t)) != 1:
+        if abs(det(t)) != 1:
             continue
         if all(mat_vec(t, verts[i]) == verts[perm[i]]
                for i in range(len(verts))):
@@ -119,7 +119,7 @@ class TestUnimodularEquivalence:
     def test_hexagon_equals_own_dual(self, hexagon):
         t = unimodular_equivalent(hexagon, hexagon.dual())
         assert t is not None
-        assert abs(la.det(t)) == 1
+        assert abs(det(t)) == 1
         images = {mat_vec(t, v) for v in hexagon.vertices}
         assert images == set(hexagon.dual().vertices)
 
@@ -142,10 +142,11 @@ class TestUnimodularEquivalence:
 
 
 class TestCaps:
-    def test_automorphism_cap(self, cube):
+    def test_automorphism_cap(self, cube, monkeypatch):
         from weylot.errors import GroupCapExceeded
+        monkeypatch.setenv("WEYLOT_ORBIT_CAP", "5")
         with pytest.raises(GroupCapExceeded):
-            automorphism_group(cube, cap=5)
+            automorphism_group(cube)
 
     def test_group_closure_cap(self, square):
         from weylot.errors import GroupCapExceeded
@@ -184,7 +185,7 @@ class TestBasisImageSearch:
             u = random_unimodular(rng, p.dim)
             moved = convex_hull([mat_vec(u, v) for v in p.vertices])
             t = unimodular_equivalent(p, moved)
-            assert t is not None and abs(la.det(t)) == 1
+            assert t is not None and abs(det(t)) == 1
             assert {mat_vec(t, v) for v in p.vertices} == \
                 set(moved.vertices)
             assert len(automorphism_group(moved)) == order
@@ -225,7 +226,7 @@ def oracle_search(p, gram_p, q, gram_q, first_only, cap):
                        for row in t for x in row):
                 return
             t = tuple(tuple(la.norm_scalar(x) for x in row) for row in t)
-            if abs(la.det(t)) != 1:
+            if abs(det(t)) != 1:
                 return
             if all(mat_vec(t, v) in vset_q for v in verts_p):
                 out.append(t)
@@ -377,10 +378,12 @@ RATIONAL_DUAL = [(2, 0), (0, 2), (-2, 0), (0, -2), (1, 1)]
 
 
 class TestBoundaries:
-    def test_cube_cap(self, cube):
+    def test_cube_cap(self, cube, monkeypatch):
+        monkeypatch.setenv("WEYLOT_ORBIT_CAP", "47")
         with pytest.raises(GroupCapExceeded):
-            automorphism_group(cube, cap=47)
-        assert len(automorphism_group(cube, cap=48)) == 48
+            automorphism_group(cube)
+        monkeypatch.setenv("WEYLOT_ORBIT_CAP", "48")
+        assert len(automorphism_group(cube)) == 48
 
     def test_rational_vertices(self):
         q = convex_hull(RATIONAL_DUAL).dual()
@@ -451,7 +454,7 @@ class TestBatchedDet:
         mats.append([[0] * d for _ in range(d)])
         mats.append([[int(i + j == d - 1) for j in range(d)]
                      for i in range(d)])          # pivots off the diagonal
-        expected = [la.det(m) for m in mats]
+        expected = [det(m) for m in mats]
         assert any(x == 0 for x in expected) and any(x != 0 for x in expected)
         for dtype in (np.int64, object):
             assert la.batched_det(np.array(mats, dtype=dtype)).tolist() \

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from weylot.errors import (InternalCheckFailed, NotReflexive,
                            PivotCapExceeded, UnbalancedMasses)
 from weylot import linalg as la
 from weylot import measures, transport
-from weylot.fileio import parse_measure
+from weylot.cli import main
+from weylot.fileio import parse_measure, serialize_measure
 from weylot.measures import WeightedPointCloud, discretize
 from weylot.rootsystems import (build_from_label, build_root_system,
                                 weight_to_coords)
@@ -866,6 +868,81 @@ class TestChamberSupport:
         assert not verdict.passed
 
 
+# one reflexive Weyl polytope per system of the chamber/sign comparison
+SIGN_SYSTEMS = (("An-roots", 2), ("An-roots", 3), ("Bn-cube", 3),
+                ("Cn-w2", 3), ("Dn-w2", 4), ("F4-w4", 4), ("G2-v2", 2))
+
+
+@lru_cache(maxsize=None)
+def record_and_group(row, rank):
+    rec = mr_family(row, rank)
+    return rec, rec.system.weyl_group()
+
+
+def dual_image(row, rank, x):
+    """y = sum of <x, a^vee> a^vee over the roots a: the image of x under
+    the W-invariant form B(x, x') = sum <x, a^vee><x', a^vee>, so that
+    <a, y> = B(x, a) has the sign of <x, a^vee> for every root a, and
+    (x, y) shares a chamber."""
+    coroots = np.array(record_and_group(row, rank)[0].system.coroots)
+    return tuple((coroots.T @ (coroots @ x)).tolist())
+
+
+def chamber_and_sign(row, rank, xs, ys, pairs):
+    """Both checks on the plan with unit mass on each (source, target)
+    index pair, over integer points xs in M and ys in N: (passed,
+    offending mass, witness pairs) of each."""
+    rec, group = record_and_group(row, rank)
+    mu = cloud(xs, [Fraction(1)] * len(xs))
+    nu = cloud(ys, [Fraction(1)] * len(ys), "N")
+    plan = TransportPlan(tuple((i, j, Fraction(1)) for i, j in pairs),
+                         Fraction(0))
+    chamber = check_chamber_support(plan, rec, group, mu, nu)
+    sign = check_reflection_sign(plan, rec.system, mu, nu)
+    return ((chamber.passed, chamber.offending_mass, chamber.witnesses),
+            (sign.passed, sign.offending_mass,
+             tuple(pair for pair, _ in sign.witnesses)))
+
+
+class TestChamberSupportIsReflectionSign:
+    """A shared closed chamber exists iff no root gives the two brackets
+    strictly opposite signs (the proof is in ``check_chamber_support``), so
+    the two checks agree on every plan over any points, dominant or not,
+    on walls or not."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_the_checks_agree(self, data):
+        row, rank = data.draw(st.sampled_from(SIGN_SYSTEMS))
+        point = st.tuples(*[st.integers(-2, 2)] * rank)
+        xs = data.draw(st.lists(point, min_size=1, max_size=4, unique=True))
+        ys = data.draw(st.lists(point, min_size=1, max_size=4, unique=True))
+        # the images of some sources, so that passing plans come up too
+        ys += [dual_image(row, rank, x)
+               for x in xs[:data.draw(st.integers(0, len(xs)))]]
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, len(xs) - 1),
+                      st.integers(0, len(ys) - 1)),
+            min_size=1, max_size=3, unique=True))
+        chamber, sign = chamber_and_sign(row, rank, xs, ys, sorted(pairs))
+        assert chamber == sign
+
+    @pytest.mark.parametrize("row,rank", SIGN_SYSTEMS)
+    def test_passing_and_failing_plans_both_agree(self, row, rank):
+        rng = random.Random(rank)
+        verdicts = set()
+        for _ in range(30):
+            xs, ys = ([tuple(rng.randint(-2, 2) for _ in range(rank))
+                       for _ in range(2)] for _ in range(2))
+            ys.append(dual_image(row, rank, xs[0]))
+            pairs = sorted({(rng.randrange(2), rng.randrange(3))
+                            for _ in range(rng.randint(1, 2))})
+            chamber, sign = chamber_and_sign(row, rank, xs, ys, pairs)
+            assert chamber == sign
+            verdicts.add(chamber[0])
+        assert verdicts == {True, False}
+
+
 class TestCertify:
     @pytest.mark.parametrize("family,rank,omega", [
         ("B", 2, (0, 2)),       # square
@@ -945,20 +1022,38 @@ class TestQuotientCertify:
         assert report.source_size == report.target_size == points
         assert report.cost == cost
 
-    @pytest.mark.parametrize("shift,message", [
-        (1, "not dual feasible"), (-1, "duality gap")])
-    def test_a_broken_certificate_raises(self, monkeypatch, shift, message):
+    @pytest.mark.parametrize("shift,message,command", [
+        pytest.param(1, "not dual feasible", "certify",
+                     id="1-not dual feasible"),
+        pytest.param(-1, "duality gap", "certify", id="-1-duality gap"),
+        pytest.param(1, "not dual feasible", "ot",
+                     id="1-not dual feasible-ot"),
+        pytest.param(-1, "duality gap", "ot", id="-1-duality gap-ot")])
+    def test_a_broken_certificate_raises(self, monkeypatch, capsys, tmp_path,
+                                         shift, message, command):
         # one source potential off by one cost unit: raised, the tight pair
-        # turns infeasible; lowered, the dual value drops below the cost
+        # turns infeasible; lowered, the dual value drops below the cost.
+        # ``weylot ot`` on the same clouds exits 4 with the message.
         real = transport._network_simplex
 
         def shifted(a, b, k):
             flows, u, v = real(a, b, k)
             return flows, [u[0] + shift] + u[1:], v
 
+        rec = mr_family("Bn-cube", 3)
         monkeypatch.setattr(transport, "_network_simplex", shifted)
-        with pytest.raises(InternalCheckFailed, match=message):
-            certify(mr_family("Bn-cube", 3), 1, 3)
+        if command == "certify":
+            with pytest.raises(InternalCheckFailed, match=message):
+                certify(rec, 1, 3)
+            return
+        paths = []
+        for name, poly, side in (("mu", rec.polytope, "M"),
+                                 ("nu", rec.polytope.dual(), "N")):
+            c = measures.dominant_cloud(poly, 1, rec.system, side)
+            paths.append(tmp_path / f"{name}.measure")
+            paths[-1].write_text(serialize_measure(c.points, c.masses))
+        assert main(["ot", *map(str, paths)]) == 4
+        assert message in capsys.readouterr().err
 
     def test_cycle_length_below_two_is_rejected(self):
         with pytest.raises(ValueError):
