@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 
 from .errors import (InternalCheckFailed, OrbitCapExceeded, PivotCapExceeded,
                      WeylotError)
 from . import fileio
+from . import linalg as la
 from .measures import WeightedPointCloud
 from .rootsystems import build_from_label, weight_to_coords
 from .transport import certify, solve_ot
@@ -56,15 +58,15 @@ def cmd_family(args):
 def cmd_dual(args):
     text = _read(args.file)
     p = fileio.parse_polytope(text)
-    d = p.dual()
-    if not d.is_lattice:
-        bad = next(v for v in d.vertices
-                   if any(not isinstance(x, int) for x in v))
+    if not p.is_reflexive:
+        # the dual vertex n / c of a facet is integral iff c = 1, n primitive
+        bad = min(tuple(la.norm_scalar(Fraction(x, c)) for x in n)
+                  for n, c in p.facets if c != 1)
         sys.stderr.write(
             f"dual is not a lattice polytope (vertex {bad}); "
             "the input is not reflexive\n")
         return 1
-    sys.stdout.write(fileio.serialize_polytope(d))
+    sys.stdout.write(fileio.serialize_polytope(p.dual()))
     return 0
 
 

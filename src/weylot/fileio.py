@@ -72,11 +72,9 @@ def parse_polytope(text) -> Polytope:
 
 def serialize_polytope(p: Polytope) -> str:
     """Canonical text: vertices as rows, lex sorted."""
-    if not p.is_lattice:
-        raise ValueError("only lattice polytopes serialize to integer files")
     lines = [f"{len(p.vertices)} {p.dim}"]
     for v in p.vertices:
-        lines.append(" ".join(str(int(x)) for x in v))
+        lines.append(" ".join(map(str, v)))
     return "\n".join(lines) + "\n"
 
 

@@ -46,8 +46,6 @@ class SurfaceMeasure:
 
 def surface_measure(p: Polytope) -> SurfaceMeasure:
     """Per-facet lattice-normalized volumes and their sum."""
-    if not p.is_lattice:
-        raise ValueError("surface measure needs a lattice polytope")
     masses = []
     total = Fraction(0)
     for f, face in enumerate(p.facet_faces()):
@@ -102,7 +100,7 @@ def _flag_cells(p, face, walls=None):
     an integer array (cell, vertex, coordinate) over one denominator, or
     None, before any array is built, when the walls keep no chain.
     """
-    verts, scale = p.scaled_vertices
+    verts = p.vertex_array
     rows = verts.tolist()
     sums, chains, stack = [], [], [(face, ())]
     seen = {}           # vertex indices -> (kept face's index, children)
@@ -130,7 +128,7 @@ def _flag_cells(p, face, walls=None):
     faces = np.array([[x * (big // c) for x in s] for s, c in sums],
                      dtype=la.bounded_dtype(big * int(np.abs(verts).max())))
     return faces.reshape(-1, p.dim)[np.array(chains, dtype=np.intp).reshape(
-        -1, face.dimension + 1)], big * scale
+        -1, face.dimension + 1)], big
 
 
 def measure_cells(p, face, cells, denom):
@@ -173,8 +171,6 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
     faces whose barycenters pair nonnegatively with every wall; the kept
     masses are normalized to total 1.
     """
-    if not p.is_lattice:
-        raise ValueError("discretization needs a lattice polytope")
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
 
@@ -272,14 +268,14 @@ def chamber_incidence(pts, system, group, side):
     return out
 
 
-def chamber_mass(cloud: WeightedPointCloud, system, group, side=None):
-    """Mass per Weyl chamber; wall points split equally among their chambers.
+def chamber_mass(cloud: WeightedPointCloud, system, group):
+    """Mass per Weyl chamber of the cloud's side; wall points split equally
+    among their chambers.
 
     For a cloud invariant under the group, every chamber carries exactly
     1/|W| of the total.
     """
-    side = cloud.side if side is None else side
-    inc = chamber_incidence(cloud.scaled[0], system, group, side)
+    inc = chamber_incidence(cloud.scaled[0], system, group, cloud.side)
     out = {i: Fraction(0) for i in range(len(inc))}
     for mass, column in zip(cloud.masses, inc.T):
         share = Fraction(mass) / int(column.sum())

@@ -1,13 +1,16 @@
 """Exact lattice polytope geometry.
 
-A :class:`Polytope` is a full-dimensional convex polytope with the origin in
-its interior, carried in both representations at once: an irredundant list
-of vertices and an irredundant list of facet inequalities ``<x, n> <= c``
-with primitive integer normals ``n`` and positive rational offsets ``c``.
+A :class:`Polytope` is a full-dimensional lattice polytope with the origin
+in its interior, carried in both representations at once: an irredundant
+list of integer vertices and an irredundant list of facet inequalities
+``<x, n> <= c`` with primitive integer normals ``n`` and positive integer
+offsets ``c``.  Its polar dual is a lattice polytope exactly when every
+offset is 1 (reflexive; Batyrev, *J. Algebraic Geom.* 3, 1994), so
+:meth:`Polytope.dual` exists for reflexive polytopes only.
 
-All arithmetic is exact (ints, ``fractions.Fraction`` and integer arrays
-in a dtype proven wide enough); there is no floating point anywhere in this
-module.  Facet enumeration runs an
+All arithmetic is exact, on ints and integer arrays in a dtype proven wide
+enough; only ``volume``, ``barycenter`` and ``face_lattice_volume`` return
+``Fraction`` values.  Facet enumeration runs an
 incremental double-description pass over the homogenized polar cone, which
 keeps the working set proportional to the facet count rather than the
 vertex count.
@@ -22,7 +25,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NotFullDimensional, OriginNotInterior, VertexNotFound
+from .errors import (NotFullDimensional, NotReflexive, OriginNotInterior,
+                     VertexNotFound)
 from . import linalg as la
 
 
@@ -133,8 +137,9 @@ def convex_hull(points):
         if t == 0:
             raise OriginNotInterior(
                 "origin is on the boundary of or outside the hull")
+        # t = g <v, n> for a vertex v on the facet, so g divides t
         n, g = la.primitivize(y)
-        facets.append((n, la.norm_scalar(Fraction(t, g))))
+        facets.append((n, t // g))
     facets.sort()
 
     # p is a vertex iff no other point lies on every facet through p: the
@@ -153,46 +158,42 @@ def convex_hull(points):
 
 
 def tight_matrix(pts, scale, facets):
-    """Exact incidence [i, f]: facet f is tight at ``pts[i] / scale``.
-
-    Facet f, <x, n> = c with c = a / b, is tight at x / scale iff
-    <x, b n> = a scale: one integer product for every point and facet.
-    """
-    offsets = [Fraction(c) for _, c in facets]
-    normals = [[x * c.denominator for x in n]
-               for (n, _), c in zip(facets, offsets)]
+    """Exact incidence [i, f]: facet f, <x, n> = c, is tight at
+    ``pts[i] / scale`` iff <pts[i], n> = c scale: one integer product for
+    every point and facet."""
     # a scale need not fit int64 when the points do
-    return la.exact_matmul(pts, la.transpose(normals)) == la.int_array(
-        [[c.numerator * scale for c in offsets]])[0]
-
-
-def _polar_facet(v):
-    """The facet <x, n> <= c of the polar dual that vertex v gives: n is
-    primitive and v = n / c, so the facet is <v, x> <= 1."""
-    ints, mult = la.clear_denominators(v)
-    n, g = la.primitivize(ints)
-    return n, la.norm_scalar(Fraction(mult, g))
+    return la.exact_matmul(pts, la.transpose([n for n, _ in facets])) == \
+        la.int_array([[c * scale for _, c in facets]])[0]
 
 
 class Polytope:
-    """Full-dimensional polytope with 0 interior, exact dual representations."""
+    """Full-dimensional lattice polytope with 0 interior, both lists kept as
+    given: :func:`convex_hull` builds and validates them."""
 
     def __init__(self, vertices, facets, dim):
-        self.vertices = tuple(tuple(la.norm_scalar(x) for x in v) for v in vertices)
-        self.facets = tuple((tuple(n), la.norm_scalar(c)) for n, c in facets)
+        self.vertices = vertices
+        self.facets = facets
         self.dim = dim
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self._vertex_index = {v: i for i, v in enumerate(vertices)}
 
     # -- basic structure ---------------------------------------------------
 
     @cached_property
-    def is_lattice(self):
-        return all(isinstance(x, int) for v in self.vertices for x in v)
+    def vertex_array(self):
+        """The vertices as an integer array, one row each."""
+        return la.int_array(self.vertices)[0]
+
+    @cached_property
+    def moment_adjugate(self):
+        """Adjugate and determinant of the moment form G = sum over the
+        vertices v of v v^T, which every lattice automorphism preserves."""
+        return la.adjugate(la.exact_matmul(self.vertex_array.T,
+                                           self.vertex_array).tolist())
 
     @cached_property
     def tight(self):
         """The vertex x facet incidence matrix, from :func:`tight_matrix`."""
-        return tight_matrix(*self.scaled_vertices, self.facets)
+        return tight_matrix(self.vertex_array, 1, self.facets)
 
     @cached_property
     def incidence(self):
@@ -206,7 +207,7 @@ class Polytope:
         return tuple(tuple(row.nonzero()[0].tolist()) for row in self.tight)
 
     def vertex_index(self, v):
-        t = tuple(la.norm_scalar(x) for x in v)
+        t = tuple(v)
         if t not in self._vertex_index:
             raise VertexNotFound(f"{t} is not a vertex")
         return self._vertex_index[t]
@@ -220,34 +221,35 @@ class Polytope:
         return hash(self.vertices)
 
     def __repr__(self):
-        kind = "lattice " if self.is_lattice else "rational "
         return (f"Polytope({len(self.vertices)} vertices, "
-                f"{len(self.facets)} facets, {kind}dim {self.dim})")
+                f"{len(self.facets)} facets, dim {self.dim})")
 
     # -- duality -----------------------------------------------------------
 
     def dual(self):
-        """Polar dual {n : <m,n> <= 1 for all vertices m}, built once.
+        """Polar dual {y : <v, y> <= 1 for all vertices v}, built once;
+        raises NotReflexive unless ``self`` is reflexive.
 
-        Vertices of the dual are facet normals divided by offsets; facets of
-        the dual come from the vertices with offset 1 (scaled primitive).
-        The construction is combinatorial, so dual(dual(p)) == p exactly.
-        The dual keeps no reference back to p, so no reference cycle forms.
+        Its vertices are the facet normals n (every c is 1), and its facets
+        are (v, 1) over the vertices v, which are primitive as the dual's
+        vertices are lattice points: a swap, so dual(dual(p)) == p.  The
+        dual keeps no reference back to p, so no reference cycle forms.
         """
-        return self._polar
+        return self._dual
 
     @cached_property
-    def _polar(self):
-        dverts = sorted(
-            tuple(la.norm_scalar(Fraction(x, 1) / c) for x in n)
-            for n, c in self.facets)
-        dfacets = sorted(map(_polar_facet, self.vertices))
-        return Polytope(tuple(dverts), tuple(dfacets), self.dim)
+    def _dual(self):
+        if not self.is_reflexive:
+            raise NotReflexive("not reflexive: the dual is not a lattice "
+                               "polytope")
+        return Polytope(tuple(sorted(n for n, _ in self.facets)),
+                        tuple(sorted((v, 1) for v in self.vertices)),
+                        self.dim)
 
     @cached_property
     def is_reflexive(self):
         """True iff every facet has lattice distance 1 (dual is a lattice polytope)."""
-        return self.is_lattice and all(c == 1 for _, c in self.facets)
+        return all(c == 1 for _, c in self.facets)
 
     # -- face lattice --------------------------------------------------------
     #
@@ -281,12 +283,6 @@ class Polytope:
         return tuple(Face(tuple(sorted(members)), self.dim - 1, (f,))
                      for f, members in enumerate(self.incidence))
 
-    def dual_facet(self, m):
-        """The facet of the dual polytope on which the bracket with ``m`` is 1."""
-        dual = self.dual()
-        f = dual.facets.index(_polar_facet(self.vertices[self.vertex_index(m)]))
-        return dual, Face(tuple(sorted(dual.incidence[f])), self.dim - 1, (f,))
-
     # -- triangulation and volume -------------------------------------------
 
     def _triangulate_face(self, face):
@@ -311,31 +307,24 @@ class Polytope:
         return tuple(self._triangulate_face(f) for f in self.facet_faces())
 
     @cached_property
-    def scaled_vertices(self):
-        """``(array, scale)``: integer vertex rows, vertices = array / scale."""
-        return la.int_array(self.vertices)
-
-    @cached_property
     def _cones(self):
         """The cones from 0 over the cells of ``boundary_triangulation``:
-        per facet its cells and |det| of each cell's vertex rows, all
-        vertices scaled by one common denominator; and that denominator."""
+        per facet its cells and |det| of each cell's vertex rows."""
         tri = self.boundary_triangulation()
-        verts, scale = self.scaled_vertices
-        flat = abs(la.batched_det(verts[np.array(
+        flat = abs(la.batched_det(self.vertex_array[np.array(
             [cell for cells in tri for cell in cells])])).tolist()
         dets, at = [], 0
         for cells in tri:
             dets.append(flat[at:at + len(cells)])
             at += len(cells)
-        return tri, dets, scale
+        return tri, dets
 
     @cached_property
     def volume(self):
         """Lebesgue volume (normalized so the lattice fundamental cell is 1)."""
-        _, dets, scale = self._cones
+        _, dets = self._cones
         return la.norm_scalar(Fraction(sum(map(sum, dets)),
-                                       factorial(self.dim) * scale ** self.dim))
+                                       factorial(self.dim)))
 
     @cached_property
     def barycenter(self):
@@ -343,7 +332,7 @@ class Polytope:
 
         A cone's centroid is the sum of its cell's vertices over dim + 1.
         """
-        tri, dets, _ = self._cones
+        tri, dets = self._cones
         weight = [0] * len(self.vertices)
         for cells, ws in zip(tri, dets):
             for cell, w in zip(cells, ws):
@@ -368,10 +357,9 @@ class Polytope:
         if face.dimension != self.dim - 1:
             raise ValueError("lattice volume is defined here for facets only")
         f = face.facet_indices[0]
-        _, dets, scale = self._cones
-        return la.norm_scalar(
-            Fraction(sum(dets[f]), factorial(self.dim - 1) * scale ** self.dim)
-            / self.facets[f][1])
+        _, dets = self._cones
+        return la.norm_scalar(Fraction(
+            sum(dets[f]), factorial(self.dim - 1) * self.facets[f][1]))
 
     # -- local smoothness ----------------------------------------------------
 
@@ -388,4 +376,3 @@ class Polytope:
         normals = np.array([[self.facets[f][0] for f in fs]
                             for fs in self.vertex_facets], dtype=object)
         return bool((np.abs(la.batched_det(normals)) == 1).all())
-

@@ -23,7 +23,7 @@ A (n>=1), B (n>=2), C (n>=3), D (n>=4), E6, F4, G2 plus direct products.
 from __future__ import annotations
 
 import os
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, inf
 
 import numpy as np
@@ -208,15 +208,21 @@ def dynkin_type(C):
     G2, are checked by enumeration (``tests/test_rootsystems.py``).  An
     affine Cartan matrix has determinant 0, so it is ``?``.
     """
-    n = len(C)
+    key = (la.batched_det(np.array([C])).item(), sorted(map(sorted, C)))
+    return next((t for t, k in _type_keys(len(C)) if k == key),
+                ("?", len(C)))
+
+
+@cache
+def _type_keys(n):
+    """Per type of rank n, its :func:`dynkin_type` key: the determinant
+    and the sorted list of the sorted rows of its :func:`cartan_matrix`."""
     types = [(f, n) for f, low in _ADMISSIBLE.items() if n >= low]
     types += [(f, r) for f, r in (*_EXCEPTIONAL_ORDER, ("E", 7), ("E", 8))
               if r == n]
-    stack = [C] + [cartan_matrix(*t) for t in types]
-    keys = [(d, sorted(map(sorted, m))) for d, m in
-            zip(la.batched_det(np.array(stack)).tolist(), stack)]
-    return next((t for t, k in zip(types, keys[1:]) if k == keys[0]),
-                ("?", n))
+    stack = [cartan_matrix(*t) for t in types]
+    return tuple((t, (d, sorted(map(sorted, m)))) for t, d, m in
+                 zip(types, la.batched_det(np.array(stack)).tolist(), stack))
 
 
 class RootSystem:

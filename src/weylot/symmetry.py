@@ -28,12 +28,6 @@ from . import linalg as la
 from .rootsystems import orbit_cap
 
 
-def moment_adjugate(verts):
-    """Adjugate and determinant of G = sum over vertex rows v of v v^T, for
-    an integer array of vertex rows."""
-    return la.adjugate(la.exact_matmul(verts.T, verts).tolist())
-
-
 def reflection_search(polytope):
     """All lattice reflections preserving the vertex set, each with its
     root, coroot and vertex permutation, in the order of the matrices.
@@ -52,15 +46,12 @@ def reflection_search(polytope):
     permutation.  Returns (matrices, roots, coroots, perms): tuples of
     matrices, roots and coroots and an (r, n) index array.
     """
-    verts = polytope.vertices
-    if not all(isinstance(x, int) for v in verts for x in v):
-        raise ValueError("reflection search requires a lattice polytope")
     d = polytope.dim
-    pts = polytope.scaled_vertices[0]
-    badj, _ = moment_adjugate(pts)
+    pts = polytope.vertex_array
+    badj, _ = polytope.moment_adjugate
     top = int(np.abs(pts).max())
     pts = pts.astype(la.bounded_dtype(2 * top))
-    basis = la.independent_rows(verts, d)
+    basis = la.independent_rows(polytope.vertices, d)
     diffs = (pts[basis, None, :] - pts[None, :, :]).reshape(-1, d)
     g = np.gcd.reduce(diffs, axis=1)
     diffs, g = diffs[g != 0], g[g != 0]
@@ -93,14 +84,11 @@ _BLOCK = 128
 
 
 def _vertex_data(*polytopes):
-    """For each polytope: its vertices as integers, all scaled by one
-    common denominator; their pairwise products in the form adj(G) of
-    those rows; and det G."""
-    pts, _ = la.int_array([v for p in polytopes for v in p.vertices])
+    """For each polytope: its integer vertex rows; their pairwise products
+    in the form adj(G) (:attr:`Polytope.moment_adjugate`); and det G."""
     out = []
     for p in polytopes:
-        verts, pts = pts[:len(p.vertices)], pts[len(p.vertices):]
-        adj, det = moment_adjugate(verts)
+        verts, (adj, det) = p.vertex_array, p.moment_adjugate
         gram = la.exact_matmul(la.exact_matmul(verts, adj), verts.T)
         out.append((verts, gram, det))
     return out

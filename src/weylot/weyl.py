@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .errors import (InternalTableViolation, NotDominant, NotLatticePoint,
-                     NotReflexive, OutOfTableRange)
+                     OutOfTableRange)
 from . import linalg as la
 from .polytope import Polytope, convex_hull
 from .rootsystems import (RootSystem, build_root_system, components,
@@ -144,13 +145,11 @@ def vertex_condition(p: Polytope):
 
     Returns (verdict, witness); the witness is one offending pair or None,
     the first zero of the pairing matrix (vertices of p by vertices of the
-    dual) in row-major order.
+    dual) in row-major order.  Raises NotReflexive unless p is reflexive.
     """
-    if not p.is_reflexive:
-        raise NotReflexive("vertex condition is defined for reflexive polytopes")
     dual = p.dual()
-    zeros = np.argwhere(la.exact_matmul(p.scaled_vertices[0],
-                                        dual.scaled_vertices[0].T) == 0)
+    zeros = np.argwhere(
+        la.exact_matmul(p.vertex_array, dual.vertex_array.T) == 0)
     if len(zeros):
         i, j = zeros[0].tolist()
         return False, (p.vertices[i], dual.vertices[j])
@@ -238,16 +237,15 @@ def is_weyl_polytope(p: Polytope):
         return None
     label, system = identify_reflection_group(roots, coroots)
     # the one vertex of the orbit in the closed dominant chamber
-    pairing = la.exact_matmul(p.scaled_vertices[0],
+    pairing = la.exact_matmul(p.vertex_array,
                               la.transpose(system.simple_coroots))
     vertex = p.vertices[np.flatnonzero((pairing >= 0).all(axis=1))[0]]
     return WeylDetection(label, refs, system, vertex)
 
 
 def is_dual_weyl_polytope(p: Polytope):
-    """Detection applied to the dual; requires ``p`` reflexive."""
-    if not p.is_reflexive:
-        raise NotReflexive("dual detection requires a reflexive polytope")
+    """Detection applied to the dual; raises NotReflexive unless ``p`` is
+    reflexive."""
     return is_weyl_polytope(p.dual())
 
 
@@ -278,25 +276,32 @@ def star_containment_check(rec: WeylPolytopeRecord) -> StarContainmentVerdict:
     in a flag cell in some chamber w C+; w^-1 fixes x (an orbit meets C+
     once), so the cell moved by w^-1 lies in C+ on a facet with dominant
     barycenter.  So a side holds iff every facet with a dominant
-    barycenter is a star facet, or is tau_m: per side, one integer product
-    of the transposed tight matrix, the scaled vertex rows and the walls.
-    A failure's witness is the first failing facet's barycenter: exact,
-    dominant, and on that facet only, so off the star or off tau_m.
+    barycenter is a star facet, or is tau_m.
+
+    P* is read off P, so P need not be reflexive: the facets of P* are the
+    vertices v of P, in P's order (tau_m is m's row), and the facet at v
+    has the vertices n_f / c_f over the facets f of P through v.  With L
+    the lcm of the offsets, its barycenter is the sum of the rows
+    n_f (L / c_f) over count L.  Per side this is one integer product of
+    P's tight matrix, integer rows and the walls.  A failure's witness is
+    the first failing facet's barycenter: exact, dominant, and on that
+    facet only, so off the star or off tau_m.
     """
     p, system, m = rec.polytope, rec.system, rec.weight
-    dual, tau = p.dual_facet(m)
-    sides = (("primal", p, system.simple_coroots,
-              p.vertex_facets[p.vertex_index(m)]),
-             ("dual", dual, system.simple_roots, tau.facet_indices))
-    for side, poly, walls, allowed in sides:
-        verts, scale = poly.scaled_vertices
-        tight = poly.tight.T.astype(np.int64)
-        sums = la.exact_matmul(tight, verts)         # facet x coordinate
+    at = p.vertex_index(m)
+    tight = p.tight.astype(np.int64)                 # vertex x facet
+    big = lcm(*(c for _, c in p.facets))
+    scaled = [[x * (big // c) for x in n] for n, c in p.facets]
+    sides = (("primal", tight.T, p.vertex_array, 1, system.simple_coroots,
+              p.vertex_facets[at]),
+             ("dual", tight, scaled, big, system.simple_roots, (at,)))
+    for side, inc, rows, scale, walls, allowed in sides:
+        sums = la.exact_matmul(inc, rows)            # facet x coordinate
         dominant = (la.exact_matmul(sums, la.transpose(walls)) >= 0).all(1)
         dominant[list(allowed)] = False
         if dominant.any():
             f = int(np.argmax(dominant))
-            count = int(tight[f].sum()) * scale
+            count = int(inc[f].sum()) * scale
             x = tuple(la.norm_scalar(Fraction(int(s), count)) for s in sums[f])
             return StarContainmentVerdict(False, "certified", (side, x))
     return StarContainmentVerdict(True, "certified", None)

@@ -10,11 +10,18 @@ matrix, the cofactor :func:`adjugate` built on it, the ``Fraction``
 Gauss-Jordan :func:`fraction_solve` and the :func:`inverse` built on it.
 None of them calls ``linalg.adjugate``, ``linalg.solve`` or
 ``linalg.batched_det``, so they stay independent oracles of all three.
+
+:func:`polar` is the rational polar dual of any polytope, reflexive or not,
+as plain vertex and facet tuples in ``Fraction`` arithmetic: an oracle of
+``Polytope.dual`` and of the star check's reading of P* off P.
+:func:`dilated_polar` scales it to the least lattice polytope.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from weylot import linalg as la
+from weylot.polytope import convex_hull
 
 
 def mat_mul(a, b):
@@ -121,3 +128,30 @@ def dominant_representative(system, x, side="M"):
         mat = mat_mul(smat, mat)
         dual = mat_mul(sdual, dual)
     return cur, (mat, dual)
+
+
+def polar_facet(v):
+    """The facet <x, n> <= c of the polar dual that vertex v gives: n is
+    primitive and v = n / c, so the facet is <v, x> <= 1."""
+    ints, mult = la.clear_denominators(v)
+    n, g = la.primitivize(ints)
+    return n, la.norm_scalar(Fraction(mult, g))
+
+
+def polar(vertices, facets):
+    """The polar dual {y : <v, y> <= 1 for every vertex v} of a polytope
+    with facets <x, n> <= c, n primitive: its vertices n / c and its facets
+    :func:`polar_facet` of the vertices, each list sorted; entries are ints
+    where integral, else Fractions.  Applied twice it gives the input back.
+    """
+    verts = sorted(tuple(la.norm_scalar(Fraction(x, 1) / c) for x in n)
+                   for n, c in facets)
+    return tuple(verts), tuple(sorted(map(polar_facet, vertices)))
+
+
+def dilated_polar(p):
+    """The least dilation L P* of the polar dual that is a lattice
+    polytope, as a ``Polytope``: L is the lcm of the offsets of ``p``."""
+    big = lcm(*(c for _, c in p.facets))
+    verts, _ = polar(p.vertices, p.facets)
+    return convex_hull([tuple(int(x * big) for x in v) for v in verts])

@@ -21,7 +21,7 @@ from weylot.measures import measure_cells, surface_measure
 from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
-from dominance_oracle import inverse, mat_vec
+from dominance_oracle import dilated_polar, inverse, mat_vec
 from test_fixture_files import HERE, load
 from test_integer_cells import (barycentric_subdivide, flag_cells,
                                 scaled_points)
@@ -165,7 +165,8 @@ def oracle_barycenter(p):
 @lru_cache(maxsize=None)
 def polytopes():
     """Name -> polytope: the fixtures, every family member of rank <= 4
-    and its dual, and seeded random polytopes with rational duals."""
+    and its dual, and seeded random polytopes with rational duals, each
+    dual dilated to the least lattice polytope (offsets above 1)."""
     out = {name[:-5]: load(name[:-5]) for name in sorted(os.listdir(HERE))}
     for row in sorted(FAMILY_ROWS):
         for rank in family_smallest_ranks(row):
@@ -177,7 +178,7 @@ def polytopes():
     for i in range(4):
         p = random_polytope(rng)
         out[f"random-{i}"] = p
-        out[f"random-{i}-dual"] = p.dual()
+        out[f"random-{i}-dual"] = dilated_polar(p)
     return out
 
 
@@ -217,7 +218,7 @@ def path(request, monkeypatch):
 def test_the_polytopes():
     polys = polytopes().values()
     assert len(polys) == 63
-    assert sum(not p.is_lattice for p in polys) >= 4
+    assert sum(not p.is_reflexive for p in polys) >= 9
     assert max(p.dim for p in polys) == 4
 
 
@@ -228,10 +229,9 @@ def test_volumes_match_the_frame(name, path):
     assert [p.face_lattice_volume(f) for f in p.facet_faces()] == vols
     assert p.volume == volume
     assert p.barycenter == barycenter
-    if p.is_lattice:
-        sm = surface_measure(p)
-        assert sm.facet_masses == tuple(enumerate(vols))
-        assert sm.total == sum(vols)
+    sm = surface_measure(p)
+    assert sm.facet_masses == tuple(enumerate(vols))
+    assert sm.total == sum(vols)
 
 
 @pytest.mark.parametrize("name", sorted(polytopes()))

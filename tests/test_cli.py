@@ -69,6 +69,17 @@ class TestDual:
                                (1, -2), (-2, 1), (-1, -2), (-2, -1)])
         path = write(tmp_path, "oct.poly", fileio.serialize_polytope(octagon))
         assert main(["dual", path]) == 1
+        assert capsys.readouterr() == (
+            "", "dual is not a lattice polytope (vertex (Fraction(-1, 2), 0));"
+                " the input is not reflexive\n")
+
+    def test_non_reflexive_kite(self, tmp_path, capsys):
+        # the least non-integral dual vertex, with its integral entry an int
+        path = write(tmp_path, "kite.poly", "4 2\n2 0\n0 1\n-1 0\n0 -1\n")
+        assert main(["dual", path]) == 1
+        assert capsys.readouterr() == (
+            "", "dual is not a lattice polytope (vertex (Fraction(1, 2), -1));"
+                " the input is not reflexive\n")
 
 
 class TestCheck:

@@ -7,7 +7,8 @@ loops and the per-facet region solves, which enumerate each facet's part
 in the chamber by double description, passing each equality as two
 inequalities.  The star oracle fixes the verdict and the failing side; its
 witness differs by design, so each witness of the check is validated on
-its own.
+its own.  Both take P* from the rational polar of ``dominance_oracle``, not
+from ``Polytope.dual``, which exists for reflexive polytopes only.
 """
 
 import dataclasses
@@ -28,6 +29,8 @@ from weylot.weyl import (FAMILY_ROWS, StarContainmentVerdict,
                          star_containment_check, vertex_condition,
                          weyl_polytope)
 
+from dominance_oracle import dilated_polar, polar
+
 HERE = Path(__file__).parent
 
 
@@ -39,9 +42,9 @@ def oracle_incidence(p):
 def oracle_vertex_condition(p):
     if not p.is_reflexive:
         raise NotReflexive("vertex condition is defined for reflexive polytopes")
-    dual = p.dual()
+    dual_vertices, _ = polar(p.vertices, p.facets)
     for m in p.vertices:
-        for n in dual.vertices:
+        for n in dual_vertices:
             if la.vdot(m, n) == 0:
                 return False, (m, n)
     return True, None
@@ -119,12 +122,12 @@ def oracle_star_check(rec):
                                  / len(region)) for k in range(p.dim))
         return StarContainmentVerdict(False, "certified", ("primal", x))
 
-    dual = p.dual()
+    _, dual_facets = polar(p.vertices, p.facets)
     dual_chamber = [(tuple(-x for x in system.roots[i]), 0)
                     for i in system.simple_indices]
-    for f, (n, c) in enumerate(dual.facets):
-        region = oracle_region(list(dual.facets) + dual_chamber,
-                               [(n, c)], dual.dim)
+    for n, c in dual_facets:
+        region = oracle_region(list(dual_facets) + dual_chamber,
+                               [(n, c)], p.dim)
         bad = [y for y in region if la.vdot(m, y) != 1]
         if bad:
             return StarContainmentVerdict(False, "certified", ("dual", bad[0]))
@@ -153,8 +156,8 @@ def golden_records():
 
 
 def small_polytopes():
-    """Every fixture, each family member of rank <= 5 and its dual, and a
-    rational dual."""
+    """Every fixture, each family member of rank <= 5 and its dual, and the
+    octagon's rational dual, dilated to the least lattice polytope."""
     polys = {path.stem: parse_polytope(path.read_text())
              for path in sorted((HERE / "fixtures").glob("*.poly"))}
     for row in sorted(FAMILY_ROWS):
@@ -163,7 +166,7 @@ def small_polytopes():
                 p = mr_family(row, rank).polytope
                 polys[f"{row}-{rank}"] = p
                 polys[f"{row}-{rank}-dual"] = p.dual()
-    polys["b2-octagon-dual"] = polys["b2-octagon"].dual()
+    polys["b2-octagon-dual"] = dilated_polar(polys["b2-octagon"])
     return polys
 
 
@@ -185,7 +188,7 @@ def test_incidence_and_vertex_condition_match_the_loops(name):
 
 
 def test_rational_dual_is_covered():
-    assert not SMALL["b2-octagon-dual"].is_lattice
+    assert {c for _, c in SMALL["b2-octagon-dual"].facets} == {6}
     assert sum(not p.is_reflexive for p in SMALL.values()) >= 2
 
 
@@ -201,11 +204,11 @@ def check_witness(rec, verdict):
         return
     p, system, m = rec.polytope, rec.system, rec.weight
     side, x = verdict.witness
-    poly, walls = ((p, system.simple_coroots) if side == "primal"
-                   else (p.dual(), system.simple_roots))
+    facets, walls = ((p.facets, system.simple_coroots) if side == "primal"
+                     else (polar(p.vertices, p.facets)[1], system.simple_roots))
     assert all(la.vdot(x, a) >= 0 for a in walls)
-    assert all(la.vdot(x, n) <= c for n, c in poly.facets)
-    on = [f for f, (n, c) in enumerate(poly.facets) if la.vdot(x, n) == c]
+    assert all(la.vdot(x, n) <= c for n, c in facets)
+    on = [f for f, (n, c) in enumerate(facets) if la.vdot(x, n) == c]
     assert len(on) == 1
     if side == "primal":
         assert p.vertex_index(m) not in oracle_incidence(p)[on[0]]

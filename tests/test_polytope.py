@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -5,13 +6,15 @@ from itertools import combinations
 
 import pytest
 
-from weylot.errors import NotFullDimensional, OriginNotInterior, VertexNotFound
+from weylot.errors import (NotFullDimensional, NotReflexive, OriginNotInterior,
+                           VertexNotFound)
 from weylot.polytope import Face, Polytope, convex_hull
 from weylot import linalg as la
 from weylot.weyl import (FAMILY_ROWS, classify, family_smallest_ranks,
                          mr_family, star_containment_check)
 
-from dominance_oracle import det, fraction_solve, mat_vec
+from dominance_oracle import (det, dilated_polar, fraction_solve, mat_vec,
+                              polar)
 from test_fixture_files import HERE, load
 from test_properties import all_faces, random_polytope
 
@@ -130,21 +133,46 @@ class TestDual:
         d = p2_dual_triangle.dual()
         assert set(d.vertices) == {(1, 1), (-2, 1), (1, -2)}
 
-    def test_involution(self, cube, square, hexagon, b2_octagon):
-        for p in (cube, square, hexagon, b2_octagon):
+    def test_involution(self, cube, square, hexagon):
+        for p in (cube, square, hexagon):
             assert p.dual().dual() == p
 
     def test_non_lattice_dual_flagged(self, b2_octagon):
-        d = b2_octagon.dual()
-        assert not d.is_lattice
-        assert d.dual() == b2_octagon
+        with pytest.raises(NotReflexive):
+            b2_octagon.dual()
+        verts, facets = polar(b2_octagon.vertices, b2_octagon.facets)
+        assert not all(la.is_integer_vector(v) for v in verts)
+        assert polar(verts, facets) == (b2_octagon.vertices, b2_octagon.facets)
 
     def test_built_once_without_back_reference(self, cube):
         d = cube.dual()
         assert cube.dual() is d
         # the dual holds nothing of the cube, so the two form no cycle
-        assert "_polar" not in vars(d)
+        assert "_dual" not in vars(d)
         assert d.dual() == cube and d.dual() is not cube
+
+    def test_matches_the_rational_polar(self):
+        """On every reflexive fixture, every family member of rank <= 5
+        and their duals: the swap is the polar dual, vertices and facets."""
+        polys = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
+        polys += [mr_family(row, rank).polytope for row in sorted(FAMILY_ROWS)
+                  for rank in range(1, 6) if FAMILY_ROWS[row][1](rank)]
+        polys = [p for p in polys if p.is_reflexive]
+        polys += [p.dual() for p in polys]
+        assert len(polys) == 84
+        for p in polys:
+            d = p.dual()
+            assert (d.vertices, d.facets) == polar(p.vertices, p.facets), p
+            assert d.dim == p.dim
+
+    def test_not_reflexive_raises(self, b2_octagon):
+        rng = random.Random(17)
+        polys = [b2_octagon] + [random_polytope(rng) for _ in range(12)]
+        polys = [p for p in polys if not p.is_reflexive]
+        assert len(polys) >= 10
+        for p in polys:
+            with pytest.raises(NotReflexive):
+                p.dual()
 
     def test_classify_then_star_check_builds_one_dual(self, monkeypatch):
         rec = mr_family("Dn-w2", 4)
@@ -259,44 +287,53 @@ class TestFaces:
                     and set(f.vertex_indices) <= vset], (p, face)
 
 
+def tau(p, m):
+    """The vertices of the facet tau_m of the dual, on which the bracket
+    with m is 1: the dual's facet at m's index."""
+    dual = p.dual()
+    members = dual.incidence[p.vertex_index(m)]
+    return {dual.vertices[i] for i in members}
+
+
 class TestStarAndDualFacet:
+    """The dual's facet list is the vertex list, so tau_m is m's row."""
+
     def test_figure_triangle_star_and_tau(self):
         tri = convex_hull([(1, -1), (1, 2), (-2, -1)])
-        dual, tau = tri.dual_facet((1, 2))
-        tau_verts = {dual.vertices[i] for i in tau.vertex_indices}
-        assert tau_verts == {(-1, 1), (1, 0)}
+        assert tau(tri, (1, 2)) == {(-1, 1), (1, 0)}
 
     def test_cube_dual_facet(self, cube):
-        dual, tau = cube.dual_facet((1, 1, 1))
-        assert {dual.vertices[i] for i in tau.vertex_indices} == \
-            {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert tau(cube, (1, 1, 1)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_square_dual_facet(self, square):
-        dual, tau = square.dual_facet((1, 1))
-        assert {dual.vertices[i] for i in tau.vertex_indices} == \
-            {(1, 0), (0, 1)}
+        assert tau(square, (1, 1)) == {(1, 0), (0, 1)}
 
-    def test_vertex_not_found(self, cube):
+    def test_vertex_not_found(self):
+        rec = mr_family("Bn-cube", 3)
         with pytest.raises(VertexNotFound):
-            cube.dual_facet((2, 0, 0))
+            star_containment_check(dataclasses.replace(rec, weight=(2, 0, 0)))
 
     def test_matches_the_bracket_scan(self):
-        # the dual facet on which <m, n> = 1, found by scanning every dual
-        # vertex, on lattice polytopes, their duals and rational duals
+        # the dual facet on which <m, n> = 1, found by scanning every vertex
+        # of the rational polar, is the facets of p through m, each read as
+        # its dual vertex n / c: on lattice polytopes, their duals and
+        # polytopes that are not reflexive
         rng = random.Random(9)
         polys = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
         polys += [mr_family(row, rank).polytope for row in sorted(FAMILY_ROWS)
                   for rank in family_smallest_ranks(row) if rank <= 6]
-        polys += [p.dual() for p in polys]
-        polys += [random_polytope(rng).dual() for _ in range(4)]
+        polys += [p.dual() for p in polys if p.is_reflexive]
+        polys += [random_polytope(rng) for _ in range(4)]
+        assert sum(not p.is_reflexive for p in polys) >= 5
         for p in polys:
-            for m in p.vertices:
-                dual, tau = p.dual_facet(m)
-                members = frozenset(j for j, n in enumerate(dual.vertices)
-                                    if la.vdot(m, n) == 1)
-                assert dual.incidence[tau.facet_indices[0]] == members
-                assert tau == dual.facet_faces()[
-                    dual.incidence.index(members)]
+            verts, _ = polar(p.vertices, p.facets)
+            for i, m in enumerate(p.vertices):
+                members = {y for y in verts if la.vdot(m, y) == 1}
+                assert members == {
+                    tuple(la.norm_scalar(Fraction(x, c)) for x in n)
+                    for n, c in (p.facets[f] for f in p.vertex_facets[i])}
+                if p.is_reflexive:
+                    assert tau(p, m) == members
 
 
 class TestVolumes:
@@ -319,12 +356,13 @@ class TestVolumes:
 
     def test_surface_equals_dim_times_volume(self, cube, square, hexagon,
                                              diamond, b2_octagon):
-        # rational duals reach the common-denominator scaling of the vertices
+        # offsets above 1: the octagon, random hulls and the least lattice
+        # dilations of their rational duals
         rng = random.Random(3)
-        rational = [b2_octagon.dual()] + [random_polytope(rng).dual()
-                                          for _ in range(4)]
-        assert not any(p.is_lattice for p in rational)
-        for p in [cube, square, hexagon, diamond, cube.dual()] + rational:
+        polys = [b2_octagon] + [random_polytope(rng) for _ in range(4)]
+        polys += [dilated_polar(p) for p in polys]
+        assert not any(p.is_reflexive for p in polys)
+        for p in [cube, square, hexagon, diamond, cube.dual()] + polys:
             total = sum(Fraction(c) * p.face_lattice_volume(f)
                         for (_, c), f in zip(p.facets, p.facet_faces()))
             assert total == p.dim * p.volume

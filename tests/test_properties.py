@@ -1,5 +1,6 @@
 """Structural property tests: randomized inputs against independent oracles."""
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylot import linalg as la
-from weylot.errors import OriginNotInterior, NotFullDimensional
+from weylot.errors import NotFullDimensional, NotReflexive, OriginNotInterior
 from weylot.polytope import convex_hull, tight_matrix
 from weylot.rootsystems import (build_from_label, build_root_system,
                                 weight_to_coords)
@@ -23,7 +24,9 @@ from weylot.weyl import weyl_polytope
 from invariant_oracle import solve_invariant_ot
 from dominance_oracle import dominant_representative, inverse, mat_vec
 from test_measures import incident_chambers_oracle
+from test_fixture_files import HERE, load
 from test_rootsystems import CLOSURE_LABELS, closure_system
+from test_symmetry import random_unimodular
 
 
 def hull2d_oracle(points):
@@ -128,6 +131,34 @@ def random_polytope(rng):
             continue
 
 
+@st.composite
+def lattice_point_sets(draw):
+    """2 to 20 points in dimension 2 to 4, entries in [-6, 6], with the
+    cross-polytope's vertices mostly added so that 0 is often interior."""
+    d = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d),
+                        min_size=2, max_size=20))
+    if draw(st.booleans()):
+        pts += [tuple(s * (i == j) for j in range(d))
+                for i in range(d) for s in (1, -1)]
+    return pts
+
+
+class TestIntegralHull:
+    @given(lattice_point_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_vertices_normals_and_offsets_are_integers(self, pts):
+        try:
+            p = convex_hull(pts)
+        except (OriginNotInterior, NotFullDimensional):
+            return
+        assert all(type(x) is int for v in p.vertices for x in v)
+        for n, c in p.facets:
+            assert all(type(x) is int for x in n) and type(c) is int
+            assert la.primitivize(n) == (n, 1) and c > 0
+            assert max(la.vdot(v, n) for v in p.vertices) == c
+
+
 class TestEulerAndDuality3d:
     def test_euler_characteristic_and_facet_validity(self):
         rng = random.Random(11)
@@ -143,17 +174,29 @@ class TestEulerAndDuality3d:
                 assert all(la.vdot(vv, n) <= c for vv in p.vertices)
 
     def test_dual_involution_random(self):
+        # random hulls have a dual iff reflexive; random unimodular images
+        # of the reflexive 3-polytopes among the fixtures always have one
         rng = random.Random(23)
-        for _ in range(15):
-            p = random_polytope(rng)
-            assert p.dual().dual() == p
+        polys = [random_polytope(rng) for _ in range(15)]
+        for p in polys:
+            if not p.is_reflexive:
+                with pytest.raises(NotReflexive):
+                    p.dual()
+        reflexive = [load(name[:-5]) for name in sorted(os.listdir(HERE))]
+        reflexive = [p for p in reflexive if p.dim == 3 and p.is_reflexive]
+        assert len(reflexive) == 5
+        for p in reflexive:
+            for _ in range(3):
+                u = random_unimodular(rng, 3)
+                polys.append(convex_hull([mat_vec(u, v) for v in p.vertices]))
+        for p in polys:
+            if p.is_reflexive:
+                assert p.dual().dual() == p
 
     def test_barycentric_cone_volume_matches_facet_measure(self):
         rng = random.Random(5)
         for _ in range(10):
             p = random_polytope(rng)
-            if not p.is_lattice:
-                continue
             total = sum(Fraction(c) * p.face_lattice_volume(face)
                         for (n, c), face in zip(p.facets, p.facet_faces()))
             assert total == p.dim * p.volume
