@@ -12,19 +12,21 @@ entering arcs come from a block search over rows of the reduced-cost
 matrix in numpy.  It runs in int64 when a proven bound on every potential
 and reduced cost fits, on exact Python ints otherwise, and every pivot is
 deterministic.  The plan's cost is one sum of integers made a ``Fraction``
-once, and the dual value is compared with it in integers.
+once.
 
-Cyclical monotonicity of a plan's support is decided exactly at every cycle
-length by one longest-path pass over the support pairs: a pass leaves a
-potential that bounds every cycle sum by 0, a failure a positive cycle.
+Cyclical monotonicity of a plan's support is read off its potentials:
+potentials feasible on every pair and tight on the support bound the gain
+of every cycle of support pairs by 0, so the one exact check of that
+certificate, which the solvers run too, decides every cycle length.
 
 ``certify`` works on one closed Weyl chamber: for dominant x in M and y in
 N, max over w of <x, w y> is <x, y> (Humphreys, *Reflection Groups and
 Coxeter Groups*, 1.12), so the invariant problem is a plain transport
 problem between dominant representatives.  ``solve_invariant_ot`` solves it
 with the same core as ``solve_ot``, and both check the certificate exactly:
-the potentials are feasible on every pair and leave no duality gap, which
-on the representatives proves the lifted plan optimal at every cycle length.
+the potentials are feasible on every pair and tight on every arc with
+positive flow, which on the representatives proves the lifted plan optimal
+and c-cyclically monotone at every cycle length.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import isqrt
+from math import floor, isqrt
 
 import numpy as np
 
@@ -103,9 +105,8 @@ def _scaled_masses(masses_a, masses_b):
 
 def _solve(mu, nu):
     """The core of both solvers: the optimal plan and its potentials, the
-    certificate checked in integer cost units (a, b the scaled masses, x
-    the flows): u_i + v_j <= k_ij on every pair, and a zero duality gap
-    sum x k - sum a u - sum b v.  Either failure raises InternalCheckFailed."""
+    certificate checked exactly by :func:`_check_certificate` on the arcs
+    with positive flow."""
     a, b, mass_scale = _scaled_masses(mu.masses, nu.masses)
     k, cost_scale = _cost_matrix(mu, nu)
     flows, u, v = _network_simplex(a, b, k)
@@ -115,14 +116,23 @@ def _solve(mu, nu):
     cost = sum(x * int(k[i, j]) for (i, j), x in arcs)
     plan = TransportPlan(triples, la.norm_scalar(
         Fraction(cost, mass_scale * cost_scale)))
-    dtype = la.bounded_dtype(2 * max(map(abs, u + v)))
-    phin, psin = np.array(u, dtype=dtype), np.array(v, dtype=dtype)
-    if (phin[:, None] + psin > k).any():
-        raise InternalCheckFailed("transport potentials are not dual feasible")
-    if (cost - sum(x * y for x, y in zip(a, u))
-            - sum(x * y for x, y in zip(b, v))):
-        raise InternalCheckFailed("transport solve left a duality gap")
+    _check_certificate(k, u, v, plan.support())
     return plan, _potentials(mu, u, v, cost_scale)
+
+
+def _check_certificate(k, u, v, support):
+    """The potential certificate, exactly, in integer cost units: u_i + v_j
+    <= k_ij on every pair, and equality on every pair (i, j) of
+    ``support``.  With nonnegative flows that meet the marginals, equality
+    on the arcs with positive flow is a zero duality gap.  Raises
+    InternalCheckFailed when either fails."""
+    dtype = la.bounded_dtype(2 * max(map(abs, u + v)))
+    u, v = np.array(u, dtype=dtype), np.array(v, dtype=dtype)
+    if (u[:, None] + v > k).any():
+        raise InternalCheckFailed("transport potentials are not dual feasible")
+    rows, cols = np.array(support, dtype=np.intp).reshape(-1, 2).T
+    if (u[rows] + v[cols] != k[rows, cols]).any():
+        raise InternalCheckFailed("transport solve left a duality gap")
 
 
 def solve_ot(mu, nu):
@@ -427,91 +437,31 @@ def _subtree(children, depth, top, nodes):
 
 # -- support checks -----------------------------------------------------------
 
-def check_cyclical_monotonicity(plan, mu, nu, max_cycle_length=3):
+def check_cyclical_monotonicity(plan, pots, mu, nu, max_cycle_length=3):
     """Exact c-cyclical monotonicity of the support, at every cycle length.
 
-    A violating cycle is a sequence of support pairs whose cyclic
-    reassignment lowers the total cost.  With arc weights
-    ``g[p, q] = c(p, p) - c(p, q)`` over the support pairs, a violation is
-    a positive cycle, found or ruled out by one synchronous Bellman-Ford
-    longest-path pass from ``d = 0``.  If the pass settles within s rounds
-    (s support pairs), ``psi = -d`` satisfies ``g[p, q] <= psi_p - psi_q``
-    on every arc, so every cycle sum telescopes to at most 0: a proof for
-    all lengths at once.  Otherwise the predecessors (updated only on a
-    strict gain) close a cycle.  After every round the predecessors are
-    walked from the nodes that changed, O(s) in all, and the first round
-    that closes a cycle ends the pass; the cycle's exactly positive sum is
-    checked and it is returned as the single violation.
+    A violating cycle is a sequence of support pairs (x_p, y_p) whose
+    cyclic reassignment, x_p to y_(p+1), lowers the total cost.  Potentials
+    with u(x) + v(y) <= c(x, y) on every pair and equality on the support
+    bound that gain, the sum of c(x_p, y_p) - c(x_p, y_(p+1)), by the sum of
+    (u_p + v_p) - (u_p + v_(p+1)), which is 0: a proof for every cycle
+    length at once (Rockafellar; Villani, *Optimal Transport: Old and New*,
+    Thm 5.10).  ``pots``, the plan's potentials, are rounded down to
+    integers over the scale of :func:`_cost_matrix` and checked by
+    :func:`_check_certificate`; any integers that pass are a certificate,
+    so the rounding cannot make a pass wrong.
 
+    ``_solve`` checked the same certificate before it returned the plan,
+    so a failure is an internal fault and raises InternalCheckFailed.
     ``max_cycle_length`` is validated (at least 2) and echoed in the
     verdict; it does not limit the proof.
     """
     if max_cycle_length < 2:
         raise ValueError("cycle length must be at least 2")
-    support = plan.support()
-    s = len(support)
-    if s == 0:
-        return CycleVerdict(True, max_cycle_length, ())
-
-    (pm, _), (pn, _) = mu.scaled, nu.scaled
-    # |g| <= 2 max|cross| and 0 <= d <= s max|g| over s rounds, so every
-    # value below is at most 2(s+1) max|cross| in magnitude
-    dtype = la.matmul_dtype(pm, pn, 2 * (s + 1))
-    src = pm[[i for i, _ in support]].astype(dtype)
-    tgt = pn[[j for _, j in support]].astype(dtype)
-    # cost(p, q) = -<m_p, n_q> in scaled units; g[p, q] = c(p,p) - c(p,q)
-    cross = -(src @ tgt.T)
-    own = np.diag(cross).copy()
-    g = own[:, None] - cross
-
-    d = np.zeros(s, dtype=dtype)
-    pred = np.zeros(s, dtype=np.int64)
-    for _ in range(s):
-        cand = d[:, None] + g
-        best = cand.max(axis=0)
-        changed = best > d
-        if not changed.any():
-            return CycleVerdict(True, max_cycle_length, ())
-        pred[changed] = cand.argmax(axis=0)[changed]
-        d = np.where(changed, best, d)
-        cycle = _predecessor_cycle(pred, d, np.flatnonzero(changed))
-        if cycle:
-            break
-    else:
-        raise InternalCheckFailed("Bellman-Ford ran s rounds without a cycle")
-
-    cycle.reverse()                     # pred[q] = p is the arc p -> q
-    total = sum(int(g[p, q]) for p, q in zip(cycle, cycle[1:] + cycle[:1]))
-    if total <= 0:
-        raise InternalCheckFailed("predecessor cycle is not positive")
-    return CycleVerdict(False, max_cycle_length,
-                        (tuple(support[p] for p in cycle),))
-
-
-def _predecessor_cycle(pred, d, starts):
-    """A cycle of the predecessor graph reached from ``starts``, or None.
-
-    A node has a predecessor iff it ever gained, that is iff d > 0.  Walks
-    share their marks, so the search visits each node once.  A node that
-    gains in round r > 1 gains from one that gained in round r - 1, so
-    after round s each node within s - 1 steps of a round-s gain has a
-    predecessor, and the walk from it must close a cycle.  Any predecessor
-    cycle is positive: take the last round r that set one of its arcs.
-    Each arc p -> q satisfies d[q] <= d[p] + g[p, q] at the end of round
-    r - 1, strictly for the arcs set in round r, so summing over the cycle
-    leaves 0 < sum g.  Returns the nodes in walk order, x, pred[x], ...
-    """
-    pred, has_pred = pred.tolist(), (d > 0).tolist()
-    mark = {}
-    for walk, x in enumerate(starts.tolist()):
-        path = []
-        while x not in mark and has_pred[x]:
-            mark[x] = walk
-            path.append(x)
-            x = pred[x]
-        if mark.get(x) == walk:
-            return path[path.index(x):]
-    return None
+    k, scale = _cost_matrix(mu, nu)
+    _check_certificate(k, [floor(x * scale) for x in pots.phi],
+                       [floor(y * scale) for y in pots.psi], plan.support())
+    return CycleVerdict(True, max_cycle_length, ())
 
 
 def _verdict(plan, mu, nu, failures, labels=None):
@@ -657,14 +607,14 @@ def certify(rec, refinement=0, max_cycle_length=3):
     problem iff ``u_X + v_Y <= -<x, y>`` on every pair of representatives
     (by the lemma), and tight on the lifted support iff tight on the
     quotient support.  ``solve_invariant_ot`` checks feasibility on every
-    pair and a zero duality gap exactly, which with positive masses is
-    tightness on the support; a failure raises InternalCheckFailed.  So the
+    pair and tightness on the support exactly, which with nonnegative flows
+    is a zero duality gap; a failure raises InternalCheckFailed.  So the
     lifted plan is optimal and c-cyclically monotone at every length.
 
     All four checks run on the quotient plan over the representatives:
-    stability, reflection sign, cyclical monotonicity (the longest-path
-    pass, which the potentials already decide), and chamber support over
-    the materialized W.  Each offending set is W-invariant, so the
+    stability, reflection sign, cyclical monotonicity (the same
+    certificate, checked on the potentials the solve returned), and chamber
+    support over the materialized W.  Each offending set is W-invariant, so the
     offending masses are those of the lifted plan; witnesses are dominant
     representatives.  The sizes are |W| times the representative counts.
     ``max_cycle_length`` is validated (at least 2) and echoed.
@@ -685,7 +635,7 @@ def certify(rec, refinement=0, max_cycle_length=3):
         chamber_support=check_chamber_support(plan, rec, group, mu, nu),
         reflection_sign=check_reflection_sign(plan, system, mu, nu),
         cyclical_monotonicity=check_cyclical_monotonicity(
-            plan, mu, nu, max_cycle_length),
+            plan, pots, mu, nu, max_cycle_length),
         duality_gap=gap,
         cost=plan.cost_value,
         refinement=refinement,

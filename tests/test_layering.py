@@ -85,16 +85,36 @@ def test_import_graph_is_acyclic():
 
 
 def names_read(tree):
-    """Every name a tree refers to: ``Name`` ids, ``Attribute`` attributes
-    and the parts of imported names."""
-    out = set()
+    """The names a tree reads, not those it stores: the ids of its
+    ``Name`` nodes and the attributes of its ``Attribute`` nodes
+    (``x.name``)."""
+    bare, attributes = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.update(node.name.split("."))
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name):
+                bare.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return bare, attributes
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree):
+    """(definition, scope) per function and class in a module tree, the
+    scope being what it is defined in: "module", "class" or "function"."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                out.append((child, scope))
+                visit(child, "class" if isinstance(child, ast.ClassDef)
+                      else "function")
+            else:
+                visit(child, scope)
+    visit(tree, "module")
     return out
 
 
@@ -151,26 +171,26 @@ def test_every_definition_has_a_caller():
     A module-level definition is resolved through its module: it is read
     as a bare name in its own module, as ``alias.name`` on an alias of its
     module (``la.rank``), or by an import of it from its module or from
-    ``weylot``.  A method or a nested function goes by name alone: it
-    passes when anything of the same name is read, such as another
-    object's attribute or a local variable, so a method named like a local
-    variable (``Polytope.tight``, ``RootSystem.order``) would pass unread.
+    ``weylot``.  A definition in a class body (a method, a property)
+    passes only when its name is read as an attribute, ``x.name``, and one
+    nested in a function only when its name is read as a bare name.  Names
+    still match across objects and scopes: a method named like another
+    object's attribute, or a nested function named like a local variable
+    read elsewhere, would pass unread.
     """
-    read, module_read = set(), set()
+    read, module_read = {"function": set(), "class": set()}, set()
     for path in CALLERS:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        read |= names_read(tree)
+        bare, attributes = names_read(tree)
+        read["function"] |= bare
+        read["class"] |= attributes
         here = path.stem if path.parent == PACKAGE else None
         module_read |= module_names_read(tree, here)
     unread = []
     for name, tree in MODULES.items():
-        top = set(tree.body)
         unread += [
-            f"{name}.{node.name}" for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__")
-                     and node.name.endswith("__"))
-            and ((name, node.name) not in module_read if node in top
-                 else node.name not in read)]
+            f"{name}.{node.name}" for node, scope in definitions(tree)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and ((name, node.name) not in module_read if scope == "module"
+                 else node.name not in read[scope])]
     assert unread == [], f"defined but read by no caller: {unread}"

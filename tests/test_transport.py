@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -18,13 +19,15 @@ from weylot.fileio import parse_measure, serialize_measure
 from weylot.measures import WeightedPointCloud, discretize
 from weylot.rootsystems import (build_from_label, build_root_system,
                                 weight_to_coords)
-from weylot.transport import (TransportPlan, _cost_matrix, _network_simplex,
-                              _scaled_masses, certify, check_chamber_support,
+from weylot.transport import (CycleVerdict, TransportPlan, _cost_matrix,
+                              _network_simplex, _scaled_masses, certify,
+                              check_chamber_support,
                               check_cyclical_monotonicity,
                               check_reflection_sign, check_stability_support,
                               solve_ot)
 from weylot.weyl import mr_family, weyl_polytope
 
+import cycle_oracle
 from dominance_oracle import mat_vec
 from invariant_oracle import solve_invariant_ot, symmetrize_plan
 import simplex_oracle
@@ -647,30 +650,30 @@ class TestCyclicalMonotonicity:
     def test_matched_signs_pass(self, segment):
         mu = discretize(segment, 0)
         nu = discretize(segment.dual(), 0)
-        plan, _ = solve_ot(mu, nu)
-        assert check_cyclical_monotonicity(plan, mu, nu, 2).passed
+        plan, pots = solve_ot(mu, nu)
+        assert check_cyclical_monotonicity(plan, pots, mu, nu, 2).passed
 
     def test_swapped_matching_fails(self, segment):
         mu = discretize(segment, 0)
         nu = discretize(segment.dual(), 0)
         bad = TransportPlan(((0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2))),
                             Fraction(1))
-        verdict = check_cyclical_monotonicity(bad, mu, nu, 2)
+        verdict = cycle_oracle.check_cyclical_monotonicity(bad, mu, nu, 2)
         assert not verdict.passed
         assert verdict.violations
 
     def test_square_diamond_k3(self, square):
         mu = discretize(square, 0)
         nu = discretize(square.dual(), 0)
-        plan, _ = solve_ot(mu, nu)
-        verdict = check_cyclical_monotonicity(plan, mu, nu, 3)
+        plan, pots = solve_ot(mu, nu)
+        verdict = check_cyclical_monotonicity(plan, pots, mu, nu, 3)
         assert verdict.passed and verdict.max_cycle_length == 3
 
     def test_longer_cycles(self, square):
         mu = discretize(square, 0)
         nu = discretize(square.dual(), 0)
-        plan, _ = solve_ot(mu, nu)
-        assert check_cyclical_monotonicity(plan, mu, nu, 4).passed
+        plan, pots = solve_ot(mu, nu)
+        assert check_cyclical_monotonicity(plan, pots, mu, nu, 4).passed
 
     @staticmethod
     def cycle_gain(cycle, mu, nu):
@@ -724,7 +727,8 @@ class TestCyclicalMonotonicity:
                 and self.cycle_gain(list(cycle), mu, nu) > 0
                 for length in range(2, len(support) + 1)
                 for cycle in permutations(support, length))
-            verdict = check_cyclical_monotonicity(plan, mu, nu, 2)
+            verdict = cycle_oracle.check_cyclical_monotonicity(
+                plan, mu, nu, 2)
             assert verdict.passed == (not positive), seed
             if not verdict.passed:
                 (witness,) = verdict.violations
@@ -744,7 +748,8 @@ class TestCyclicalMonotonicity:
         nu = cloud(ys, [Fraction(1, s)] * s)
         plan = TransportPlan(tuple((p, p, Fraction(1, s)) for p in range(s)),
                              Fraction(0))
-        (witness,) = check_cyclical_monotonicity(plan, mu, nu, 2).violations
+        (witness,) = cycle_oracle.check_cyclical_monotonicity(
+            plan, mu, nu, 2).violations
         assert len(witness) == s
         assert self.cycle_gain(list(witness), mu, nu) == s
 
@@ -767,7 +772,7 @@ class TestCyclicalMonotonicity:
         assert all(self.cycle_gain(list(cycle), mu, nu) <= 0
                    for length in (2, 3)
                    for cycle in permutations(support, length))
-        verdict = check_cyclical_monotonicity(plan, mu, nu, 3)
+        verdict = cycle_oracle.check_cyclical_monotonicity(plan, mu, nu, 3)
         assert not verdict.passed and verdict.max_cycle_length == 3
         (witness,) = verdict.violations
         assert len(witness) == 4 and set(witness) == set(support)
@@ -778,11 +783,54 @@ class TestCyclicalMonotonicity:
         mu = discretize(square, 0)
         nu = discretize(square.dual(), 0)
         cases.append((solve_ot(mu, nu)[0], mu, nu))
-        expected = [check_cyclical_monotonicity(*case, 3) for case in cases]
+        expected = [cycle_oracle.check_cyclical_monotonicity(*case, 3)
+                    for case in cases]
         monkeypatch.setattr(la, "_INT64_GUARD", 1)
         for (plan, mu, nu), verdict in zip(cases, expected):
             assert la.matmul_dtype(mu.scaled[0], nu.scaled[0]) is object
-            assert check_cyclical_monotonicity(plan, mu, nu, 3) == verdict
+            assert cycle_oracle.check_cyclical_monotonicity(
+                plan, mu, nu, 3) == verdict
+
+    def optimal_cases(self, polytopes):
+        """(plan, potentials, mu, nu) from ``solve_ot`` on the clouds of
+        the seeds 1 mod 3 of :meth:`random_case`, of the hexagon case and
+        of ``polytopes`` and their duals at k = 0 and 1."""
+        clouds = [self.random_case(seed)[1:] for seed in range(1, 60, 3)]
+        clouds.append(self.hexagon_case()[1:])
+        clouds += [(discretize(poly, k), discretize(poly.dual(), k))
+                   for poly in polytopes for k in (0, 1)]
+        return [(*solve_ot(mu, nu), mu, nu) for mu, nu in clouds]
+
+    @pytest.mark.parametrize("guard", [None, 1])
+    def test_optimal_plans_pass_both_checks(self, monkeypatch, guard, square,
+                                            segment, hexagon):
+        if guard:
+            monkeypatch.setattr(la, "_INT64_GUARD", guard)
+        for plan, pots, mu, nu in self.optimal_cases(
+                (square, segment, hexagon)):
+            assert check_cyclical_monotonicity(plan, pots, mu, nu, 3) == \
+                CycleVerdict(True, 3, ())
+            assert cycle_oracle.check_cyclical_monotonicity(
+                plan, mu, nu, 3).passed
+
+    @pytest.mark.parametrize("guard", [None, 1])
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    @pytest.mark.parametrize("shift,message", [
+        (1, "not dual feasible"), (-1, "duality gap")])
+    def test_a_moved_potential_raises(self, monkeypatch, guard, side, shift,
+                                      message, square, hexagon):
+        # every point has mass, so every entry sits on a tight support
+        # pair: raised, that pair turns infeasible; lowered, it is slack
+        if guard:
+            monkeypatch.setattr(la, "_INT64_GUARD", guard)
+        for plan, pots, mu, nu in self.optimal_cases((square, hexagon)):
+            step = Fraction(shift, mu.scaled[1] * nu.scaled[1])
+            entries = getattr(pots, side)
+            for t in range(len(entries)):
+                moved = entries[:t] + (entries[t] + step,) + entries[t + 1:]
+                broken = dataclasses.replace(pots, **{side: moved})
+                with pytest.raises(InternalCheckFailed, match=message):
+                    check_cyclical_monotonicity(plan, broken, mu, nu, 3)
 
 
 class FakeSystem:
@@ -981,7 +1029,7 @@ def invariant_route(rec, k):
               check_reflection_sign(plan, system, mu, nu))
     return (plan.cost_value, len(mu), len(nu), plan.cost_value - dual_value,
             [(v.passed, v.offending_mass) for v in checks],
-            check_cyclical_monotonicity(plan, mu, nu, 3).passed)
+            cycle_oracle.check_cyclical_monotonicity(plan, mu, nu, 3).passed)
 
 
 def certify_summary(rec, k):
@@ -1054,6 +1102,33 @@ class TestQuotientCertify:
             paths[-1].write_text(serialize_measure(c.points, c.masses))
         assert main(["ot", *map(str, paths)]) == 4
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("guard", [None, 1])
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    @pytest.mark.parametrize("shift,message", [
+        (1, "not dual feasible"), (-1, "duality gap")])
+    def test_off_by_one_potentials_exit_4(self, monkeypatch, capsys, guard,
+                                          side, shift, message):
+        # the solve's own check passed; the cycle check, reading the
+        # potentials certify was handed, is what exits 4.  The W closure
+        # needs int64, so the guard drops only once the solve starts.
+        real = transport.solve_invariant_ot
+
+        def off_by_one(mu, nu):
+            if guard:
+                monkeypatch.setattr(la, "_INT64_GUARD", guard)
+            plan, pots = real(mu, nu)
+            entries = getattr(pots, side)
+            step = Fraction(shift, mu.scaled[1] * nu.scaled[1])
+            return plan, dataclasses.replace(
+                pots, **{side: (entries[0] + step,) + entries[1:]})
+
+        monkeypatch.setattr(transport, "solve_invariant_ot", off_by_one)
+        golden = Path(__file__).parent / "golden"
+        assert main(["certify", str(golden / "cube-B3.poly"), "--type", "B3",
+                     "--weight", "0,0,2", "--refine", "1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and message in err
 
     def test_cycle_length_below_two_is_rejected(self):
         with pytest.raises(ValueError):
