@@ -143,8 +143,8 @@ def cmd_ot(args):
     nu_text = _read(args.nu)
     mp, mm = fileio.parse_measure(mu_text)
     np_, nm = fileio.parse_measure(nu_text)
-    mu = WeightedPointCloud(mp, mm, (None,) * len(mp), "M")
-    nu = WeightedPointCloud(np_, nm, (None,) * len(np_), "N")
+    mu = WeightedPointCloud(mp, mm, "M")
+    nu = WeightedPointCloud(np_, nm, "N")
     plan, pots = solve_ot(mu, nu)
     doc = {
         "tool": fileio.TOOL_VERSION,

@@ -2,21 +2,20 @@
 
 The integral surface measure gives each facet its lattice-normalized volume
 (a unimodular d-simplex weighs 1/d!).  ``discretize`` turns the measure into
-a weighted rational point cloud: facets are cut into their flag simplices
-(one barycentric subdivision), optionally refined by further subdivision
-rounds, and every cell contributes its centroid weighted by the cell's
-exact volume.  Flag cells are built from face barycenters, so every lattice
-automorphism, and every unimodular change of coordinates, carries the cloud
-of P to the cloud of its image.  Masses are normalized to total 1, so two
-boundary measures can enter a transport problem directly.
+a weighted rational point cloud: facets are cut into their flag cells
+(:meth:`Polytope.flag_cells`, the one triangulation of the boundary, which
+also gives the polytope its volumes and barycenter), optionally refined by
+further barycentric subdivision rounds, and every cell contributes its
+centroid weighted by the cell's exact volume.  Flag cells are built from
+face barycenters, so every lattice automorphism, and every unimodular change
+of coordinates, carries the cloud of P to the cloud of its image.  Masses
+are normalized to total 1, so two boundary measures can enter a transport
+problem directly.
 
 A facet's cells are one integer array of vertex rows over one common
-denominator, from the face walk through refinement to the measurement; the
-cloud's points and masses become Fractions once, at the end.  A cell of the
-facet <x, n> = c, n primitive, is the base of a cone from 0 of lattice
-height c, so its volume is |det| of its vertex rows over (d - 1)! c: one
-batched integer determinant per facet (:func:`measure_cells`), with no
-lattice frame.
+denominator, from the face walk through refinement to the measurement
+(:meth:`Polytope.measure_cells`); the cloud's points and masses become
+Fractions once, at the end.
 
 ``dominant_cloud`` measures only the flag cells inside the closed dominant
 Weyl chamber: a fundamental domain of the invariant cloud, one
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from math import factorial, lcm
+from math import lcm
 
 import numpy as np
 
@@ -61,7 +60,6 @@ class WeightedPointCloud:
 
     points: tuple
     masses: tuple
-    chamber_tags: tuple
     side: str
 
     def __len__(self):
@@ -88,65 +86,6 @@ def _barycentric_subdivide(cells, denom):
     return subs.reshape(-1, d, cells.shape[2]), denom * big
 
 
-def _flag_cells(p, face, walls=None):
-    """Barycentric-subdivision simplices of a face: one cell per face flag.
-
-    Cell vertices are vertex-average barycenters of a chain of faces, which
-    every lattice automorphism of the polytope maps to cells of the image
-    face; the resulting set of cells is canonical.  A barycenter is a
-    vertex-row sum over a positive count, so ``walls``, covectors, prune
-    the walk on the sum alone: a chain enters only faces whose barycenter
-    pairs nonnegatively with every wall.  Returns ``(cells, denominator)``:
-    an integer array (cell, vertex, coordinate) over one denominator, or
-    None, before any array is built, when the walls keep no chain.
-    """
-    verts = p.vertex_array
-    rows = verts.tolist()
-    sums, chains, stack = [], [], [(face, ())]
-    seen = {}           # vertex indices -> (kept face's index, children)
-    while stack:
-        f, chain = stack.pop()
-        key = f.vertex_indices
-        if key not in seen:
-            s = [sum(col) for col in zip(*(rows[i] for i in key))]
-            seen[key] = (None, ())
-            if walls is None or all(sum(x * y for x, y in zip(s, w)) >= 0
-                                    for w in walls):
-                seen[key] = (len(sums),
-                             p.face_children(f) if f.dimension else ())
-                sums.append((s, len(key)))
-        at, children = seen[key]
-        if at is not None:
-            chain = (at,) + chain
-            if f.dimension == 0:
-                chains.append(chain)
-            stack += [(child, chain) for child in reversed(children)]
-    if not chains:
-        return None
-    # over lcm(counts), a face row is its sum times lcm / count: |x| <= lcm top
-    big = lcm(*(c for _, c in sums))
-    faces = np.array([[x * (big // c) for x in s] for s, c in sums],
-                     dtype=la.bounded_dtype(big * int(np.abs(verts).max())))
-    return faces.reshape(-1, p.dim)[np.array(chains, dtype=np.intp).reshape(
-        -1, face.dimension + 1)], big
-
-
-def measure_cells(p, face, cells, denom):
-    """Centroids and lattice volumes of one facet's cells, exactly.
-
-    The facet lies on <x, n> = c with n primitive, so the cone from 0 over
-    a cell has lattice height c, and the cell's lattice volume is
-    |det(v_1, ..., v_d)| / ((d - 1)! c): one batched determinant of the
-    cells' integer vertex rows over ``denom``.  Returns the centroids'
-    vertex-row sums and |det|s, each as ``(array, denominator)``.
-    """
-    d = p.dim
-    sums = cells.astype(la.bounded_dtype(d * int(np.abs(cells).max()))).sum(1)
-    c = p.facets[face.facet_indices[0]][1]
-    return ((sums, d * denom),
-            (abs(la.batched_det(cells)), factorial(d - 1) * c * denom ** d))
-
-
 def _common_denominator(blocks):
     """``(array, denominator)`` blocks as one integer list over the lcm."""
     scale = lcm(*(s for _, s in blocks))
@@ -160,29 +99,29 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
                system=None, walls=None) -> WeightedPointCloud:
     """Weighted point cloud approximating the boundary surface measure.
 
-    Every facet is cut into its flag cells (:func:`_flag_cells`), and
-    ``refinement`` counts further barycentric subdivision rounds.  The
+    Every facet is cut into its flag cells (:meth:`Polytope.flag_cells`),
+    and ``refinement`` counts further barycentric subdivision rounds.  The
     cells are canonical, so a lattice automorphism, or a unimodular map,
     carries the cloud of ``p`` to the cloud of its image; under a Weyl
-    group the cloud is exactly invariant.  ``group``, ``side`` ("M" for the
-    polytope, "N" for its dual) and ``system`` only set the chamber tags:
-    each point's first incident chamber (see :func:`chamber_incidence`),
-    else None.  ``walls``, covectors, measure only the flag cells of the
-    faces whose barycenters pair nonnegatively with every wall; the kept
-    masses are normalized to total 1.
+    group the cloud is exactly invariant.  ``side`` is "M" for the
+    polytope, "N" for its dual.  ``walls``, covectors, measure only the
+    flag cells of the faces whose barycenters pair nonnegatively with every
+    wall; the kept masses are normalized to total 1.  ``group`` and
+    ``system`` are ignored: they set per-point chamber tags that no caller
+    read, and ``perfbench/tests`` still passes them.
     """
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
 
     centroids, volumes = [], []
     for face in p.facet_faces():
-        kept = _flag_cells(p, face, walls)
+        kept = p.flag_cells(face, walls)
         if kept is None:
             continue                    # the walls prune the whole facet
         cells, denom = kept
         for _ in range(refinement):
             cells, denom = _barycentric_subdivide(cells, denom)
-        centroid, volume = measure_cells(p, face, cells, denom)
+        centroid, volume = p.measure_cells(face, cells, denom)
         centroids.append(centroid)
         volumes.append(volume)
     if not centroids:
@@ -205,11 +144,7 @@ def discretize(p: Polytope, refinement: int = 0, group=None, side: str = "M",
         raise InternalCheckFailed(
             "cell centroid not in a unique facet interior")
 
-    chamber_tags = (None,) * len(points)
-    if system is not None and group is not None:
-        inc = chamber_incidence(scaled[0], system, group, side)
-        chamber_tags = tuple(int(w) for w in inc.argmax(axis=0))
-    cloud = WeightedPointCloud(points, masses, chamber_tags, side)
+    cloud = WeightedPointCloud(points, masses, side)
     cloud.__dict__["scaled"] = scaled       # fills the cached property
     return cloud
 

@@ -8,6 +8,12 @@ offsets ``c``.  Its polar dual is a lattice polytope exactly when every
 offset is 1 (reflexive; Batyrev, *J. Algebraic Geom.* 3, 1994), so
 :meth:`Polytope.dual` exists for reflexive polytopes only.
 
+The boundary has one triangulation, the flag cells: one simplex per chain
+of faces, with the chain's face barycenters as vertices (the barycentric
+subdivision; Ziegler, *Lectures on Polytopes*, 2.2 and 5.1).  The facet
+volumes, the volume and the barycenter are read off them, and so is every
+boundary measure of :mod:`weylot.measures`.
+
 All arithmetic is exact, on ints and integer arrays in a dtype proven wide
 enough; only ``volume``, ``barycenter`` and ``face_lattice_volume`` return
 ``Fraction`` values.  Facet enumeration runs an
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -283,83 +289,111 @@ class Polytope:
         return tuple(Face(tuple(sorted(members)), self.dim - 1, (f,))
                      for f, members in enumerate(self.incidence))
 
-    # -- triangulation and volume -------------------------------------------
+    # -- flag cells and volume ---------------------------------------------
 
-    def _triangulate_face(self, face):
-        """Vertex-index simplices of a pulling triangulation of ``face``.
+    def flag_cells(self, face, walls=None):
+        """Barycentric-subdivision simplices of a face: one cell per face flag.
 
-        Anchored at the lexicographically smallest vertex of every face,
-        recursively; uses only vertices, so the cells partition the face.
+        Cell vertices are vertex-average barycenters of a chain of faces, which
+        every lattice automorphism of the polytope maps to cells of the image
+        face; the resulting set of cells is canonical.  A barycenter is a
+        vertex-row sum over a positive count, so ``walls``, covectors, prune
+        the walk on the sum alone: a chain enters only faces whose barycenter
+        pairs nonnegatively with every wall.  Returns ``(cells, denominator)``:
+        an integer array (cell, vertex, coordinate) over one denominator, or
+        None, before any array is built, when the walls keep no chain.
         """
-        if face.dimension == 0:
-            return ((face.vertex_indices[0],),)
-        anchor = face.vertex_indices[0]
-        cells = []
-        for child in self.face_children(face):
-            if anchor in child.vertex_indices:
-                continue
-            for cell in self._triangulate_face(child):
-                cells.append((anchor,) + cell)
-        return tuple(cells)
+        verts = self.vertex_array
+        rows = verts.tolist()
+        sums, chains, stack = [], [], [(face, ())]
+        seen = {}           # vertex indices -> (kept face's index, children)
+        while stack:
+            f, chain = stack.pop()
+            key = f.vertex_indices
+            if key not in seen:
+                s = [sum(col) for col in zip(*(rows[i] for i in key))]
+                seen[key] = (None, ())
+                if walls is None or all(sum(x * y for x, y in zip(s, w)) >= 0
+                                        for w in walls):
+                    seen[key] = (len(sums),
+                                 self.face_children(f) if f.dimension else ())
+                    sums.append((s, len(key)))
+            at, children = seen[key]
+            if at is not None:
+                chain = (at,) + chain
+                if f.dimension == 0:
+                    chains.append(chain)
+                stack += [(child, chain) for child in reversed(children)]
+        if not chains:
+            return None
+        # over lcm(counts), a face row is its sum times lcm / count: |x| <= lcm top
+        big = lcm(*(c for _, c in sums))
+        faces = np.array([[x * (big // c) for x in s] for s, c in sums],
+                         dtype=la.bounded_dtype(big * int(np.abs(verts).max())))
+        return faces.reshape(-1, self.dim)[np.array(
+            chains, dtype=np.intp).reshape(-1, face.dimension + 1)], big
 
-    def boundary_triangulation(self):
-        """Per facet, vertex-index simplices triangulating it."""
-        return tuple(self._triangulate_face(f) for f in self.facet_faces())
+    def measure_cells(self, face, cells, denom):
+        """Centroids and lattice volumes of one facet's cells, exactly.
+
+        The facet lies on <x, n> = c with n primitive, so the cone from 0 over
+        a cell has lattice height c, and the cell's lattice volume is
+        |det(v_1, ..., v_d)| / ((d - 1)! c): one batched determinant of the
+        cells' integer vertex rows over ``denom``.  Returns the centroids'
+        vertex-row sums and |det|s, each as ``(array, denominator)``.
+        """
+        d = self.dim
+        sums = cells.astype(la.bounded_dtype(d * int(np.abs(cells).max()))
+                            ).sum(1)
+        c = self.facets[face.facet_indices[0]][1]
+        return ((sums, d * denom),
+                (abs(la.batched_det(cells)), factorial(d - 1) * c * denom ** d))
 
     @cached_property
     def _cones(self):
-        """The cones from 0 over the cells of ``boundary_triangulation``:
-        per facet its cells and |det| of each cell's vertex rows."""
-        tri = self.boundary_triangulation()
-        flat = abs(la.batched_det(self.vertex_array[np.array(
-            [cell for cells in tri for cell in cells])])).tolist()
-        dets, at = [], 0
-        for cells in tri:
-            dets.append(flat[at:at + len(cells)])
-            at += len(cells)
-        return tri, dets
+        """Per facet, from its flag cells: its lattice volume, and the sum
+        of its cells' centroids weighted by their lattice volumes."""
+        out = []
+        for face in self.facet_faces():
+            (sums, sden), (dets, vden) = self.measure_cells(
+                face, *self.flag_cells(face))
+            out.append((Fraction(sum(dets.tolist()), vden),
+                        [Fraction(x, vden * sden)
+                         for x in la.exact_matmul(dets, sums).tolist()]))
+        return out
 
     @cached_property
     def volume(self):
-        """Lebesgue volume (normalized so the lattice fundamental cell is 1)."""
-        _, dets = self._cones
-        return la.norm_scalar(Fraction(sum(map(sum, dets)),
-                                       factorial(self.dim)))
+        """Lebesgue volume (normalized so the lattice fundamental cell is 1):
+        the cone from 0 over a facet <x, n> = c has volume c vol_F / d."""
+        return la.norm_scalar(sum(c * vol for (_, c), (vol, _) in
+                                  zip(self.facets, self._cones)) / self.dim)
 
     @cached_property
     def barycenter(self):
-        """Exact centroid of the solid polytope, via the cone triangulation from 0.
+        """Exact centroid of the solid polytope, via the cones from 0 over
+        the flag cells.
 
-        A cone's centroid is the sum of its cell's vertices over dim + 1.
+        A cone's centroid is d / (d + 1) times its cell's centroid, and its
+        volume c / d times the cell's lattice volume.
         """
-        tri, dets = self._cones
-        weight = [0] * len(self.vertices)
-        for cells, ws in zip(tri, dets):
-            for cell, w in zip(cells, ws):
-                for i in cell:
-                    weight[i] += w
-        total = (self.dim + 1) * sum(map(sum, dets))
+        total = (self.dim + 1) * self.volume
         return tuple(
-            la.norm_scalar(Fraction(sum(w * v[k] for w, v in
-                                        zip(weight, self.vertices)), total))
+            la.norm_scalar(sum(c * moment[k] for (_, c), (_, moment) in
+                               zip(self.facets, self._cones)) / total)
             for k in range(self.dim))
 
     def face_lattice_volume(self, face):
-        """Volume of a facet, normalized to the lattice induced on its span.
+        """Volume of a facet, normalized to the lattice induced on its span:
+        the sum of its flag cells' volumes (:meth:`measure_cells`).
 
         A point counts 1; a segment of lattice length L counts L; a
-        unimodular k-simplex counts 1/k!.  The facet lies on <x, n> = c
-        with n primitive, so the cone from 0 over a cell of its pulling
-        triangulation has lattice height c, and the cell's volume is
-        |det(v_1, ..., v_d)| / ((d - 1)! c).  Raises ValueError for a face
+        unimodular k-simplex counts 1/k!.  Raises ValueError for a face
         that is not a facet.
         """
         if face.dimension != self.dim - 1:
             raise ValueError("lattice volume is defined here for facets only")
-        f = face.facet_indices[0]
-        _, dets = self._cones
-        return la.norm_scalar(Fraction(
-            sum(dets[f]), factorial(self.dim - 1) * self.facets[f][1]))
+        return la.norm_scalar(self._cones[face.facet_indices[0]][0])
 
     # -- local smoothness ----------------------------------------------------
 

@@ -324,26 +324,30 @@ class ClassificationRecord:
 def classify(p: Polytope) -> ClassificationRecord:
     """Assemble the per-polytope classification data.
 
-    A Weyl polytope's barycenter is 0, so only other inputs triangulate
-    their boundary for it.  Each reflection of the detected group W maps
-    ``p`` onto itself linearly, so W fixes the barycenter x.  In an inner
-    product averaged over the finite group W, <x, v> = <x, w v> is then one
-    constant c over the vertices, as W is transitive on them.  0 is
-    interior, so 0 = sum of l_v v with every l_v > 0, and 0 = c sum l_v
-    gives c = 0; the vertices span, so x = 0.  The automorphism count
-    takes no determinant either: a map that sends the vertices one to one
-    onto themselves is unimodular (:func:`symmetry.automorphism_group`).
+    Only an input that is neither a Weyl polytope nor the dual of one
+    computes its barycenter, which every lattice automorphism of ``p``
+    fixes.  A Weyl group fixes no nonzero vector: a vector fixed by the
+    reflection in a root pairs to zero with its coroot, and the coroots
+    span (a detected group is transitive on vertices that span around the
+    interior 0, so it fixes no vector orthogonal to them all in an
+    invariant inner product).  If ``p.dual()`` is a Weyl polytope, the
+    inverse transposes of its group act on M as automorphisms of ``p``
+    and form a Weyl group, roots and coroots swapped, so they fix no
+    nonzero vector of M either.  The automorphism count takes no
+    determinant either: a map that sends the vertices one to one onto
+    themselves is unimodular (:func:`symmetry.automorphism_group`).
     """
     aut = automorphism_group(p)
     det = is_weyl_polytope(p)
-    bary_zero = det is not None or all(x == 0 for x in p.barycenter)
     reflexive = p.is_reflexive
     weyl = (det.type_label, det.dominant_vertex) if det else None
-    dual_weyl, vc, witness = None, None, None
+    ddet, dual_weyl, vc, witness = None, None, None, None
     if reflexive:
         ddet = is_dual_weyl_polytope(p)
         dual_weyl = (ddet.type_label, ddet.dominant_vertex) if ddet else None
         vc, witness = vertex_condition(p)
+    bary_zero = (det is not None or ddet is not None
+                 or all(x == 0 for x in p.barycenter))
     return ClassificationRecord(
         aut_order=len(aut),
         barycenter_zero=bary_zero,

@@ -252,10 +252,8 @@ class TestCriterion5ChamberBalance:
             rec = weyl_polytope(system, weight_to_coords(system, omega))
             group = system.weyl_group()
             order = len(group)
-            mu = discretize(rec.polytope, 0, group=group, side="M",
-                            system=system)
-            nu = discretize(rec.polytope.dual(), 0, group=group, side="N",
-                            system=system)
+            mu = discretize(rec.polytope, 0, side="M")
+            nu = discretize(rec.polytope.dual(), 0, side="N")
             cm_mu = chamber_mass(mu, system, group)
             cm_nu = chamber_mass(nu, system, group)
             assert set(cm_mu.values()) == {Fraction(1, order)}, name

@@ -1,10 +1,12 @@
 """The cone-determinant cell kernel against a lattice-frame oracle.
 
-Every facet lies on <x, n> = c with n primitive, so ``face_lattice_volume``,
-``measure_cells``, ``volume`` and ``barycenter`` take one batched integer
-determinant of vertex rows.  The oracle below is the frame path they
-replaced: a saturated lattice basis of each facet's direction space,
-exact local coordinates in it, and a Fraction determinant per cell.
+Every facet lies on <x, n> = c with n primitive, so
+``Polytope.measure_cells`` takes one batched integer determinant of vertex
+rows per facet, and ``face_lattice_volume``, ``volume`` and ``barycenter``
+sum it over the flag cells.  The oracle below is the frame path it
+replaced: a saturated lattice basis of each facet's direction space, exact
+local coordinates in it, and a Fraction determinant per cell, over a
+second triangulation of the boundary, the pulling one.
 """
 
 import os
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 from weylot import linalg as la
-from weylot.measures import measure_cells, surface_measure
+from weylot import fileio
+from weylot.measures import surface_measure
 from weylot.polytope import Polytope
 from weylot.weyl import FAMILY_ROWS, family_smallest_ranks, mr_family
 
@@ -124,11 +127,34 @@ def simplex_volume(cell):
     return abs(Fraction(fraction_det(mat))) / factorial(len(mat))
 
 
+def triangulate_face(p, face):
+    """Vertex-index simplices of a pulling triangulation of ``face``.
+
+    Anchored at the lexicographically smallest vertex of every face,
+    recursively; uses only vertices, so the cells partition the face.
+    """
+    if face.dimension == 0:
+        return ((face.vertex_indices[0],),)
+    anchor = face.vertex_indices[0]
+    cells = []
+    for child in p.face_children(face):
+        if anchor in child.vertex_indices:
+            continue
+        for cell in triangulate_face(p, child):
+            cells.append((anchor,) + cell)
+    return tuple(cells)
+
+
+def boundary_triangulation(p):
+    """Per facet, vertex-index simplices triangulating it."""
+    return tuple(triangulate_face(p, f) for f in p.facet_faces())
+
+
 def oracle_face_volume(p, face):
     to_local = face_frame(p, face)
     return la.norm_scalar(sum(
         (simplex_volume([to_local(p.vertices[i]) for i in cell])
-         for cell in p._triangulate_face(face)), Fraction(0)))
+         for cell in triangulate_face(p, face)), Fraction(0)))
 
 
 def oracle_measure_cells(p, face, cells):
@@ -143,14 +169,14 @@ def oracle_volume(p):
     origin = (0,) * p.dim
     return la.norm_scalar(sum(
         (simplex_volume([origin] + [p.vertices[i] for i in cell])
-         for cells in p.boundary_triangulation() for cell in cells),
+         for cells in boundary_triangulation(p) for cell in cells),
         Fraction(0)))
 
 
 def oracle_barycenter(p):
     total = Fraction(0)
     acc = [Fraction(0)] * p.dim
-    for cells in p.boundary_triangulation():
+    for cells in boundary_triangulation(p):
         for cell in cells:
             w = abs(Fraction(fraction_det([p.vertices[i] for i in cell])))
             total += w
@@ -182,18 +208,44 @@ def polytopes():
     return out
 
 
+@lru_cache(maxsize=None)
+def volume_cases():
+    """Name -> polytope: the polytopes above, the golden polytopes, and
+    every family member of rank 5 and its dual."""
+    out = dict(polytopes())
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    for name in sorted(os.listdir(golden)):
+        if name.endswith(".poly"):
+            with open(os.path.join(golden, name), encoding="utf-8") as f:
+                out["golden-" + name[:-5]] = fileio.parse_polytope(f.read())
+    for row in sorted(FAMILY_ROWS):
+        if 5 in family_smallest_ranks(row):
+            p = mr_family(row, 5).polytope
+            out[f"{row}-5"] = p
+            out[f"{row}-5-dual"] = p.dual()
+    return out
+
+
 def fresh(name):
     """An uncached copy, so volumes are computed under the current guard."""
-    p = polytopes()[name]
+    p = volume_cases()[name]
     return Polytope(p.vertices, p.facets, p.dim)
 
 
 @lru_cache(maxsize=None)
+def volume_oracle(name):
+    """The frame path's facet volumes, volume and barycenter, over the
+    pulling triangulation."""
+    p = fresh(name)
+    return ([oracle_face_volume(p, f) for f in p.facet_faces()],
+            oracle_volume(p), oracle_barycenter(p))
+
+
+@lru_cache(maxsize=None)
 def oracle(name):
-    """The frame path's facet volumes, volume and barycenter, and per facet
-    its flag cells, built by the Fraction path of ``test_integer_cells`` and
-    refined k times for k <= 1 (k = 0 in dimension 4), each with its
-    measures."""
+    """Per facet its flag cells, built by the Fraction path of
+    ``test_integer_cells`` and refined k times for k <= 1 (k = 0 in
+    dimension 4), each with the frame path's measures."""
     p = fresh(name)
     cells = []
     for face in p.facet_faces():
@@ -204,8 +256,7 @@ def oracle(name):
                       for kind in kinds]
         cells += [(face, kind, oracle_measure_cells(p, face, kind))
                   for kind in kinds]
-    vols = [oracle_face_volume(p, f) for f in p.facet_faces()]
-    return vols, oracle_volume(p), oracle_barycenter(p), cells
+    return cells
 
 
 @pytest.fixture(params=["int64", "object"])
@@ -220,11 +271,16 @@ def test_the_polytopes():
     assert len(polys) == 63
     assert sum(not p.is_reflexive for p in polys) >= 9
     assert max(p.dim for p in polys) == 4
+    # 11 fixtures, 4 golden polytopes, 27 members of rank <= 5, their
+    # duals, and the 8 random polytopes
+    assert len(volume_cases()) == 11 + 4 + 2 * 27 + 8
+    assert max(p.dim for p in volume_cases().values()) == 5
 
 
-@pytest.mark.parametrize("name", sorted(polytopes()))
+@pytest.mark.parametrize("name", sorted(volume_cases()))
 def test_volumes_match_the_frame(name, path):
-    vols, volume, barycenter, _ = oracle(name)
+    """The flag cells' volumes against a second triangulation."""
+    vols, volume, barycenter = volume_oracle(name)
     p = fresh(name)
     assert [p.face_lattice_volume(f) for f in p.facet_faces()] == vols
     assert p.volume == volume
@@ -237,10 +293,10 @@ def test_volumes_match_the_frame(name, path):
 @pytest.mark.parametrize("name", sorted(polytopes()))
 def test_measure_cells_match_the_frame(name, path):
     p = fresh(name)
-    for face, cells, expected in oracle(name)[3]:
+    for face, cells, expected in oracle(name):
         rows, denom = scaled_points([v for cell in cells for v in cell])
-        (sums, sden), (dets, vden) = measure_cells(
-            p, face, np.array(rows).reshape(len(cells), p.dim, p.dim), denom)
+        (sums, sden), (dets, vden) = p.measure_cells(
+            face, np.array(rows).reshape(len(cells), p.dim, p.dim), denom)
         assert [(tuple(la.norm_scalar(Fraction(x, sden)) for x in s),
                  la.norm_scalar(Fraction(det) / vden))
                 for s, det in zip(sums.tolist(), dets.tolist())] == expected

@@ -318,8 +318,8 @@ class TestInternalCheck:
     def test_centroid_on_a_wall_exit_code(self, monkeypatch, capsys):
         # a walk that keeps every flag cell leaves centroids off the open
         # dominant chamber, which certify's cloud check rejects
-        every_cell = measures._flag_cells
-        monkeypatch.setattr(measures, "_flag_cells",
+        every_cell = Polytope.flag_cells
+        monkeypatch.setattr(Polytope, "flag_cells",
                             lambda p, face, walls=None: every_cell(p, face))
         golden = Path(__file__).parent / "golden"
         assert main(["certify", str(golden / "cube-B3.poly"), "--type", "B3",

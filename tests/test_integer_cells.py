@@ -5,8 +5,8 @@ denominator, from the face walk through refinement to the measurement.
 The oracle below is the Fraction path it replaced: face barycenters summed
 in Fractions, barycentric subdivision by Fraction averages, cone volumes by
 a Fraction determinant, and common-denominator coordinates by an lcm loop.
-Clouds must agree in points, masses and ``scaled`` on both paths:
-``group=`` and ``walls``.
+Clouds must agree in points, masses and ``scaled`` on both paths: every
+flag cell ("group", the group-invariant cloud) and ``walls``.
 """
 
 import os
@@ -18,8 +18,8 @@ from math import factorial, gcd
 import pytest
 
 from weylot import linalg as la
-from weylot.measures import (_barycentric_subdivide, _flag_cells,
-                             discretize, dominant_cloud)
+from weylot.measures import (_barycentric_subdivide, discretize,
+                             dominant_cloud)
 from weylot.weyl import (FAMILY_ROWS, family_smallest_ranks, is_weyl_polytope,
                          mr_family)
 
@@ -137,11 +137,6 @@ def refinements(name, kind):
 
 
 @lru_cache(maxsize=None)
-def group(name):
-    return polytopes()[name][1].weyl_group()
-
-
-@lru_cache(maxsize=None)
 def oracle_cells(name, kind, k):
     """Per facet, the Fraction path's cells of one kind, refined k times."""
     if k:
@@ -180,7 +175,7 @@ def test_clouds_match_the_fraction_path(name, kind, path):
     p, system, side = polytopes()[name]
     for k in refinements(name, kind):
         if kind == "group":
-            cloud = discretize(p, k, group=group(name), side=side)
+            cloud = discretize(p, k, side=side)
         else:
             cloud = dominant_cloud(p, k, system, side)
         points, masses, (rows, scale) = oracle(name, kind, k)
@@ -202,7 +197,7 @@ def test_cells_match_the_fraction_path(name, path):
     facet barycenter."""
     p = polytopes()[name][0]
     for f, face in enumerate(p.facet_faces()):
-        cells = _flag_cells(p, face)
+        cells = p.flag_cells(face)
         assert sorted(fractions(*cells)) == sorted(
             oracle_cells(name, "group", 0)[f])
         if p.dim <= 3:

@@ -84,17 +84,22 @@ def test_import_graph_is_acyclic():
         visit(name)
 
 
-def names_read(tree):
+def names_read(tree, skip=None):
     """The names a tree reads, not those it stores: the ids of its
     ``Name`` nodes and the attributes of its ``Attribute`` nodes
-    (``x.name``)."""
+    (``x.name``), outside the subtree ``skip``."""
     bare, attributes = set(), set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(getattr(node, "ctx", None), ast.Load):
             if isinstance(node, ast.Name):
                 bare.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
     return bare, attributes
 
 
@@ -102,18 +107,19 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree):
-    """(definition, scope) per function and class in a module tree, the
-    scope being what it is defined in: "module", "class" or "function"."""
+    """(definition, owner) per function and class in a module tree, the
+    owner being what it is defined in: "module", "class", or the node of
+    the enclosing function."""
     out = []
 
-    def visit(node, scope):
+    def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, DEFINITIONS):
-                out.append((child, scope))
+                out.append((child, owner))
                 visit(child, "class" if isinstance(child, ast.ClassDef)
-                      else "function")
+                      else child)
             else:
-                visit(child, scope)
+                visit(child, owner)
     visit(tree, "module")
     return out
 
@@ -173,24 +179,29 @@ def test_every_definition_has_a_caller():
     module (``la.rank``), or by an import of it from its module or from
     ``weylot``.  A definition in a class body (a method, a property)
     passes only when its name is read as an attribute, ``x.name``, and one
-    nested in a function only when its name is read as a bare name.  Names
-    still match across objects and scopes: a method named like another
-    object's attribute, or a nested function named like a local variable
-    read elsewhere, would pass unread.
+    nested in a function only when that function reads its name as a bare
+    name outside the nested definition itself.  Method names still match
+    across objects: a method named like another object's attribute would
+    pass unread.
     """
-    read, module_read = {"function": set(), "class": set()}, set()
+    attributes, module_read = set(), set()
     for path in CALLERS:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        bare, attributes = names_read(tree)
-        read["function"] |= bare
-        read["class"] |= attributes
+        attributes |= names_read(tree)[1]
         here = path.stem if path.parent == PACKAGE else None
         module_read |= module_names_read(tree, here)
+
+    def is_read(module, node, owner):
+        if owner == "module":
+            return (module, node.name) in module_read
+        if owner == "class":
+            return node.name in attributes
+        return node.name in names_read(owner, skip=node)[0]
+
     unread = []
     for name, tree in MODULES.items():
         unread += [
-            f"{name}.{node.name}" for node, scope in definitions(tree)
+            f"{name}.{node.name}" for node, owner in definitions(tree)
             if not (node.name.startswith("__") and node.name.endswith("__"))
-            and ((name, node.name) not in module_read if scope == "module"
-                 else node.name not in read[scope])]
+            and not is_read(name, node, owner)]
     assert unread == [], f"defined but read by no caller: {unread}"

@@ -259,8 +259,8 @@ class TestWeightLatticeCertification:
         a2w = build_root_system("A", 2, "weight")
         rec = weyl_polytope(a2w, (1, 0))
         W = a2w.weyl_group()
-        mu = discretize(rec.polytope, 0, group=W, side="M", system=a2w)
-        nu = discretize(rec.polytope.dual(), 0, group=W, side="N", system=a2w)
+        mu = discretize(rec.polytope, 0, side="M")
+        nu = discretize(rec.polytope.dual(), 0, side="N")
         direct, _ = solve_ot(mu, nu)
         invariant, _ = solve_invariant_ot(mu, nu, W)
         assert direct.cost_value == invariant.cost_value
@@ -276,9 +276,8 @@ class TestMoreQuotientCrossChecks:
         system = build_root_system(family, rank)
         rec = weyl_polytope(system, weight_to_coords(system, omega))
         W = system.weyl_group()
-        mu = discretize(rec.polytope, k, group=W, side="M", system=system)
-        nu = discretize(rec.polytope.dual(), k, group=W, side="N",
-                        system=system)
+        mu = discretize(rec.polytope, k, side="M")
+        nu = discretize(rec.polytope.dual(), k, side="N")
         direct, _ = solve_ot(mu, nu)
         invariant, _ = solve_invariant_ot(mu, nu, W)
         assert direct.cost_value == invariant.cost_value
@@ -327,9 +326,9 @@ class TestIntegerBounds:
         delta = B2_SQUARE
         W = B2.weyl_group()
         mu = WeightedPointCloud(tuple(xs), (Fraction(1, len(xs)),) * len(xs),
-                                (None,) * len(xs), "M")
+                                "M")
         nu = WeightedPointCloud(tuple(ys), (Fraction(1, len(ys)),) * len(ys),
-                                (None,) * len(ys), "N")
+                                "N")
         assert tight_matrix(*mu.scaled, delta.facets).tolist() == [
             [la.vdot(x, n) == c for n, c in delta.facets] for x in xs]
         for side, pts in (("M", xs), ("N", ys)):

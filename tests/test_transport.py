@@ -34,9 +34,7 @@ import simplex_oracle
 
 
 def cloud(points, masses, side="M"):
-    n = len(points)
-    return WeightedPointCloud(tuple(points), tuple(masses), (None,) * n,
-                              side)
+    return WeightedPointCloud(tuple(points), tuple(masses), side)
 
 
 # -- spanning-tree enumeration oracle -----------------------------------------
@@ -579,8 +577,8 @@ class TestSymmetrize:
         b2 = build_root_system("B", 2)
         rec = weyl_polytope(b2, weight_to_coords(b2, (0, 2)))
         W = b2.weyl_group()
-        mu = discretize(rec.polytope, k, group=W, side="M", system=b2)
-        nu = discretize(rec.polytope.dual(), k, group=W, side="N", system=b2)
+        mu = discretize(rec.polytope, k, side="M")
+        nu = discretize(rec.polytope.dual(), k, side="N")
         return b2, rec, W, mu, nu
 
     def test_cost_preserved_and_invariant(self):
@@ -621,9 +619,8 @@ class TestQuotientReduction:
         system = build_root_system(family, rank)
         rec = weyl_polytope(system, weight_to_coords(system, omega))
         W = system.weyl_group()
-        mu = discretize(rec.polytope, k, group=W, side="M", system=system)
-        nu = discretize(rec.polytope.dual(), k, group=W, side="N",
-                        system=system)
+        mu = discretize(rec.polytope, k, side="M")
+        nu = discretize(rec.polytope.dual(), k, side="N")
         direct, _ = solve_ot(mu, nu)
         invariant, pots = solve_invariant_ot(mu, nu, W)
         assert invariant.cost_value == direct.cost_value
@@ -636,8 +633,8 @@ class TestQuotientReduction:
         b3 = build_root_system("B", 3)
         rec = weyl_polytope(b3, weight_to_coords(b3, (0, 0, 2)))
         W = b3.weyl_group()
-        mu = discretize(rec.polytope, 1, group=W, side="M")
-        nu = discretize(rec.polytope.dual(), 1, group=W, side="N")
+        mu = discretize(rec.polytope, 1, side="M")
+        nu = discretize(rec.polytope.dual(), 1, side="N")
         assert len(mu) == len(nu) == 288
         direct, _ = solve_ot(mu, nu)
         invariant, _ = solve_invariant_ot(mu, nu, W)
@@ -1019,8 +1016,8 @@ def invariant_route(rec, k):
     the orbit-map quotient solve and all four checks on the lifted plan."""
     system = rec.system
     W = system.weyl_group()
-    mu = discretize(rec.polytope, k, group=W, side="M")
-    nu = discretize(rec.polytope.dual(), k, group=W, side="N")
+    mu = discretize(rec.polytope, k, side="M")
+    nu = discretize(rec.polytope.dual(), k, side="N")
     plan, pots = solve_invariant_ot(mu, nu, W)
     dual_value = sum(Fraction(m) * p for m, p in zip(mu.masses, pots.phi))
     dual_value += sum(Fraction(m) * p for m, p in zip(nu.masses, pots.psi))

@@ -15,6 +15,7 @@ from weylot.weyl import (classify, is_dual_weyl_polytope, is_weyl_polytope,
                          weyl_polytope)
 
 from dominance_oracle import mat_vec
+from test_cell_kernel import oracle_barycenter
 from test_symmetry import ALL_CASES, case, image, member_cases, seeded_images
 
 
@@ -318,18 +319,20 @@ def fresh(p):
 
 
 class TestBarycenterShortcut:
-    """``classify`` reads barycenter_zero off the Weyl detection; the exact
-    barycenter is its oracle."""
+    """``classify`` reads barycenter_zero off the Weyl detections; the
+    barycenter over the pulling triangulation is its oracle."""
 
     @pytest.mark.parametrize("name", ALL_CASES)
     def test_members_duals_and_fixtures(self, name):
         p = case(name)
-        assert classify(p).barycenter_zero == all(x == 0 for x in p.barycenter)
+        assert classify(p).barycenter_zero == all(
+            x == 0 for x in oracle_barycenter(p))
 
     @pytest.mark.parametrize("verts", REFLEXIVE_POLYGONS + NON_WEYL)
     def test_polygons(self, verts):
         p = convex_hull(verts)
-        assert classify(p).barycenter_zero == all(x == 0 for x in p.barycenter)
+        assert classify(p).barycenter_zero == all(
+            x == 0 for x in oracle_barycenter(p))
 
     def test_census_and_fallback(self):
         polys = [convex_hull(v) for v in REFLEXIVE_POLYGONS]
@@ -342,17 +345,16 @@ class TestBarycenterShortcut:
 
 
 class TestNoTriangulationOnTheClassifyPath:
-    """``classify`` and ``unimodular_equivalent`` on Weyl polytopes never
-    triangulate the boundary."""
+    """``classify`` and ``unimodular_equivalent`` on Weyl polytopes and
+    their duals never walk the flag cells."""
 
     @pytest.fixture(autouse=True)
     def no_cones(self, monkeypatch):
-        def refuse(self):
+        def refuse(self, face, walls=None):
             raise AssertionError("boundary triangulation on the classify path")
-        monkeypatch.setattr(Polytope, "_cones", property(refuse))
+        monkeypatch.setattr(Polytope, "flag_cells", refuse)
 
-    @pytest.mark.parametrize("name", [n for n in member_cases()
-                                      if not n.endswith("-dual")])
+    @pytest.mark.parametrize("name", member_cases())
     def test_members(self, name):
         p = fresh(case(name))
         assert classify(p).barycenter_zero is True
